@@ -186,10 +186,13 @@ def _straight_line_intercept(snr: float) -> float:
     """Intercept A(snr) of the slope -1 random-coding line, in nats.
 
     A(snr) = E_ex(R_ex) + R_ex = E_sp(R_cr) + R_cr (rates in nats); the
-    closed form below is that common value.
+    closed form below is that common value.  Its first term
+    (snr + 2 - r)/4 is evaluated as 1/2 - 1/(snr + r), which is free of the
+    cancellation between snr and r at high SNR; hypot avoids overflow of
+    snr**2.
     """
-    r = math.sqrt(4.0 + snr * snr)
-    return (snr + 2.0 - r) / 4.0 + 0.5 * math.log((2.0 + r) / 4.0)
+    r = math.hypot(2.0, snr)
+    return 0.5 - 1.0 / (snr + r) + 0.5 * math.log((2.0 + r) / 4.0)
 
 
 def random_coding_exp(snr: float, rate_bits: float) -> float:

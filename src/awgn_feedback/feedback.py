@@ -24,6 +24,7 @@ import warnings
 from dataclasses import dataclass
 
 from .exponents import (
+    _check_rate,
     capacity,
     critical_rate,
     gallager_exp,
@@ -174,13 +175,6 @@ def _check_rounds(rounds: int) -> int:
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     return rounds
-
-
-def _check_rate(rate_bits: float) -> float:
-    rate_bits = float(rate_bits)
-    if not math.isfinite(rate_bits) or rate_bits < 0.0:
-        raise ValueError(f"rate must be finite and nonnegative, got {rate_bits!r}")
-    return rate_bits
 
 
 def _decode_exponent(snr: float, rate_bits: float) -> float:

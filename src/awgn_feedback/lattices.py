@@ -5,6 +5,10 @@ scalar case n=1), the checkerboard lattice D4, and the Gosset lattice E8.
 Lattice points and modulo residues are plain float ndarrays; no wrapper
 types.  A residue r returned by :func:`modulo` satisfies quantize_nn(r) = 0.
 
+Second moments are exact closed forms (Conway & Sloane, *Sphere Packings,
+Lattices and Groups*, ch. 21): normalized second moments 1/12 for Z^n,
+13/(120*sqrt(2)) for D4 and 929/12960 for E8.
+
 Quantization ties on Voronoi facets are broken toward the lexicographically
 smallest lattice point, so every operation here is a deterministic pure
 function of its inputs.
@@ -33,20 +37,20 @@ __all__ = [
 
 TWO_PI_E = 2.0 * math.pi * math.e
 
-# Monte-Carlo settings for the D4/E8 second moments (no closed form used
-# here); one batch per family, cached for the process lifetime.
-_MOMENT_SEED = 20260816
-_MOMENT_SAMPLES = 1_000_000
-_UNIT_MOMENT_CACHE: dict[str, float] = {}
+# Per-dimension second moment of the unit-scale D4 (cell volume 2) and E8
+# (cell volume 1) bases below; Conway & Sloane, SPLAG, ch. 21.
+_D4_UNIT_MOMENT = 13.0 / 120.0
+_E8_UNIT_MOMENT = 929.0 / 12960.0
 
 
 @dataclass(frozen=True, eq=False)
 class Lattice:
-    """An immutable lattice: scale * (base family), with cached moments.
+    """An immutable lattice: scale * (base family).
 
     ``second_moment`` is the per-dimension power of a uniform dither over
     the fundamental Voronoi cell; ``nsm`` is the scale-free version
-    second_moment / cell_volume**(2/n).
+    second_moment / cell_volume**(2/n).  Both are exact closed forms, set at
+    construction and carried through rescaling.
     """
 
     family: str
@@ -95,7 +99,7 @@ def d4_lattice(scale: float = 1.0) -> Lattice:
             [0.0, 0.0, 1.0, -1.0],
         ]
     )
-    return _family_lattice("d4", 4, scale, base, unit_volume=2.0)
+    return _family_lattice("d4", 4, scale, base, 2.0, _D4_UNIT_MOMENT)
 
 
 def e8_lattice(scale: float = 1.0) -> Lattice:
@@ -107,7 +111,7 @@ def e8_lattice(scale: float = 1.0) -> Lattice:
         base[i, i - 1] = -1.0
         base[i, i] = 1.0
     base[7, :] = 0.5
-    return _family_lattice("e8", 8, scale, base, unit_volume=1.0)
+    return _family_lattice("e8", 8, scale, base, 1.0, _E8_UNIT_MOMENT)
 
 
 def make_lattice(name: str, dimension: int | None = None) -> Lattice:
@@ -142,9 +146,13 @@ def _check_scale(scale: float) -> float:
 
 
 def _family_lattice(
-    family: str, n: int, scale: float, base: np.ndarray, unit_volume: float
+    family: str,
+    n: int,
+    scale: float,
+    base: np.ndarray,
+    unit_volume: float,
+    unit_moment: float,
 ) -> Lattice:
-    unit_moment = _unit_second_moment(family, n, base, unit_volume)
     return Lattice(
         family=family,
         dimension=n,
@@ -154,22 +162,6 @@ def _family_lattice(
         second_moment=unit_moment * scale * scale,
         nsm=unit_moment / unit_volume ** (2.0 / n),
     )
-
-
-def _unit_second_moment(
-    family: str, n: int, base: np.ndarray, unit_volume: float
-) -> float:
-    """Per-dimension dither power of the unit-scale lattice, by Monte Carlo."""
-    cached = _UNIT_MOMENT_CACHE.get(family)
-    if cached is not None:
-        return cached
-    rng = np.random.default_rng(_MOMENT_SEED)
-    u = rng.random((_MOMENT_SAMPLES, n))
-    y = u @ base
-    residues = y - _quantize_unit_batch(family, y)
-    moment = float(np.mean(residues * residues))
-    _UNIT_MOMENT_CACHE[family] = moment
-    return moment
 
 
 # =============================================================================
@@ -239,35 +231,6 @@ def _quantize_unit(family: str, y: np.ndarray) -> np.ndarray:
     if family == "d4":
         return _quantize_dn(y)
     return _quantize_e8(y)
-
-
-def _quantize_unit_batch(family: str, y: np.ndarray) -> np.ndarray:
-    """Vectorized unit-scale quantizer for Monte-Carlo batches.
-
-    Tie handling is first-index rather than full lex (ties are measure-zero
-    under continuous inputs); the public scalar path is the contract.
-    """
-    if family == "cubic":
-        return np.ceil(y - 0.5)
-
-    def dn(yy: np.ndarray) -> np.ndarray:
-        f = np.ceil(yy - 0.5)
-        e = yy - f
-        odd = np.nonzero(np.asarray(f.sum(axis=1), dtype=np.int64) % 2 != 0)[0]
-        if odd.size:
-            pen = 1.0 - 2.0 * np.abs(e[odd])
-            j = np.argmin(pen, axis=1)
-            step = np.where(e[odd, j] > 0.0, 1.0, -1.0)
-            f[odd, j] += step
-        return f
-
-    if family == "d4":
-        return dn(y)
-    q0 = dn(y)
-    q1 = _E8_HALF + dn(y - _E8_HALF)
-    d0 = ((y - q0) ** 2).sum(axis=1)
-    d1 = ((y - q1) ** 2).sum(axis=1)
-    return np.where((d1 < d0)[:, None], q1, q0)
 
 
 def _check_point(lattice: Lattice, x) -> np.ndarray:

@@ -154,6 +154,18 @@ def test_expurgation_meets_random_coding_at_expurgation_rate():
     assert abs(ex - rc) / rc < 1e-12
 
 
+def test_random_coding_intercept_stable_at_high_snr():
+    # the e_fb scan reaches effective SNRs of 1e43 and more; the intercept
+    # must neither cancel (snr + 2 - sqrt(4 + snr^2)) nor overflow (snr^2)
+    snrs = [1e8, 1e16, 1e43, 1e160, 1e300]
+    values = [random_coding_exp(s, 0.0) for s in snrs]
+    assert all(math.isfinite(v) and v > 0.0 for v in values)
+    assert all(a < b for a, b in zip(values, values[1:]))
+    for s, v in zip(snrs, values):
+        if s >= 1e16:
+            assert v == pytest.approx(0.5 + 0.5 * math.log(s / 4.0), rel=1e-12)
+
+
 def test_expurgation_zero_rate():
     # u = 1 at R = 0, so the curve starts at s/4
     assert expurgation_exp(SNR, 0.0) == pytest.approx(SNR / 4.0, rel=1e-14)

@@ -1,6 +1,9 @@
 """Tests for lattice constructions, quantizers, and dither machinery."""
 
 import math
+import os
+import subprocess
+import sys
 from itertools import product
 
 import numpy as np
@@ -25,9 +28,9 @@ from awgn_feedback import (
 
 TWO_PI_E = 2.0 * math.pi * math.e
 
-# reference normalized second moments
+# reference normalized second moments (Conway & Sloane, SPLAG, ch. 21)
 G_CUBIC = 1.0 / 12.0
-G_D4 = 0.076603
+G_D4 = 13.0 / (120.0 * math.sqrt(2.0))
 G_E8 = 929.0 / 12960.0
 
 
@@ -290,8 +293,30 @@ def test_crypto_lemma_shift_invariance():
 def test_normalized_second_moments():
     assert cubic_lattice(1).nsm == pytest.approx(G_CUBIC, abs=0.0)
     assert cubic_lattice(5, spacing=3.0).nsm == pytest.approx(G_CUBIC, abs=0.0)
-    assert d4_lattice().nsm == pytest.approx(G_D4, rel=5e-3)
-    assert e8_lattice().nsm == pytest.approx(G_E8, rel=5e-3)
+    assert d4_lattice().nsm == pytest.approx(G_D4, rel=1e-12)
+    assert e8_lattice().nsm == pytest.approx(G_E8, rel=1e-12)
+
+
+_CONSTRUCTION_PEAK = """
+import tracemalloc
+from awgn_feedback import d4_lattice, e8_lattice
+tracemalloc.start()
+d4_lattice()
+e8_lattice()
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_family_construction_allocates_little():
+    # the moments are closed forms, so building D4/E8 samples nothing; a
+    # fresh interpreter keeps earlier constructions in this process from
+    # hiding a first-call cost
+    out = subprocess.run(
+        [sys.executable, "-c", _CONSTRUCTION_PEAK],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert int(out.stdout) < 1 << 20
 
 
 def test_moments_improve_toward_e8():
