@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from contextlib import nullcontext
 
 from .exponents import capacity, gallager_exp, sphere_packing_exp
 from .feedback import (
@@ -121,12 +122,8 @@ def _sweep_rows(snr_db: float, dsnr_db: float, grid: int, fig1: bool):
 
 
 def _write_csv(path: str, fieldnames, rows) -> None:
-    if path == "-":
-        w = csv.DictWriter(sys.stdout, fieldnames=fieldnames, lineterminator="\n")
-        w.writeheader()
-        w.writerows(rows)
-        return
-    with open(path, "w", newline="") as fh:
+    out = nullcontext(sys.stdout) if path == "-" else open(path, "w", newline="")
+    with out as fh:
         w = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
         w.writeheader()
         w.writerows(rows)
@@ -375,10 +372,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:

@@ -99,13 +99,14 @@ def capacity(snr: float) -> float:
 def critical_rate(snr: float) -> float:
     """Rate (bits) above which random coding meets the sphere-packing bound."""
     snr = _check_snr(snr)
-    return 0.5 * math.log2(0.5 + snr / 4.0 + 0.5 * math.sqrt(1.0 + snr * snr / 4.0))
+    # hypot(1, snr/2) = sqrt(1 + snr^2/4) without overflowing snr^2
+    return 0.5 * math.log2(0.5 + snr / 4.0 + 0.5 * math.hypot(1.0, 0.5 * snr))
 
 
 def expurgation_rate(snr: float) -> float:
     """Rate (bits) below which expurgation improves on random coding."""
     snr = _check_snr(snr)
-    return 0.5 * math.log2(0.5 + 0.5 * math.sqrt(1.0 + snr * snr / 4.0))
+    return 0.5 * math.log2(0.5 + 0.5 * math.hypot(1.0, 0.5 * snr))
 
 
 def region_boundaries(snr: float) -> RegionBoundaries:

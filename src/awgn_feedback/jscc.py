@@ -8,9 +8,9 @@ scaled source plus channel noise whenever that sum stays inside the
 fundamental cell.  Leaving the cell is the aliasing event; callers detect it
 by comparing U against the known beta*Q + Z in tests and simulations.
 
-The channel-estimator coefficient is pinned to 1 (the only configuration
-used downstream); the receiver-side output scaling drops out of every
-quantity of interest and is omitted.
+The receiver folds the channel output as received (a channel-estimator
+coefficient of 1, the only one the scheme uses); the receiver-side output
+scaling drops out of every quantity of interest and is omitted.
 """
 
 from __future__ import annotations
@@ -31,16 +31,10 @@ class JsccParams:
 
     beta: float
     lattice: Lattice
-    alpha_c: float = 1.0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.beta) and self.beta > 0.0):
             raise ValueError(f"beta must be finite and positive, got {self.beta!r}")
-        # extension point only; every supported configuration uses 1
-        if self.alpha_c != 1.0:
-            raise ValueError(
-                f"alpha_c is fixed to 1 in this scheme, got {self.alpha_c!r}"
-            )
 
 
 def _vec(params: JsccParams, name: str, x) -> np.ndarray:
@@ -72,4 +66,4 @@ def wz_receive(y, v, j, params: JsccParams) -> np.ndarray:
     y = _vec(params, "y", y)
     v = _vec(params, "v", v)
     j = _vec(params, "j", j)
-    return modulo(params.lattice, params.alpha_c * y - v - params.beta * j)
+    return modulo(params.lattice, y - v - params.beta * j)

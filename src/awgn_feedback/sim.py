@@ -3,7 +3,7 @@
 One trial runs two independent copies of the scheme (the "interlaced" pair:
 in a real deployment their blocks alternate on the channel so each terminal
 always has a finished block to react to; statistically the interlacing is
-pure scheduling, so the simulator runs both copies back to back on one trial
+pure scheduling, so the simulator runs both copies side by side on one trial
 seed).  Per copy:
 
   round 1      Terminal A sends the codeword Theta; B sets the estimate
@@ -24,6 +24,12 @@ exactly and keeps the two sample paths bit-identical until the first
 aliasing event.  The union-of-aliasing indicator therefore agrees between
 the systems on every trial, not merely with high probability.
 
+One engine, :func:`_run_block`, simulates a block of consecutive trials:
+both systems of both copies advance together through the rounds as arrays
+of shape (system, trial, copy, dimension).  Campaigns reduce block after
+block in trial order; :func:`run_trial` and :func:`run_coupled_trial` are
+blocks of one trial.  A trial's draws do not depend on its block.
+
 Randomness: trial t uses Generator(Philox(key=[master_seed, t])), so trials
 are reproducible individually and in any execution order; the random
 codebook draws from the reserved stream key [master_seed, 2**63 + 1], and
@@ -34,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,6 +71,14 @@ _MAX_CODEBOOK_BITS = 16
 # real and coupled estimation errors must agree at least this tightly up to
 # the first aliasing event (they agree exactly in the current pipeline)
 _AGREEMENT_ATOL = 1e-9
+
+# the engine's system axis
+_REAL, _COUPLED = 0, 1
+
+# values per (trials, 2, rounds, n) block array, and bytes per decode
+# distance chunk: small enough that a block's temporaries stay in cache
+_BLOCK_VALUES = 4096
+_DECODE_CHUNK_BYTES = 32 * 1024
 
 
 # =============================================================================
@@ -309,237 +324,161 @@ class TrialRecord:
     coupled_agreement: bool
 
 
-class _SystemOutcome:
-    __slots__ = ("flags", "first_alias", "decoded", "eps_path", "eps_final",
-                 "ff_sq", "fb_sq")
-
-    def __init__(self, flags, first_alias, decoded, eps_path, eps_final,
-                 ff_sq, fb_sq):
-        self.flags = flags
-        self.first_alias = first_alias
-        self.decoded = decoded
-        self.eps_path = eps_path
-        self.eps_final = eps_final
-        self.ff_sq = ff_sq
-        self.fb_sq = fb_sq
+def _sq(x: np.ndarray) -> np.ndarray:
+    """Squared norms along the last axis."""
+    return (x * x).sum(axis=-1)
 
 
-def _decode_index(cfg: SchemeConfig, theta_hat) -> int:
+def _fold(lat: Lattice, x: np.ndarray, through_generator: bool = False) -> np.ndarray:
+    """Residues mod the lattice along the last axis (of x @ generator if asked).
+
+    The cubic family folds in one array expression, the same arithmetic as
+    :func:`modulo`; D4 and E8 go through :func:`modulo` row by row.
+    """
+    if lat.family == "cubic":
+        s = lat.scale
+        if through_generator:
+            x = s * x  # x @ (s I), exactly
+        return x - s * np.ceil(x / s - 0.5)
+    out = np.empty_like(x)
+    rows = out.reshape(-1, lat.dimension)
+    for i, r in enumerate(x.reshape(-1, lat.dimension)):
+        rows[i] = modulo(lat, r @ lat.generator if through_generator else r)
+    return out
+
+
+def _decode_index(cfg: SchemeConfig, theta_hat: np.ndarray) -> np.ndarray:
+    """Nearest-codeword index of each estimate along the last axis."""
+    lead = theta_hat.shape[:-1]
     if cfg.codebook == "pam":
         m = cfg.m_codewords
         if m == 1:
-            return 0
-        t = float(theta_hat[0]) / cfg.pam_step + 0.5 * (m - 1)
-        return min(m - 1, max(0, round(t)))
-    diff = cfg.codewords - theta_hat
-    return int(np.argmin((diff * diff).sum(axis=1)))
+            return np.zeros(lead, dtype=np.intp)
+        # rint rounds halves to even, like the scalar slicer's round()
+        t = theta_hat[..., 0] / cfg.pam_step + 0.5 * (m - 1)
+        return np.clip(np.rint(t), 0, m - 1).astype(np.intp)
+    rows = theta_hat.reshape(-1, cfg.dimension)
+    out = np.empty(len(rows), dtype=np.intp)
+    chunk = max(1, _DECODE_CHUNK_BYTES // cfg.codewords.nbytes)
+    for i in range(0, len(rows), chunk):
+        diff = cfg.codewords - rows[i:i + chunk, None, :]
+        out[i:i + chunk] = np.argmin(_sq(diff), axis=1)
+    return out.reshape(lead)
 
 
-def _run_copy_scalar(cfg, theta, z_fwd, z_fb, dithers, with_modulo):
-    """One scheme copy, scalar fast path (dimension-1 cubic lattice)."""
-    spacing = cfg.lattice.scale
-    alpha = cfg.alpha
-    th = float(theta[0])
-    th_hat = th + z_fwd[0]
-    ff_sq = th * th
-    fb_sq = 0.0
-    flags = []
-    first = None
-    eps_path = [th_hat - th]
-    for k in range(cfg.rounds - 1):
-        g = cfg.gains[k]
-        eps = th_hat - th
-        if cfg.exact_feedback:
-            fb = th_hat
-            fb_sq += fb * fb
-            flags.append(False)
-            x = g * eps
-        else:
-            fb_raw = g * th_hat + dithers[k]
-            if with_modulo:
-                fb = fb_raw - spacing * math.ceil(fb_raw / spacing - 0.5)
-            else:
-                fb = fb_raw
-            fb_sq += fb * fb
-            w = g * eps + z_fb[k]
-            wrap = math.ceil(w / spacing - 0.5)
-            aliased = wrap != 0
-            flags.append(aliased)
-            if aliased and first is None:
-                first = k + 1
-            u = w - spacing * wrap if with_modulo else w
-            x = alpha * u
-        ff_sq += x * x
-        y = x + z_fwd[k + 1]
-        th_hat = th_hat - cfg.betas[k] * y
-        eps_path.append(th_hat - th)
-    idx = _decode_index(cfg, np.array([th_hat]))
-    return _SystemOutcome(flags, first, idx, eps_path,
-                          (th_hat - th) ** 2, ff_sq, fb_sq)
+class _Block(NamedTuple):
+    """Outcomes of trials [start, stop); leading axis 0 real, 1 coupled."""
+
+    msgs: np.ndarray      # (trials, 2) message per copy
+    alias: np.ndarray     # (2, trials, 2, rounds - 1) wrap flags
+    decoded: np.ndarray   # (2, trials, 2) decoded message
+    eps: np.ndarray       # (2, trials, 2, n) final estimation error
+    ff_sq: np.ndarray     # (2, trials, 2) forward energy per copy
+    fb_sq: np.ndarray     # (2, trials, 2) feedback energy per copy
+    agree: np.ndarray     # (trials, 2) paths agree up to the first alias
 
 
-def _run_copy_vector(cfg, theta, z_fwd, z_fb, dithers, with_modulo):
-    """One scheme copy on an n-dimensional lattice."""
+def _run_block(cfg: SchemeConfig, start: int, stop: int) -> _Block:
+    """Run real and coupled systems of both copies of trials [start, stop)."""
+    p = cfg.params
     lat = cfg.lattice
     n = lat.dimension
-    alpha = cfg.alpha
-    th_hat = theta + z_fwd[0]
-    ff_sq = float(np.dot(theta, theta))
-    fb_sq = 0.0
-    flags = []
-    first = None
-    eps_path = [th_hat - theta]
-    for k in range(cfg.rounds - 1):
+    steps = cfg.rounds - 1
+    trials = stop - start
+
+    # frozen per-trial draw order: messages, forward noise, feedback noise,
+    # dither uniforms (zero-size draws consume no generator state, so they
+    # are skipped)
+    msgs = np.empty((trials, 2), dtype=np.int64)
+    z_fwd = np.empty((trials, 2, cfg.rounds, n))
+    z_fb = np.empty((trials, 2, steps, n))
+    dith = np.empty((trials, 2, steps, n))
+    # one Philox rewound per trial: a zero counter and empty buffers under
+    # key [master_seed, t] make it a fresh generator bit for bit
+    bits = np.random.Philox(key=[0, 0])
+    rng = np.random.Generator(bits)
+    fresh = bits.state
+    key = fresh["state"]["key"]
+    key[0] = cfg.master_seed
+    for j in range(trials):
+        key[1] = start + j
+        bits.state = fresh
+        msgs[j] = rng.integers(0, cfg.m_codewords, size=2)
+        rng.standard_normal(out=z_fwd[j])
+        if steps:
+            rng.standard_normal(out=z_fb[j])
+            rng.random(out=dith[j])
+    z_fwd *= math.sqrt(p.sigma2)
+    z_fb *= math.sqrt(p.sigma2_tilde)
+    dith = _fold(lat, dith, through_generator=True)
+
+    theta = cfg.codewords[msgs]
+    th_hat = np.broadcast_to(theta + z_fwd[:, :, 0], (2, trials, 2, n))
+    eps = th_hat - theta
+    ff_sq = np.stack([_sq(theta)] * 2)
+    fb_sq = np.zeros((2, trials, 2))
+    alias = np.zeros((2, trials, 2, steps), dtype=bool)
+    live = np.ones((trials, 2), dtype=bool)  # real copy not yet aliased
+    agree = np.ones((trials, 2), dtype=bool)
+    for k in range(steps):
         g = cfg.gains[k]
-        eps = th_hat - theta
         if cfg.exact_feedback:
             fb = th_hat
-            fb_sq += float(np.dot(fb, fb))
-            flags.append(False)
             x = g * eps
         else:
-            fb_raw = g * th_hat + dithers[k]
-            fb = modulo(lat, fb_raw) if with_modulo else fb_raw
-            fb_sq += float(np.dot(fb, fb))
-            w = g * eps + z_fb[k]
-            residue = modulo(lat, w)
-            aliased = bool(np.any(residue != w))
-            flags.append(aliased)
-            if aliased and first is None:
-                first = k + 1
-            u = residue if with_modulo else w
-            x = alpha * u
-        ff_sq += float(np.dot(x, x))
-        y = x + z_fwd[k + 1]
-        th_hat = th_hat - cfg.betas[k] * y
-        eps_path.append(th_hat - theta)
-    idx = _decode_index(cfg, th_hat)
-    eps = th_hat - theta
-    return _SystemOutcome(flags, first, idx, eps_path,
-                          float(np.dot(eps, eps)), ff_sq, fb_sq)
+            fb = g * th_hat + dith[:, :, k]
+            fb[_REAL] = _fold(lat, fb[_REAL])
+            # dither-cancelled receiver residue: equals the modulo chain
+            # exactly, so the systems share w until the real copy wraps and
+            # only copies that have split need a second fold
+            w = g * eps + z_fb[:, :, k]
+            split = np.any(w[_REAL] != w[_COUPLED], axis=-1)
+            residue = np.empty_like(w)
+            residue[:] = _fold(lat, w[_REAL])
+            residue[_COUPLED][split] = _fold(lat, w[_COUPLED][split])
+            alias[..., k] = np.any(residue != w, axis=-1)
+            live &= ~alias[_REAL, ..., k]
+            x = cfg.alpha * np.stack((residue[_REAL], w[_COUPLED]))
+        fb_sq += _sq(fb)
+        ff_sq += _sq(x)
+        th_hat = th_hat - cfg.betas[k] * (x + z_fwd[:, :, k + 1])
+        eps = th_hat - theta
+        gap = np.abs(eps[_REAL] - eps[_COUPLED]).max(axis=-1)
+        agree &= ~(live & (gap > _AGREEMENT_ATOL))
+    return _Block(msgs, alias, _decode_index(cfg, th_hat), eps, ff_sq, fb_sq,
+                  agree)
 
 
-def _paths_agree(real: _SystemOutcome, coupled: _SystemOutcome, scalar: bool) -> bool:
-    stop = real.first_alias if real.first_alias is not None else len(real.eps_path)
-    for k in range(stop):
-        a, b = real.eps_path[k], coupled.eps_path[k]
-        d = abs(a - b) if scalar else float(np.max(np.abs(a - b)))
-        if d > _AGREEMENT_ATOL:
-            return False
-    return True
-
-
-class _TrialStream:
-    """One Philox generator, rewound per trial instead of rebuilt.
-
-    Rewinding to key (master_seed, trial_index) with a zero counter and an
-    empty buffer reproduces a freshly constructed generator bit for bit;
-    reuse only saves the construction overhead in campaign loops.
-    """
-
-    __slots__ = ("_bits", "_template", "gen")
-
-    def __init__(self):
-        self._bits = np.random.Philox(key=[0, 0])
-        self._template = self._bits.state
-        self.gen = np.random.Generator(self._bits)
-
-    def rewind(self, master_seed: int, trial_index: int) -> np.random.Generator:
-        st = self._template
-        st["state"]["key"][0] = master_seed
-        st["state"]["key"][1] = trial_index
-        st["state"]["counter"][:] = 0
-        st["buffer_pos"] = 4
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        self._bits.state = st
-        return self.gen
-
-
-def _simulate_pair(cfg: SchemeConfig, trial_index: int, rng=None):
-    """Run real and coupled systems of both scheme copies on shared draws."""
+def _record(cfg: SchemeConfig, trial_index: int, system: str) -> TrialRecord:
     if not isinstance(trial_index, int) or not (0 <= trial_index < _MAX_TRIAL_INDEX):
         raise ValueError(f"trial_index must be an integer in [0, 2**63), "
                          f"got {trial_index!r}")
-    p = cfg.params
-    n = cfg.dimension
-    k_rounds = cfg.rounds
-    if rng is None:
-        rng = np.random.Generator(np.random.Philox(key=[cfg.master_seed, trial_index]))
-
-    # frozen draw order: messages, forward noise, feedback noise, dithers
-    # (zero-size draws consume no generator state, so they are skipped)
-    msgs = rng.integers(0, cfg.m_codewords, size=2)
-    sig = math.sqrt(p.sigma2)
-    sig_t = math.sqrt(p.sigma2_tilde)
-    z_fwd = sig * rng.standard_normal((2, k_rounds, n))
-    if k_rounds > 1:
-        z_fb = sig_t * rng.standard_normal((2, k_rounds - 1, n))
-        dith_u = rng.random((2, k_rounds - 1, n))
-    else:
-        z_fb = np.zeros((2, 0, n))
-        dith_u = np.zeros((2, 0, n))
-
-    scalar = n == 1 and cfg.lattice.family == "cubic"
-    outcomes = []
-    for i in range(2):
-        theta = cfg.codewords[msgs[i]]
-        if scalar:
-            spacing = cfg.lattice.scale
-            raw = spacing * dith_u[i, :, 0]
-            dith = raw - spacing * np.ceil(raw / spacing - 0.5)
-            zf = z_fwd[i, :, 0].tolist()
-            zb = z_fb[i, :, 0].tolist()
-            real = _run_copy_scalar(cfg, theta, zf, zb, dith, True)
-            coupled = _run_copy_scalar(cfg, theta, zf, zb, dith, False)
-        else:
-            dith = [modulo(cfg.lattice, dith_u[i, k] @ cfg.lattice.generator)
-                    for k in range(k_rounds - 1)]
-            real = _run_copy_vector(cfg, theta, z_fwd[i], z_fb[i], dith, True)
-            coupled = _run_copy_vector(cfg, theta, z_fwd[i], z_fb[i], dith, False)
-        outcomes.append((int(msgs[i]), real, coupled, scalar))
-    return outcomes
-
-
-def _to_record(cfg, trial_index, outcomes, system: str) -> TrialRecord:
-    sends_ff = cfg.rounds * cfg.dimension
-    sends_fb = (cfg.rounds - 1) * cfg.dimension
-    ff = 0.0
-    fb = 0.0
-    flags = []
-    firsts = []
-    dec = []
-    agree = True
-    for msg, real, coupled, scalar in outcomes:
-        out = real if system == "real" else coupled
-        flags.append(tuple(out.flags))
-        firsts.append(out.first_alias)
-        dec.append(out.decoded == msg)
-        ff += out.ff_sq
-        fb += out.fb_sq
-        agree = agree and _paths_agree(real, coupled, scalar)
+    b = _run_block(cfg, trial_index, trial_index + 1)
+    s = _REAL if system == "real" else _COUPLED
+    flags = b.alias[s, 0].tolist()
+    sends_fb = 2 * (cfg.rounds - 1) * cfg.dimension
     return TrialRecord(
         trial_index=trial_index,
         system=system,
-        aliasing_flags=tuple(flags),
-        first_aliasing_round=tuple(firsts),
-        decode_success=tuple(dec),
-        ff_power=ff / (2 * sends_ff),
-        fb_power=fb / (2 * sends_fb) if sends_fb else 0.0,
-        coupled_agreement=agree,
+        aliasing_flags=tuple(map(tuple, flags)),
+        first_aliasing_round=tuple(
+            f.index(True) + 1 if True in f else None for f in flags
+        ),
+        decode_success=tuple((b.decoded[s, 0] == b.msgs[0]).tolist()),
+        ff_power=float(b.ff_sq[s, 0].sum()) / (2 * cfg.rounds * cfg.dimension),
+        fb_power=float(b.fb_sq[s, 0].sum()) / sends_fb if sends_fb else 0.0,
+        coupled_agreement=bool(b.agree[0].all()),
     )
 
 
 def run_trial(config: SchemeConfig, trial_index: int) -> TrialRecord:
     """Simulate one trial of the real (power-respecting) system."""
-    return _to_record(config, trial_index, _simulate_pair(config, trial_index), "real")
+    return _record(config, trial_index, "real")
 
 
 def run_coupled_trial(config: SchemeConfig, trial_index: int) -> TrialRecord:
     """Simulate one trial of the modulo-free coupled system on the same draws."""
-    return _to_record(
-        config, trial_index, _simulate_pair(config, trial_index), "coupled"
-    )
+    return _record(config, trial_index, "coupled")
 
 
 # =============================================================================
@@ -601,14 +540,21 @@ class SimulationSummary:
     realized_rate_bits: float
 
 
+def _ordered_sum(total: float, values: np.ndarray) -> float:
+    """total + v0 + v1 + ..., added left to right as a scalar loop would."""
+    return float(np.cumsum(np.concatenate(([total], values.ravel())))[-1])
+
+
 def estimate_error_prob(config: SchemeConfig, trials: int) -> SimulationSummary:
     """Run ``trials`` independent trials and aggregate the error statistics.
 
-    Counters are reduced in trial order; because every trial derives its
-    own stream from (master_seed, trial_index), the aggregate is a pure
-    function of (config, trials).  The union-bound flag checks the real
-    decode error rate against the coupled rate plus all aliasing rates,
-    with three Wilson half-widths of slack.
+    Trials run in blocks of the array engine; counters and float sums are
+    reduced in trial order, so the aggregate does not depend on the block
+    size, and because every trial derives its own stream from
+    (master_seed, trial_index) it is a pure function of (config, trials).
+    The union-bound flag checks the real decode error rate against the
+    coupled rate plus all aliasing rates, with three Wilson half-widths of
+    slack.
     """
     if not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
@@ -616,39 +562,27 @@ def estimate_error_prob(config: SchemeConfig, trials: int) -> SimulationSummary:
     steps = k_rounds - 1
     n = config.dimension
 
-    alias_counts = [[0] * steps for _ in range(2)]
-    dec_err_coupled = 0
-    dec_err_real = 0
-    union_mismatch = 0
-    agreement = 0
-    ff_sum = 0.0
-    fb_sum = 0.0
-    eps2_sum = 0.0
-    no_alias = 0
+    alias_counts = np.zeros((2, steps), dtype=np.int64)
+    dec_errs = np.zeros(2, dtype=np.int64)  # per system
+    union_mismatch = agreement = no_alias = 0
+    ff_sum = fb_sum = eps2_sum = 0.0
 
-    stream = _TrialStream()
-    for t in range(trials):
-        outcomes = _simulate_pair(
-            config, t, stream.rewind(config.master_seed, t)
-        )
-        for i, (msg, real, coupled, scalar) in enumerate(outcomes):
-            for k in range(steps):
-                if coupled.flags[k]:
-                    alias_counts[i][k] += 1
-            if coupled.decoded != msg:
-                dec_err_coupled += 1
-            if real.decoded != msg:
-                dec_err_real += 1
-            if any(real.flags) != any(coupled.flags):
-                union_mismatch += 1
-            if not any(real.flags):
-                eps2_sum += real.eps_final
-                no_alias += 1
-            ff_sum += real.ff_sq
-            fb_sum += real.fb_sq
-            if _paths_agree(real, coupled, scalar):
-                agreement += 1
+    per_block = max(1, _BLOCK_VALUES // (2 * k_rounds * n))
+    for start in range(0, trials, per_block):
+        b = _run_block(config, start, min(trials, start + per_block))
+        alias_counts += b.alias[_COUPLED].sum(axis=0)
+        dec_errs += (b.decoded != b.msgs).sum(axis=(1, 2))
+        wrapped = b.alias.any(axis=-1)
+        union_mismatch += np.count_nonzero(wrapped[_REAL] != wrapped[_COUPLED])
+        clean = ~wrapped[_REAL]
+        eps2_sum = _ordered_sum(eps2_sum, _sq(b.eps[_REAL][clean]))
+        no_alias += np.count_nonzero(clean)
+        ff_sum = _ordered_sum(ff_sum, b.ff_sq[_REAL])
+        fb_sum = _ordered_sum(fb_sum, b.fb_sq[_REAL])
+        agreement += np.count_nonzero(b.agree)
 
+    alias_counts = alias_counts.tolist()
+    dec_err_real, dec_err_coupled = dec_errs.tolist()
     copies = 2 * trials
     p_mod = tuple(
         tuple(alias_counts[i][k] / trials for k in range(steps)) for i in range(2)

@@ -154,6 +154,15 @@ def test_expurgation_meets_random_coding_at_expurgation_rate():
     assert abs(ex - rc) / rc < 1e-12
 
 
+def test_region_boundaries_finite_and_ordered_at_high_snr():
+    # sqrt(1 + snr^2/4) overflowed past snr ~ 1.3e154 before hypot
+    for snr in (1e2, 1e16, 1e154, 1e160, 1e300):
+        b = region_boundaries(snr)
+        assert all(math.isfinite(r) for r in
+                   (b.expurgation_rate, b.critical_rate, b.capacity))
+        assert b.expurgation_rate <= b.critical_rate <= b.capacity
+
+
 def test_random_coding_intercept_stable_at_high_snr():
     # the e_fb scan reaches effective SNRs of 1e43 and more; the intercept
     # must neither cancel (snr + 2 - sqrt(4 + snr^2)) nor overflow (snr^2)

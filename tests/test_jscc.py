@@ -21,8 +21,6 @@ from awgn_feedback import (
 
 def test_alpha_c_pinned():
     with pytest.raises(ValueError):
-        JsccParams(beta=1.0, lattice=cubic_lattice(1), alpha_c=0.9)
-    with pytest.raises(ValueError):
         JsccParams(beta=0.0, lattice=cubic_lattice(1))
 
 

@@ -22,8 +22,10 @@ from awgn_feedback import (
     wz_encode,
     wz_receive,
 )
+from awgn_feedback import sim
 from awgn_feedback.sim import (
     _decode_index,
+    _run_block,
     alpha_coefficient,
     gamma_coefficient,
     wiener_update,
@@ -211,6 +213,14 @@ def test_campaigns_are_reproducible():
     assert c != a
 
 
+def test_master_seeds_past_2_63_keep_their_own_streams():
+    """The Philox key holds the seed exactly, not rounded through a float."""
+    for seed in (1 << 63, (1 << 64) - 1):
+        cfg = make_config(master_seed=seed)
+        assert run_trial(cfg, 0) != run_trial(make_config(master_seed=0), 0)
+        assert run_trial(cfg, 0) != run_trial(make_config(master_seed=seed - 1), 0)
+
+
 def test_trial_index_validation():
     cfg = make_config()
     for bad in (-1, 1 << 63, 1.5):
@@ -251,6 +261,94 @@ def test_union_indicator_exact_on_vector_path():
     assert s.p_mod_total > 0.0
 
 
+SPLIT_CASES = [
+    (dict(looseness=2.0, master_seed=13), 1500),
+    (dict(lattice=d4_lattice(), rounds=2, rate_bits=0.25, looseness=1.2,
+          master_seed=11), 600),
+]
+
+
+def reference_copies(cfg, t):
+    """Trial t as a plain loop over copies, systems and rounds.
+
+    The dithers are the trial's last draw and cancel from the residue, so
+    they are not drawn here.
+    """
+    rng = np.random.Generator(np.random.Philox(key=[cfg.master_seed, t]))
+    p, lat, n = cfg.params, cfg.lattice, cfg.dimension
+    steps = cfg.rounds - 1
+    msgs = rng.integers(0, cfg.m_codewords, size=2)
+    z_fwd = math.sqrt(p.sigma2) * rng.standard_normal((2, cfg.rounds, n))
+    z_fb = math.sqrt(p.sigma2_tilde) * rng.standard_normal((2, steps, n))
+    out = {}
+    for i in range(2):
+        theta = cfg.codewords[msgs[i]]
+        for system in ("real", "coupled"):
+            th_hat = theta + z_fwd[i, 0]
+            flags = []
+            for k in range(steps):
+                w = cfg.gains[k] * (th_hat - theta) + z_fb[i, k]
+                residue = modulo(lat, w)
+                flags.append(bool(np.any(residue != w)))
+                x = cfg.alpha * (residue if system == "real" else w)
+                th_hat = th_hat - cfg.betas[k] * (x + z_fwd[i, k + 1])
+            out[system, i] = (flags, th_hat - theta)
+    return out
+
+
+@pytest.mark.parametrize("kw, trials", SPLIT_CASES)
+def test_engine_matches_per_copy_loop(kw, trials):
+    """The array engine repeats a per-copy loop bit for bit, wraps included."""
+    cfg = make_config(**kw)
+    trials = trials // 5
+    block = _run_block(cfg, 0, trials)
+    assert block.alias.any()
+    for t in range(trials):
+        for (system, i), (flags, eps) in reference_copies(cfg, t).items():
+            s = 0 if system == "real" else 1
+            assert block.alias[s, t, i].tolist() == flags
+            assert np.array_equal(block.eps[s, t, i], eps)
+
+
+@pytest.mark.parametrize("kw, trials", SPLIT_CASES)
+def test_campaign_counts_equal_sums_over_trials(kw, trials):
+    """A multi-block campaign counts exactly what its single trials show."""
+    cfg = make_config(**kw)
+    assert trials > sim._BLOCK_VALUES // (2 * cfg.rounds * cfg.dimension)
+    s = estimate_error_prob(cfg, trials)
+    alias = np.zeros((2, cfg.rounds - 1), dtype=int)
+    dec_err = [0, 0]  # real, coupled
+    union = clean = agree = 0
+    for t in range(trials):
+        real, coupled = run_trial(cfg, t), run_coupled_trial(cfg, t)
+        alias += np.array(coupled.aliasing_flags)
+        dec_err[0] += real.decode_success.count(False)
+        dec_err[1] += coupled.decode_success.count(False)
+        for i in range(2):
+            wrapped = any(real.aliasing_flags[i])
+            union += wrapped == any(coupled.aliasing_flags[i])
+            clean += not wrapped
+        agree += 2 * (real.coupled_agreement and coupled.coupled_agreement)
+    assert alias.sum() > 0  # the config is tight enough to wrap
+    assert [[round(p * trials) for p in row] for row in s.p_mod] == alias.tolist()
+    assert round(s.p_e * 2 * trials) == dec_err[0]
+    assert round(s.p_dec * 2 * trials) == dec_err[1]
+    assert s.union_agreement == union
+    assert s.no_alias_dims == clean * cfg.dimension
+    assert s.coupled_agreement == agree
+
+
+@pytest.mark.parametrize("kw, trials", SPLIT_CASES)
+def test_campaign_independent_of_block_size(monkeypatch, kw, trials):
+    """Sums run in trial order, so no aggregate depends on the blocking."""
+    cfg = make_config(**kw)
+    trials = trials // 4
+    ref = estimate_error_prob(cfg, trials)
+    for values in (1, 1000):
+        monkeypatch.setattr(sim, "_BLOCK_VALUES", values)
+        assert estimate_error_prob(cfg, trials) == ref
+
+
 def test_sigma_recursion_against_campaign():
     cfg = make_config(master_seed=5)
     s = estimate_error_prob(cfg, 20000)
@@ -279,15 +377,11 @@ def test_final_error_gaussian_given_no_aliasing():
     """Wrap-free estimation errors stay Gaussian through the recursion."""
     from scipy import stats
 
-    from awgn_feedback.sim import _simulate_pair
-
     cfg = make_config(looseness=4.0, master_seed=17)
-    errors = []
-    for t in range(6000):
-        for _, real, _, _ in _simulate_pair(cfg, t):
-            if not any(real.flags):
-                errors.append(real.eps_path[-1])
-    res = stats.anderson(np.asarray(errors), dist="norm", method="interpolate")
+    block = _run_block(cfg, 0, 6000)
+    clean = ~block.alias[0].any(axis=-1)  # real copies that never wrapped
+    errors = block.eps[0][clean][:, 0]
+    res = stats.anderson(errors, dist="norm", method="interpolate")
     # the interpolated p-value is clipped to 0.01 at and beyond the critical
     # value of the 1% significance level
     assert res.pvalue > 0.01
@@ -335,16 +429,24 @@ def test_feedback_hop_matches_link_primitives():
 # decoding
 # -----------------------------------------------------------------------------
 
+def decode_one(cfg, theta_hat):
+    """Decode a batch of one estimate."""
+    return int(_decode_index(cfg, np.asarray(theta_hat, dtype=float)[None])[0])
+
+
 def test_pam_decode_slicing():
     cfg = make_config(rounds=1, rate_bits=2.0)  # levels -1, -1/3, 1/3, 1
     for i in range(4):
-        assert _decode_index(cfg, cfg.codewords[i]) == i
+        assert decode_one(cfg, cfg.codewords[i]) == i
     # clipping at the extremes
-    assert _decode_index(cfg, np.array([-9.0])) == 0
-    assert _decode_index(cfg, np.array([9.0])) == 3
+    assert decode_one(cfg, [-9.0]) == 0
+    assert decode_one(cfg, [9.0]) == 3
     # nearest-level slicing
-    assert _decode_index(cfg, np.array([0.4])) == 2
-    assert _decode_index(cfg, np.array([-0.52])) == 1
+    assert decode_one(cfg, [0.4]) == 2
+    assert decode_one(cfg, [-0.52]) == 1
+    # exact midpoints round to the even index, as round() does
+    assert decode_one(cfg, [-cfg.pam_step]) == 0
+    assert decode_one(cfg, [cfg.pam_step]) == 2
 
 
 def test_ml_decode_on_gaussian_codebook():
@@ -352,7 +454,7 @@ def test_ml_decode_on_gaussian_codebook():
         lattice=d4_lattice(), rounds=2, rate_bits=0.25, codebook="gaussian"
     )
     for i in range(cfg.m_codewords):
-        assert _decode_index(cfg, cfg.codewords[i]) == i
+        assert decode_one(cfg, cfg.codewords[i]) == i
 
 
 def test_high_snr_trials_decode_correctly():
