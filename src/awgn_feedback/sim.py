@@ -329,21 +329,19 @@ def _sq(x: np.ndarray) -> np.ndarray:
     return (x * x).sum(axis=-1)
 
 
-def _fold(lat: Lattice, x: np.ndarray, through_generator: bool = False) -> np.ndarray:
-    """Residues mod the lattice along the last axis (of x @ generator if asked).
+def _fold(lat: Lattice, x: np.ndarray) -> np.ndarray:
+    """Residues mod the lattice along the last axis.
 
     The cubic family folds in one array expression, the same arithmetic as
     :func:`modulo`; D4 and E8 go through :func:`modulo` row by row.
     """
     if lat.family == "cubic":
         s = lat.scale
-        if through_generator:
-            x = s * x  # x @ (s I), exactly
         return x - s * np.ceil(x / s - 0.5)
     out = np.empty_like(x)
     rows = out.reshape(-1, lat.dimension)
     for i, r in enumerate(x.reshape(-1, lat.dimension)):
-        rows[i] = modulo(lat, r @ lat.generator if through_generator else r)
+        rows[i] = modulo(lat, r)
     return out
 
 
@@ -410,7 +408,7 @@ def _run_block(cfg: SchemeConfig, start: int, stop: int) -> _Block:
             rng.random(out=dith[j])
     z_fwd *= math.sqrt(p.sigma2)
     z_fb *= math.sqrt(p.sigma2_tilde)
-    dith = _fold(lat, dith, through_generator=True)
+    dith = _fold(lat, dith @ lat.generator)
 
     theta = cfg.codewords[msgs]
     th_hat = np.broadcast_to(theta + z_fwd[:, :, 0], (2, trials, 2, n))
@@ -429,13 +427,8 @@ def _run_block(cfg: SchemeConfig, start: int, stop: int) -> _Block:
             fb = g * th_hat + dith[:, :, k]
             fb[_REAL] = _fold(lat, fb[_REAL])
             # dither-cancelled receiver residue: equals the modulo chain
-            # exactly, so the systems share w until the real copy wraps and
-            # only copies that have split need a second fold
             w = g * eps + z_fb[:, :, k]
-            split = np.any(w[_REAL] != w[_COUPLED], axis=-1)
-            residue = np.empty_like(w)
-            residue[:] = _fold(lat, w[_REAL])
-            residue[_COUPLED][split] = _fold(lat, w[_COUPLED][split])
+            residue = _fold(lat, w)
             alias[..., k] = np.any(residue != w, axis=-1)
             live &= ~alias[_REAL, ..., k]
             x = cfg.alpha * np.stack((residue[_REAL], w[_COUPLED]))

@@ -328,7 +328,11 @@ def test_campaign_counts_equal_sums_over_trials(kw, trials):
             wrapped = any(real.aliasing_flags[i])
             union += wrapped == any(coupled.aliasing_flags[i])
             clean += not wrapped
-        agree += 2 * (real.coupled_agreement and coupled.coupled_agreement)
+        # records hold the AND over both copies; count copies from the
+        # trial's own one-trial block
+        copies = _run_block(cfg, t, t + 1).agree[0]
+        assert real.coupled_agreement == coupled.coupled_agreement == copies.all()
+        agree += int(copies.sum())
     assert alias.sum() > 0  # the config is tight enough to wrap
     assert [[round(p * trials) for p in row] for row in s.p_mod] == alias.tolist()
     assert round(s.p_e * 2 * trials) == dec_err[0]
