@@ -250,15 +250,9 @@ def parse_config(text: str) -> dict:
 
 
 def config_to_scheme(cfg: dict, seed_override: int | None = None) -> SchemeConfig:
-    snr = _db_to_linear(cfg["snr_db"])
-    dsnr = _db_to_linear(cfg["dsnr_db"])
-    # unit powers; noise variances follow from the SNRs (inf dB means a
-    # noiseless link, giving variance 0)
-    params = ChannelParams(
-        p=1.0,
-        p_tilde=1.0,
-        sigma2=1.0 / snr,
-        sigma2_tilde=1.0 / (snr * dsnr),
+    # inf dB is a noiseless link
+    params = ChannelParams.from_snrs(
+        _db_to_linear(cfg["snr_db"]), _db_to_linear(cfg["dsnr_db"])
     )
     seed = cfg["seed"] if seed_override is None else seed_override
     return SchemeConfig(

@@ -13,6 +13,16 @@ sphere-packing curve at R_cr.  Its intercept has the closed form implemented
 in :func:`_straight_line_intercept`; continuity at both boundaries is a
 structural identity of that form and is enforced by the test suite at 1e-6
 relative (it holds to machine precision).
+
+Checked shells and kernels
+--------------------------
+Each formula lives in one private kernel (``_capacity``, ``_critical_rate``,
+``_expurgation_rate``, ``_expurgation``, ``_random_coding``,
+``_sphere_packing``, the region dispatch ``_gallager`` and ``_poltyrev``)
+that trusts its arguments.  Each public function checks its arguments, then
+calls its kernel, so checked and unchecked callers get the same bits.  Inner
+loops that have validated their inputs once (the optimizer in
+:mod:`.feedback`) call the kernels directly.
 """
 
 from __future__ import annotations
@@ -93,28 +103,39 @@ class RegionBoundaries:
 
 def capacity(snr: float) -> float:
     """Shannon capacity of the AWGN channel, 0.5*log2(1 + snr), in bits."""
-    return 0.5 * math.log2(1.0 + _check_snr(snr))
+    return _capacity(_check_snr(snr))
 
 
 def critical_rate(snr: float) -> float:
     """Rate (bits) above which random coding meets the sphere-packing bound."""
-    snr = _check_snr(snr)
-    # hypot(1, snr/2) = sqrt(1 + snr^2/4) without overflowing snr^2
-    return 0.5 * math.log2(0.5 + snr / 4.0 + 0.5 * math.hypot(1.0, 0.5 * snr))
+    return _critical_rate(_check_snr(snr))
 
 
 def expurgation_rate(snr: float) -> float:
     """Rate (bits) below which expurgation improves on random coding."""
-    snr = _check_snr(snr)
-    return 0.5 * math.log2(0.5 + 0.5 * math.hypot(1.0, 0.5 * snr))
+    return _expurgation_rate(_check_snr(snr))
 
 
 def region_boundaries(snr: float) -> RegionBoundaries:
+    snr = _check_snr(snr)
     return RegionBoundaries(
-        capacity=capacity(snr),
-        critical_rate=critical_rate(snr),
-        expurgation_rate=expurgation_rate(snr),
+        capacity=_capacity(snr),
+        critical_rate=_critical_rate(snr),
+        expurgation_rate=_expurgation_rate(snr),
     )
+
+
+def _capacity(snr: float) -> float:
+    return 0.5 * math.log2(1.0 + snr)
+
+
+def _critical_rate(snr: float) -> float:
+    # hypot(1, snr/2) = sqrt(1 + snr^2/4) without overflowing snr^2
+    return 0.5 * math.log2(0.5 + snr / 4.0 + 0.5 * math.hypot(1.0, 0.5 * snr))
+
+
+def _expurgation_rate(snr: float) -> float:
+    return 0.5 * math.log2(0.5 + 0.5 * math.hypot(1.0, 0.5 * snr))
 
 
 # =============================================================================
@@ -131,6 +152,10 @@ def poltyrev_exponent(x: float) -> float:
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"normalized VNR must be finite and positive, got {x!r}")
+    return _poltyrev(x)
+
+
+def _poltyrev(x: float) -> float:
     if x <= 1.0:
         return 0.0
     if x <= 2.0:
@@ -143,6 +168,14 @@ def poltyrev_exponent(x: float) -> float:
 # =============================================================================
 # POWER-CONSTRAINED AWGN EXPONENTS
 # =============================================================================
+
+def _check_below_capacity(snr: float, rate_bits: float) -> None:
+    cap = _capacity(snr)
+    if rate_bits > cap * (1.0 + _CAP_SLACK):
+        raise ValueError(
+            f"rate {rate_bits} bits exceeds capacity {cap} bits at snr={snr}"
+        )
+
 
 def sphere_packing_exp(snr: float, rate_bits: float) -> float:
     """Sphere-packing exponent (nats) at ``rate_bits`` <= capacity.
@@ -160,16 +193,17 @@ def sphere_packing_exp(snr: float, rate_bits: float) -> float:
     rate_bits = float(rate_bits)
     if not math.isfinite(rate_bits):
         raise ValueError(f"rate must be finite, got {rate_bits!r}")
+    if rate_bits >= ZERO_RATE_BITS:
+        _check_below_capacity(snr, rate_bits)
+    return _sphere_packing(snr, rate_bits)
+
+
+def _sphere_packing(snr: float, rate_bits: float) -> float:
     if rate_bits < ZERO_RATE_BITS:
         # covers R <= 0 as well: return the zero-rate limit
         return 0.5 * snr
-    cap = capacity(snr)
-    if rate_bits > cap:
-        if rate_bits > cap * (1.0 + _CAP_SLACK):
-            raise ValueError(
-                f"rate {rate_bits} bits exceeds capacity {cap} bits at snr={snr}"
-            )
-        rate_bits = cap
+    # rates within the capacity slack are evaluated at capacity
+    rate_bits = min(rate_bits, _capacity(snr))
     beta = math.exp(2.0 * rate_nats(rate_bits))
     x = 4.0 * beta / (snr * (beta - 1.0))
     q = math.sqrt(1.0 + x)
@@ -203,8 +237,10 @@ def random_coding_exp(snr: float, rate_bits: float) -> float:
     clamped, so values above the line's zero crossing come out negative.
     The region dispatch in :func:`gallager_exp` never evaluates it there.
     """
-    snr = _check_snr(snr)
-    rate_bits = _check_rate(rate_bits)
+    return _random_coding(_check_snr(snr), _check_rate(rate_bits))
+
+
+def _random_coding(snr: float, rate_bits: float) -> float:
     return _straight_line_intercept(snr) - rate_nats(rate_bits)
 
 
@@ -214,8 +250,10 @@ def expurgation_exp(snr: float, rate_bits: float) -> float:
     Evaluated as (snr/4)*u/(1 + sqrt(1-u)) with u = 2^{-2R}, which is exact
     at R = 0 (returns snr/4) and loses nothing as u -> 0.
     """
-    snr = _check_snr(snr)
-    rate_bits = _check_rate(rate_bits)
+    return _expurgation(_check_snr(snr), _check_rate(rate_bits))
+
+
+def _expurgation(snr: float, rate_bits: float) -> float:
     u = math.exp(-2.0 * rate_nats(rate_bits))
     return 0.25 * snr * u / (1.0 + math.sqrt(1.0 - u))
 
@@ -229,13 +267,14 @@ def gallager_exp(snr: float, rate_bits: float) -> tuple[float, ExponentRegion]:
     """
     snr = _check_snr(snr)
     rate_bits = _check_rate(rate_bits)
-    b = region_boundaries(snr)
-    if rate_bits > b.capacity * (1.0 + _CAP_SLACK):
-        raise ValueError(
-            f"rate {rate_bits} bits exceeds capacity {b.capacity} bits at snr={snr}"
-        )
-    if rate_bits <= b.expurgation_rate:
-        return expurgation_exp(snr, rate_bits), ExponentRegion.EXPURGATION
-    if rate_bits <= b.critical_rate:
-        return random_coding_exp(snr, rate_bits), ExponentRegion.RANDOM_CODING
-    return sphere_packing_exp(snr, rate_bits), ExponentRegion.SPHERE_PACKING
+    _check_below_capacity(snr, rate_bits)
+    return _gallager(snr, rate_bits)
+
+
+def _gallager(snr: float, rate_bits: float) -> tuple[float, ExponentRegion]:
+    # R_cr is only computed for rates above R_ex
+    if rate_bits <= _expurgation_rate(snr):
+        return _expurgation(snr, rate_bits), ExponentRegion.EXPURGATION
+    if rate_bits <= _critical_rate(snr):
+        return _random_coding(snr, rate_bits), ExponentRegion.RANDOM_CODING
+    return _sphere_packing(snr, rate_bits), ExponentRegion.SPHERE_PACKING

@@ -13,6 +13,12 @@ expose the closed forms that approximate that optimum at high SNR.
 Rates are in bits per channel use; exponents are in nats.  The exponent is
 normalized by the total block length 2KN (forward and feedback uses both
 count), which is where the 1/(2K) factor comes from.
+
+The public functions check their arguments, then call unchecked kernels
+(``_effective_snr`` here, the exponent kernels of :mod:`.exponents`).
+:func:`e_fb` validates its inputs and the ends of the looseness interval
+once, reads the link SNRs once, and runs its search on the kernels alone, so
+it returns the bits a search through the checked functions would.
 """
 
 from __future__ import annotations
@@ -24,11 +30,13 @@ import warnings
 from dataclasses import dataclass
 
 from .exponents import (
+    _capacity,
     _check_rate,
+    _check_snr,
+    _gallager,
+    _poltyrev,
     capacity,
     critical_rate,
-    gallager_exp,
-    poltyrev_exponent,
 )
 
 __all__ = [
@@ -103,11 +111,16 @@ class ChannelParams:
 
     @classmethod
     def from_snrs(cls, snr: float, dsnr: float) -> "ChannelParams":
-        """Unit-power parameters realizing the given forward SNR and ratio."""
-        if not (math.isfinite(snr) and snr > 0.0):
-            raise ValueError(f"snr must be finite and positive, got {snr!r}")
-        if not (math.isfinite(dsnr) and dsnr > 0.0):
-            raise ValueError(f"dsnr must be finite and positive, got {dsnr!r}")
+        """Unit-power parameters realizing the given forward SNR and ratio.
+
+        ``dsnr = inf`` makes the feedback link noiseless (variance 0) and
+        ``snr = inf`` both links; the simulator accepts noiseless links, the
+        analysis functions reject them.
+        """
+        if not snr > 0.0:
+            raise ValueError(f"snr must be positive, got {snr!r}")
+        if not dsnr > 0.0:
+            raise ValueError(f"dsnr must be positive, got {dsnr!r}")
         return cls(p=1.0, p_tilde=1.0, sigma2=1.0 / snr, sigma2_tilde=1.0 / (snr * dsnr))
 
 
@@ -156,17 +169,27 @@ def effective_snr(params: ChannelParams, looseness: float, rounds: int) -> float
     """
     _require_noisy(params)
     rounds = _check_rounds(rounds)
+    looseness = _check_looseness(looseness, params.bsnr)
+    return _effective_snr(params.snr, params.bsnr, params.dsnr, looseness, rounds)
+
+
+def _effective_snr(
+    snr: float, bsnr: float, dsnr: float, looseness: float, rounds: int
+) -> float:
+    g = 1.0 + snr * (1.0 - looseness / bsnr) / (1.0 + looseness / dsnr)
+    return snr * g ** (rounds - 1)
+
+
+def _check_looseness(looseness: float, bsnr: float) -> float:
     looseness = float(looseness)
     if not math.isfinite(looseness) or looseness < 1.0:
         raise ValueError(f"looseness must be finite and >= 1, got {looseness!r}")
-    if looseness >= params.bsnr:
+    if looseness >= bsnr:
         raise ValueError(
-            f"looseness {looseness} must stay below bsnr {params.bsnr}; "
+            f"looseness {looseness} must stay below bsnr {bsnr}; "
             f"the feedback correction cannot be scaled into its power budget there"
         )
-    snr = params.snr
-    g = 1.0 + snr * (1.0 - looseness / params.bsnr) / (1.0 + looseness / params.dsnr)
-    return snr * g ** (rounds - 1)
+    return looseness
 
 
 def _check_rounds(rounds: int) -> int:
@@ -178,15 +201,18 @@ def _check_rounds(rounds: int) -> int:
 
 
 def _decode_exponent(snr: float, rate_bits: float) -> float:
-    # reliability exponent of the terminal decoder; no reliable decoding at
-    # or above capacity, so clamp to 0 instead of raising
-    if rate_bits >= capacity(snr):
+    # reliability exponent of the terminal decoder at a positive snr and a
+    # nonnegative rate; no reliable decoding at or above capacity, so clamp
+    # to 0 instead of raising.  An snr that overflowed to inf still raises.
+    if snr == math.inf:
+        _check_snr(snr)
+    if rate_bits >= _capacity(snr):
         return 0.0
-    return gallager_exp(snr, rate_bits)[0]
+    return _gallager(snr, rate_bits)[0]
 
 
 def _inner_optimum(
-    params: ChannelParams, rate_bits: float, rounds: int
+    snr: float, bsnr: float, dsnr: float, rate_bits: float, rounds: int
 ) -> tuple[float, float]:
     """Best min(decode, modulo) over looseness for a fixed round count.
 
@@ -194,16 +220,18 @@ def _inner_optimum(
     exponent rises with L (coarser lattice, rarer wraps), so the pointwise
     min is maximized at their crossing, or at an endpoint when the curves do
     not cross inside (1, bsnr).  Returns (unnormalized value, looseness).
+    Unchecked: the caller has validated the link SNRs and the rate, and
+    every looseness tried lies in [1 + _L_EDGE, bsnr * (1 - _L_EDGE)].
     """
-    bsnr = params.bsnr
     lo = 1.0 + _L_EDGE
     hi = bsnr * (1.0 - _L_EDGE)
+    rate_k = rounds * rate_bits
 
     def decode(L: float) -> float:
-        return _decode_exponent(effective_snr(params, L, rounds), rounds * rate_bits)
+        return _decode_exponent(_effective_snr(snr, bsnr, dsnr, L, rounds), rate_k)
 
     def gap(L: float) -> float:
-        return decode(L) - poltyrev_exponent(L)
+        return decode(L) - _poltyrev(L)
 
     if gap(lo) <= 0.0:
         l_opt = lo
@@ -218,7 +246,7 @@ def _inner_optimum(
             else:
                 b = mid
         l_opt = 0.5 * (a + b)
-    return min(decode(l_opt), poltyrev_exponent(l_opt)), l_opt
+    return min(decode(l_opt), _poltyrev(l_opt)), l_opt
 
 
 def e_fb(
@@ -240,20 +268,23 @@ def e_fb(
     _require_noisy(params)
     rate_bits = _check_rate(rate_bits)
     k_max = _check_rounds(k_max)
-    cap = capacity(params.snr)
+    snr, bsnr, dsnr = params.snr, params.bsnr, params.dsnr
+    cap = capacity(snr)
     if rate_bits >= cap:
         raise ValueError(
             f"rate {rate_bits} bits must be below the forward capacity {cap} bits"
         )
+    # the ends of the looseness search; every point tried lies between them
+    _check_looseness(1.0 + _L_EDGE, bsnr)
+    _check_looseness(bsnr * (1.0 - _L_EDGE), bsnr)
 
-    bsnr = params.bsnr
     best_val = -math.inf
     best_k = 1
     best_l = 1.0
     for k in range(1, k_max + 1):
         if bsnr / (16.0 * k) <= best_val:
             break
-        val, l_opt = _inner_optimum(params, rate_bits, k)
+        val, l_opt = _inner_optimum(snr, bsnr, dsnr, rate_bits, k)
         val /= 2.0 * k
         if val > best_val:
             best_val, best_k, best_l = val, k, l_opt
@@ -266,8 +297,10 @@ def e_fb(
             stacklevel=2,
         )
 
-    dec = _decode_exponent(effective_snr(params, best_l, best_k), best_k * rate_bits)
-    mod = poltyrev_exponent(best_l)
+    dec = _decode_exponent(
+        _effective_snr(snr, bsnr, dsnr, best_l, best_k), best_k * rate_bits
+    )
+    mod = _poltyrev(best_l)
     scale = max(dec, mod, 1e-300)
     if abs(dec - mod) <= _BALANCE_RTOL * scale:
         binding = Binding.BALANCED

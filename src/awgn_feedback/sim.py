@@ -32,7 +32,7 @@ blocks of one trial.  A trial's draws do not depend on its block.
 
 Randomness: trial t uses Generator(Philox(key=[master_seed, t])), so trials
 are reproducible individually and in any execution order; the random
-codebook draws from the reserved stream key [master_seed, 2**63 + 1], and
+codebook draws from the reserved stream key [master_seed, 2**63], and
 trial indices must stay below 2**63.
 """
 
@@ -63,7 +63,7 @@ __all__ = [
 # 95% normal quantile, pinned so intervals are bit-stable across platforms
 Z95 = 1.959963984540054
 
-_CODEBOOK_STREAM = (1 << 63) + 1
+_CODEBOOK_STREAM = 1 << 63
 _MAX_TRIAL_INDEX = 1 << 63
 _MAX_PAM_ORDER = 1 << 20
 _MAX_CODEBOOK_BITS = 16
@@ -242,7 +242,9 @@ class SchemeConfig:
                 )
             m = 1 << bits
             rng = np.random.Generator(
-                np.random.Philox(key=[self.master_seed, _CODEBOOK_STREAM])
+                np.random.Philox(
+                    key=np.array([self.master_seed, _CODEBOOK_STREAM], dtype=np.uint64)
+                )
             )
             codewords = math.sqrt(p.p) * rng.standard_normal((m, n))
             power = (codewords * codewords).sum(axis=1) / n
@@ -398,10 +400,14 @@ def _run_block(cfg: SchemeConfig, start: int, stop: int) -> _Block:
     fresh = bits.state
     key = fresh["state"]["key"]
     key[0] = cfg.master_seed
+    m = cfg.m_codewords
     for j in range(trials):
         key[1] = start + j
         bits.state = fresh
-        msgs[j] = rng.integers(0, cfg.m_codewords, size=2)
+        # two scalar draws: the values and state of size=2, without numpy's
+        # per-call size handling
+        msgs[j, 0] = rng.integers(0, m)
+        msgs[j, 1] = rng.integers(0, m)
         rng.standard_normal(out=z_fwd[j])
         if steps:
             rng.standard_normal(out=z_fb[j])

@@ -10,6 +10,7 @@ import pytest
 from awgn_feedback.cli import ConfigError, main, parse_config
 
 GOLDEN = Path(__file__).parent / "golden" / "fig1_20_30.csv"
+GOLDEN_10_20 = Path(__file__).parent / "golden" / "fig1_10_20.csv"
 
 
 def run_main(argv, capsys):
@@ -176,6 +177,25 @@ def test_exponents_golden_bytes(tmp_path):
     assert out2.read_bytes() == GOLDEN.read_bytes()
 
 
+def test_exponents_golden_bytes_10_20(tmp_path):
+    """A second pinned pair, where the optimum sits at fewer rounds."""
+    out = tmp_path / "fig1.csv"
+    assert main([
+        "exponents", "--snr-db", "10.0", "--dsnr-db", "20.0", "--fig1",
+        "--out", str(out),
+    ]) == 0
+    assert out.read_bytes() == GOLDEN_10_20.read_bytes()
+
+
+def test_exponents_reject_noiseless_feedback(capsys):
+    """inf dB builds a noiseless link, which the optimizer rejects."""
+    code, out, err = run_main(
+        ["exponents", "--snr-db", "20", "--dsnr-db", "inf", "--grid", "4"], capsys
+    )
+    assert (code, out) == (3, "")
+    assert "noisy" in err
+
+
 def test_fig1_grid_shape():
     rows = list(csv.DictReader(GOLDEN.open()))
     assert len(rows) == 99
@@ -320,6 +340,19 @@ def test_simulate_noiseless_reports_all_zero(tmp_path, capsys):
     for r in rows:
         if r["metric"] in ("p_mod", "p_mod_total", "p_dec", "p_e"):
             assert float(r["value"]) == 0.0
+
+
+def test_simulate_zero_snr_is_a_domain_error(tmp_path, capsys):
+    cfg = tmp_path / "dead.cfg"
+    cfg.write_text(
+        "snr_db = -inf\ndsnr_db = 30\nrounds = 3\nlooseness = 4\n"
+        "rate_bits = 1\n"
+    )
+    code, out, err = run_main(
+        ["simulate", "--config", str(cfg), "--trials", "10"], capsys
+    )
+    assert (code, out) == (3, "")
+    assert "snr must be positive" in err
 
 
 def test_simulate_dimension_conflict(tmp_path, capsys):

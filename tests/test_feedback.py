@@ -1,6 +1,7 @@
 """Tests for the feedback exponent optimizer and its high-SNR closed forms."""
 
 import math
+import warnings
 from decimal import Decimal, getcontext
 
 import pytest
@@ -22,8 +23,9 @@ from awgn_feedback import (
     out_of_region_exponent,
     poltyrev_exponent,
     region_assumptions_hold,
+    region_boundaries,
 )
-from awgn_feedback.feedback import _region_anchor
+from awgn_feedback.feedback import _decode_exponent, _region_anchor
 
 P20_30 = ChannelParams.from_snrs(100.0, 1000.0)
 
@@ -45,6 +47,23 @@ def test_zero_variance_params():
     assert p.bsnr == math.inf
     q = ChannelParams(p=1.0, p_tilde=1.0, sigma2=0.0, sigma2_tilde=0.0)
     assert q.snr == math.inf
+
+
+def test_from_snrs_infinite_snr_is_a_noiseless_link():
+    """from_snrs builds the parameters the simulator's config path needs."""
+    fb = ChannelParams.from_snrs(100.0, math.inf)
+    assert fb == ChannelParams(p=1.0, p_tilde=1.0, sigma2=0.01, sigma2_tilde=0.0)
+    fwd = ChannelParams.from_snrs(math.inf, 1000.0)
+    assert fwd == ChannelParams(p=1.0, p_tilde=1.0, sigma2=0.0, sigma2_tilde=0.0)
+    for bad in (math.nan, 0.0, -1.0, -math.inf):
+        with pytest.raises(ValueError):
+            ChannelParams.from_snrs(bad, 1000.0)
+        with pytest.raises(ValueError):
+            ChannelParams.from_snrs(100.0, bad)
+    # the analysis still needs both links noisy
+    for params in (fb, fwd):
+        with pytest.raises(ValueError, match="noisy"):
+            e_fb(params, 0.5)
 
 
 def test_params_validation():
@@ -144,7 +163,7 @@ def test_e_fb_bisection_matches_grid_scan():
 
     p = P20_30
     for rate, k in [(0.0, 4), (0.0, 8), (0.8, 4), (0.8, 8), (2.0, 10)]:
-        _, l_bis = _inner_optimum(p, rate, k)
+        _, l_bis = _inner_optimum(p.snr, p.bsnr, p.dsnr, rate, k)
 
         lo, hi = 1.0 + 1e-9, p.bsnr * (1.0 - 1e-9)
         step = (hi - lo) / 1999.0
@@ -192,6 +211,14 @@ def test_e_fb_requires_noisy_feedback():
         e_fb(exact, 0.5)
 
 
+def test_e_fb_rejects_infinite_bsnr():
+    # p_tilde / sigma2_tilde overflows: the search interval has no top
+    params = ChannelParams(p=1.0, p_tilde=10.0, sigma2=0.01, sigma2_tilde=1e-308)
+    assert params.bsnr == math.inf
+    with pytest.raises(ValueError, match="looseness must be finite"):
+        e_fb(params, 0.5)
+
+
 def test_e_fb_k_max_boundary_warning():
     with pytest.warns(RuntimeWarning):
         res = e_fb(P20_30, 0.0, k_max=3)
@@ -208,6 +235,103 @@ def test_e_fb_pruning_is_lossless():
     a = e_fb(P20_30, 1.0, k_max=64)
     b = e_fb(P20_30, 1.0, k_max=40)
     assert a.e_fb == b.e_fb and a.k_star == b.k_star and a.l_star == b.l_star
+
+
+def checked_search(p, rate, k_max=64):
+    """e_fb's K scan and L bisection through the checked public functions."""
+
+    def decode(L, k):
+        snr_k = effective_snr(p, L, k)
+        if k * rate >= capacity(snr_k):
+            return 0.0
+        return gallager_exp(snr_k, k * rate)[0]
+
+    def gap(L, k):
+        return decode(L, k) - poltyrev_exponent(L)
+
+    best = (-math.inf, 1, 1.0)
+    for k in range(1, k_max + 1):
+        if p.bsnr / (16.0 * k) <= best[0]:
+            break
+        lo, hi = 1.0 + 1e-9, p.bsnr * (1.0 - 1e-9)
+        if gap(lo, k) <= 0.0:
+            L = lo
+        elif gap(hi, k) >= 0.0:
+            L = hi
+        else:
+            a, b = lo, hi
+            while b - a > 1e-10 * a:
+                mid = 0.5 * (a + b)
+                if gap(mid, k) > 0.0:
+                    a = mid
+                else:
+                    b = mid
+            L = 0.5 * (a + b)
+        val = min(decode(L, k), poltyrev_exponent(L)) / (2.0 * k)
+        if val > best[0]:
+            best = (val, k, L)
+    return best
+
+
+@pytest.mark.parametrize(
+    "snr_db, dsnr_db", [(20.0, 30.0), (10.0, 20.0), (3.0, 33.0), (15.0, 25.0)]
+)
+def test_e_fb_matches_checked_search_bitwise(snr_db, dsnr_db):
+    """The unchecked kernels reproduce the checked search bit for bit."""
+    p = ChannelParams.from_snrs(10.0 ** (snr_db / 10.0), 10.0 ** (dsnr_db / 10.0))
+    cap = capacity(p.snr)
+    for x in (0.0, 0.1, 0.45, 0.8, 0.9):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # k_max hits at 3 dB
+            res = e_fb(p, x * cap)
+        assert (res.e_fb, res.k_star, res.l_star) == checked_search(p, x * cap)
+
+
+def _bits(f, *args):
+    """A call's value as exact bits, or the error it raised."""
+    try:
+        return float.hex(f(*args))
+    except ValueError as exc:
+        return repr(exc)
+
+
+def _gallager_value(snr, rate):
+    return gallager_exp(snr, rate)[0]
+
+
+@pytest.mark.parametrize("snr", [1e-3, 1.0, 1e8, 1e16, 1e160, 1e300])
+def test_decode_path_matches_gallager_exp_bitwise(snr):
+    """The optimizer's decode exponent is gallager_exp's, bit for bit.
+
+    Rates sit exactly on the region boundaries.  At capacity the decode path
+    clamps to 0, which gallager_exp also returns while its sphere-packing
+    form is finite; from snr ~1e154 on, snr*(beta - 1) overflows there and
+    that form raises a math domain error on both paths alike.
+    """
+    b = region_boundaries(snr)
+    rates = [
+        0.0,
+        b.expurgation_rate,
+        b.critical_rate,
+        0.5 * (b.critical_rate + b.capacity),
+        math.nextafter(b.capacity, 0.0),
+    ]
+    for rate in rates:
+        assert _bits(_decode_exponent, snr, rate) == _bits(_gallager_value, snr, rate)
+    assert _bits(_decode_exponent, snr, b.capacity) == float.hex(0.0)
+    if snr < 1e150:
+        assert _bits(_gallager_value, snr, b.capacity) == float.hex(0.0)
+    else:
+        with pytest.raises(ValueError, match="math domain error"):
+            gallager_exp(snr, b.capacity)
+
+
+def test_decode_path_rejects_overflowed_snr():
+    """A boosted SNR that overflowed to inf raises, as gallager_exp does."""
+    for rate in (0.0, 1.0):
+        assert _bits(_decode_exponent, math.inf, rate) == _bits(
+            _gallager_value, math.inf, rate
+        )
 
 
 # -----------------------------------------------------------------------------

@@ -187,6 +187,24 @@ def test_gaussian_codebook_power_clipped():
     assert cfg.m_codewords == 4
 
 
+def test_codebook_stream_key_holds_the_seed_exactly():
+    """The codebook Philox key words are set as uint64, not via a float."""
+    def gaussian(seed):
+        return make_config(lattice=d4_lattice(), rounds=2, rate_bits=0.25,
+                           codebook="gaussian", master_seed=seed).codewords
+
+    assert not np.array_equal(gaussian(1 << 60), gaussian((1 << 60) + 1))
+    # seeds below 2**53 keep the codebook of the earlier list-built key,
+    # whose stream word 2**63 + 1 numpy rounded to 2**63
+    for seed in (5, (1 << 52) + 1):
+        rng = np.random.Generator(np.random.Philox(key=[seed, (1 << 63) + 1]))
+        old = rng.standard_normal((4, 4))
+        power = (old * old).sum(axis=1) / 4.0
+        hot = power > 1.0
+        old[hot] *= np.sqrt(1.0 / power[hot])[:, None]
+        assert np.array_equal(gaussian(seed), old)
+
+
 def test_blocklength_counts_both_directions():
     assert make_config(rounds=3).blocklength == 6
     assert make_config(lattice=d4_lattice(), rounds=2,
