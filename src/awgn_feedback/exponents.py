@@ -205,10 +205,14 @@ def _sphere_packing(snr: float, rate_bits: float) -> float:
     # rates within the capacity slack are evaluated at capacity
     rate_bits = min(rate_bits, _capacity(snr))
     beta = math.exp(2.0 * rate_nats(rate_bits))
-    x = 4.0 * beta / (snr * (beta - 1.0))
+    # snr*(beta - 1) overflows past snr ~1.3e154, so it is split only where
+    # it does; 0.5*snr/beta is snr/(2*beta) bit for bit without overflowing
+    # 2*beta past snr ~9e307
+    d = snr * (beta - 1.0)
+    x = 4.0 * beta / d if d != math.inf else (4.0 / snr) * (beta / (beta - 1.0))
     q = math.sqrt(1.0 + x)
     val = (
-        snr / (2.0 * beta)
+        0.5 * snr / beta
         - 1.0 / (1.0 + q)
         + 0.5 * math.log(beta * x)
         - math.log(1.0 + q)

@@ -19,6 +19,14 @@ The public functions check their arguments, then call unchecked kernels
 :func:`e_fb` validates its inputs and the ends of the looseness interval
 once, reads the link SNRs once, and runs its search on the kernels alone, so
 it returns the bits a search through the checked functions would.
+
+The search also stops the looseness bisection of a round count K as soon as
+K provably cannot beat the best value found so far: each step that lowers
+the bracket's upper end b checks the modulo exponent there, and since the
+final looseness never exceeds b and the modulo exponent is non-decreasing,
+min(decode, modulo)/(2K) is already capped below the incumbent.  Round
+counts that win run the same bisection as without the check, so the result
+is bit for bit that of the full search.
 """
 
 from __future__ import annotations
@@ -212,14 +220,22 @@ def _decode_exponent(snr: float, rate_bits: float) -> float:
 
 
 def _inner_optimum(
-    snr: float, bsnr: float, dsnr: float, rate_bits: float, rounds: int
-) -> tuple[float, float]:
+    snr: float,
+    bsnr: float,
+    dsnr: float,
+    rate_bits: float,
+    rounds: int,
+    incumbent: float = -math.inf,
+) -> tuple[float, float] | None:
     """Best min(decode, modulo) over looseness for a fixed round count.
 
     The decode exponent falls with L (less SNR growth) while the modulo
     exponent rises with L (coarser lattice, rarer wraps), so the pointwise
     min is maximized at their crossing, or at an endpoint when the curves do
-    not cross inside (1, bsnr).  Returns (unnormalized value, looseness).
+    not cross inside (1, bsnr).  Returns (unnormalized value, looseness), or
+    None as soon as the bisection shows that the value divided by 2K cannot
+    exceed ``incumbent``: the returned looseness never exceeds the upper end
+    b of the bracket, and the value is at most the modulo exponent there.
     Unchecked: the caller has validated the link SNRs and the rate, and
     every looseness tried lies in [1 + _L_EDGE, bsnr * (1 - _L_EDGE)].
     """
@@ -245,6 +261,8 @@ def _inner_optimum(
                 a = mid
             else:
                 b = mid
+                if _poltyrev(b) / (2.0 * rounds) <= incumbent:
+                    return None
         l_opt = 0.5 * (a + b)
     return min(decode(l_opt), _poltyrev(l_opt)), l_opt
 
@@ -259,6 +277,16 @@ def e_fb(
     prunes once even a wrap-free scheme could not beat the incumbent: the
     modulo exponent is at most L/8 < bsnr/8, so no K with bsnr/(16K) below
     the best value so far can win, and that cap shrinks with K.
+
+    Within one K, the L bisection stops early by the same argument: when a
+    step lowers the bracket's upper end to b and the modulo exponent at b,
+    divided by 2K, is no larger than the incumbent, K is skipped.  The L the
+    bisection would return lies at or below b, the modulo exponent is
+    non-decreasing, and dividing by the same 2K preserves the order under
+    rounding, so K's value could not pass the strict ``>`` test that
+    replaces the incumbent.  A K that does win runs the full bisection, so
+    ``e_fb``, ``k_star``, ``l_star`` and ``binding`` are bit for bit those
+    of the unpruned search.
 
     A result with ``k_at_boundary`` set means the argmax sat at k_max and a
     larger search range might still improve the value; a warning is emitted.
@@ -284,7 +312,10 @@ def e_fb(
     for k in range(1, k_max + 1):
         if bsnr / (16.0 * k) <= best_val:
             break
-        val, l_opt = _inner_optimum(snr, bsnr, dsnr, rate_bits, k)
+        inner = _inner_optimum(snr, bsnr, dsnr, rate_bits, k, best_val)
+        if inner is None:
+            continue
+        val, l_opt = inner
         val /= 2.0 * k
         if val > best_val:
             best_val, best_k, best_l = val, k, l_opt

@@ -9,8 +9,8 @@ import pytest
 
 from awgn_feedback.cli import ConfigError, main, parse_config
 
-GOLDEN = Path(__file__).parent / "golden" / "fig1_20_30.csv"
-GOLDEN_10_20 = Path(__file__).parent / "golden" / "fig1_10_20.csv"
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN = GOLDEN_DIR / "fig1_20_30.csv"
 
 
 def run_main(argv, capsys):
@@ -162,29 +162,22 @@ def test_exponents_csv_structure(capsys):
         assert float(row["e_sp_norm"]) >= float(row["e_r_norm"])
 
 
-def test_exponents_golden_bytes(tmp_path):
-    """The pinned comparison-grid CSV reproduces byte for byte."""
-    out = tmp_path / "fig1.csv"
-    assert main([
-        "exponents", "--snr-db", "20", "--dsnr-db", "30", "--fig1",
-        "--out", str(out),
-    ]) == 0
-    assert out.read_bytes() == GOLDEN.read_bytes()
-    # and again: the sweep is deterministic
-    out2 = tmp_path / "fig1_again.csv"
-    main(["exponents", "--snr-db", "20", "--dsnr-db", "30", "--fig1",
-          "--out", str(out2)])
-    assert out2.read_bytes() == GOLDEN.read_bytes()
+@pytest.mark.parametrize(
+    "golden", sorted(GOLDEN_DIR.glob("fig1_*_*.csv")), ids=lambda path: path.stem
+)
+def test_exponents_golden_bytes(golden, tmp_path):
+    """Each pinned sweep reproduces byte for byte, twice.
 
-
-def test_exponents_golden_bytes_10_20(tmp_path):
-    """A second pinned pair, where the optimum sits at fewer rounds."""
-    out = tmp_path / "fig1.csv"
-    assert main([
-        "exponents", "--snr-db", "10.0", "--dsnr-db", "20.0", "--fig1",
-        "--out", str(out),
-    ]) == 0
-    assert out.read_bytes() == GOLDEN_10_20.read_bytes()
+    The (snr_db, dsnr_db) pair is read from the file name fig1_<snr>_<dsnr>.
+    """
+    snr_db, dsnr_db = golden.stem.split("_")[1:]
+    for name in ("fig1.csv", "fig1_again.csv"):
+        out = tmp_path / name
+        assert main([
+            "exponents", "--snr-db", snr_db, "--dsnr-db", dsnr_db, "--fig1",
+            "--out", str(out),
+        ]) == 0
+        assert out.read_bytes() == golden.read_bytes()
 
 
 def test_exponents_reject_noiseless_feedback(capsys):

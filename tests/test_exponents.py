@@ -92,6 +92,17 @@ def test_sphere_packing_stable_at_small_rates():
         prev = val
 
 
+def test_sphere_packing_finite_at_huge_snr():
+    # snr*(beta - 1) overflows past snr ~1.3e154 and 2*beta past ~9e307; at
+    # high snr the exponent depends only on the gap C - R, so a fixed gap
+    # gives one value at every snr
+    ref = sphere_packing_exp(1e100, capacity(1e100) - 0.25)
+    for snr in (1e155, 1e160, 1e300, 1.7e308):
+        cap = capacity(snr)
+        assert sphere_packing_exp(snr, cap - 0.25) == pytest.approx(ref, rel=1e-9)
+        assert 0.0 <= sphere_packing_exp(snr, cap) <= 1e-12
+
+
 # -----------------------------------------------------------------------------
 # unconstrained (lattice) exponent
 # -----------------------------------------------------------------------------

@@ -274,10 +274,21 @@ def checked_search(p, rate, k_max=64):
 
 
 @pytest.mark.parametrize(
-    "snr_db, dsnr_db", [(20.0, 30.0), (10.0, 20.0), (3.0, 33.0), (15.0, 25.0)]
+    "snr_db, dsnr_db",
+    [
+        (20.0, 30.0),
+        (10.0, 20.0),
+        (3.0, 33.0),
+        (15.0, 25.0),
+        (30.0, 30.0),
+        (40.0, 40.0),
+        (25.0, 35.0),
+        (20.0, 1.5),
+    ],
 )
 def test_e_fb_matches_checked_search_bitwise(snr_db, dsnr_db):
-    """The unchecked kernels reproduce the checked search bit for bit."""
+    """The pruned search on unchecked kernels reproduces the unpruned
+    checked search bit for bit."""
     p = ChannelParams.from_snrs(10.0 ** (snr_db / 10.0), 10.0 ** (dsnr_db / 10.0))
     cap = capacity(p.snr)
     for x in (0.0, 0.1, 0.45, 0.8, 0.9):
@@ -285,6 +296,39 @@ def test_e_fb_matches_checked_search_bitwise(snr_db, dsnr_db):
             warnings.simplefilter("ignore", RuntimeWarning)  # k_max hits at 3 dB
             res = e_fb(p, x * cap)
         assert (res.e_fb, res.k_star, res.l_star) == checked_search(p, x * cap)
+
+
+def test_poltyrev_non_decreasing():
+    """The bisection's early exit bounds the value by the modulo exponent at
+    the bracket's upper end, which needs exactly this monotonicity."""
+    xs = [1.0 + i / 1000.0 for i in range(-999, 100_000)]
+    for edge in (1.0, 2.0, 4.0):
+        below, above = [edge], [edge]
+        for _ in range(200):
+            below.append(math.nextafter(below[-1], 0.0))
+            above.append(math.nextafter(above[-1], math.inf))
+        xs += below + above
+    xs.sort()
+    vals = [poltyrev_exponent(x) for x in xs]
+    assert all(a <= b for a, b in zip(vals, vals[1:]))
+
+
+def test_e_fb_prunes_losing_round_counts(monkeypatch):
+    """Round counts that cannot beat the incumbent stop their bisection."""
+    from awgn_feedback import feedback
+
+    calls = 0
+    decode = feedback._decode_exponent
+
+    def counted(snr, rate_bits):
+        nonlocal calls
+        calls += 1
+        return decode(snr, rate_bits)
+
+    monkeypatch.setattr(feedback, "_decode_exponent", counted)
+    e_fb(P20_30, 1.0)
+    # 2530 without the early exit
+    assert 0 < calls <= 1000
 
 
 def _bits(f, *args):
@@ -303,10 +347,9 @@ def _gallager_value(snr, rate):
 def test_decode_path_matches_gallager_exp_bitwise(snr):
     """The optimizer's decode exponent is gallager_exp's, bit for bit.
 
-    Rates sit exactly on the region boundaries.  At capacity the decode path
-    clamps to 0, which gallager_exp also returns while its sphere-packing
-    form is finite; from snr ~1e154 on, snr*(beta - 1) overflows there and
-    that form raises a math domain error on both paths alike.
+    Rates sit exactly on the region boundaries.  Every value is finite, also
+    from snr ~1e154 on, where snr*(beta - 1) in the sphere-packing form
+    overflows; at capacity both paths return 0.
     """
     b = region_boundaries(snr)
     rates = [
@@ -318,12 +361,9 @@ def test_decode_path_matches_gallager_exp_bitwise(snr):
     ]
     for rate in rates:
         assert _bits(_decode_exponent, snr, rate) == _bits(_gallager_value, snr, rate)
+        assert math.isfinite(_gallager_value(snr, rate))
     assert _bits(_decode_exponent, snr, b.capacity) == float.hex(0.0)
-    if snr < 1e150:
-        assert _bits(_gallager_value, snr, b.capacity) == float.hex(0.0)
-    else:
-        with pytest.raises(ValueError, match="math domain error"):
-            gallager_exp(snr, b.capacity)
+    assert _bits(_gallager_value, snr, b.capacity) == float.hex(0.0)
 
 
 def test_decode_path_rejects_overflowed_snr():
