@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from .exponents import (
     _capacity,
     _check_rate,
-    _check_snr,
     _gallager,
     _poltyrev,
     capacity,
@@ -171,9 +170,9 @@ def effective_snr(params: ChannelParams, looseness: float, rounds: int) -> float
 
         g = 1 + snr * (1 - L/bsnr) / (1 + L/dsnr),
 
-    so the result is snr * g**(rounds-1).  Looseness must satisfy
-    1 <= L < bsnr; at L = bsnr the correction carries no information and the
-    growth factor degenerates to 1.
+    so the result is snr * g**(rounds-1), or inf where that exceeds the
+    float range.  Looseness must satisfy 1 <= L < bsnr; at L = bsnr the
+    correction carries no information and the growth factor degenerates to 1.
     """
     _require_noisy(params)
     rounds = _check_rounds(rounds)
@@ -185,7 +184,10 @@ def _effective_snr(
     snr: float, bsnr: float, dsnr: float, looseness: float, rounds: int
 ) -> float:
     g = 1.0 + snr * (1.0 - looseness / bsnr) / (1.0 + looseness / dsnr)
-    return snr * g ** (rounds - 1)
+    try:
+        return snr * g ** (rounds - 1)
+    except OverflowError:
+        return math.inf
 
 
 def _check_looseness(looseness: float, bsnr: float) -> float:
@@ -211,9 +213,10 @@ def _check_rounds(rounds: int) -> int:
 def _decode_exponent(snr: float, rate_bits: float) -> float:
     # reliability exponent of the terminal decoder at a positive snr and a
     # nonnegative rate; no reliable decoding at or above capacity, so clamp
-    # to 0 instead of raising.  An snr that overflowed to inf still raises.
+    # to 0 instead of raising.  A boosted snr beyond the float range gives
+    # inf, the limit of the expurgation exponent as snr grows.
     if snr == math.inf:
-        _check_snr(snr)
+        return math.inf
     if rate_bits >= _capacity(snr):
         return 0.0
     return _gallager(snr, rate_bits)[0]
@@ -333,7 +336,7 @@ def e_fb(
     )
     mod = _poltyrev(best_l)
     scale = max(dec, mod, 1e-300)
-    if abs(dec - mod) <= _BALANCE_RTOL * scale:
+    if dec < math.inf and abs(dec - mod) <= _BALANCE_RTOL * scale:
         binding = Binding.BALANCED
     elif dec < mod:
         binding = Binding.DECODE
@@ -423,8 +426,10 @@ def region_assumptions_hold(
 
     Requires the modulo exponent to sit on its linear branch (L > 4) and
     the total rate K*R to fall strictly below the critical rate of the
-    boosted channel, so the decode exponent is in its expurgation form.
-    Never raises; parameters outside the scheme's domain return False.
+    boosted channel, so the decode exponent is in its expurgation form; a
+    boosted SNR beyond the float range passes, since the critical rate grows
+    without bound with the SNR.  Never raises; parameters outside the
+    scheme's domain return False.
     """
     _require_noisy(params)
     rate_bits = _check_rate(rate_bits)
@@ -437,7 +442,7 @@ def region_assumptions_hold(
     if not (1.0 <= looseness < params.bsnr):
         return False
     snr_eff = effective_snr(params, looseness, rounds)
-    return rounds * rate_bits < critical_rate(snr_eff)
+    return snr_eff == math.inf or rounds * rate_bits < critical_rate(snr_eff)
 
 
 @functools.lru_cache(maxsize=64)

@@ -3,7 +3,13 @@
 Supported families: the scaled cubic lattice cZ^n (any n, including the
 scalar case n=1), the checkerboard lattice D4, and the Gosset lattice E8.
 Lattice points and modulo residues are plain float ndarrays; no wrapper
-types.  A residue r returned by :func:`modulo` satisfies quantize_nn(r) = 0.
+types.  :func:`quantize_nn` and :func:`modulo` act on arrays of shape
+(..., n), one point per row of the last axis, with one vectorized quantizer
+per family (Conway & Sloane, "Fast quantizing and decoding algorithms for
+lattice quantizers and codes", IEEE T-IT 28(2), 1982): rounding for cZ^n,
+rounding plus one parity-fixing flip for D_n, and the nearer of the D8 and
+D8 + 1/2 candidates for E8.  A residue r returned by :func:`modulo`
+satisfies quantize_nn(r) = 0.
 
 Second moments are exact closed forms (Conway & Sloane, *Sphere Packings,
 Lattices and Groups*, ch. 21): normalized second moments 1/12 for Z^n,
@@ -168,91 +174,75 @@ def _family_lattice(
 # QUANTIZATION
 # =============================================================================
 
-def _round_half_down(t: float) -> float:
-    # nearest integer, exact halves toward -inf (the lex-smaller candidate)
-    return math.ceil(t - 0.5)
-
-
-def _quantize_cubic(y: np.ndarray) -> np.ndarray:
-    return np.array([_round_half_down(t) for t in y])
-
-
 def _quantize_dn(y: np.ndarray) -> np.ndarray:
-    """Nearest point of D_n = even-sum integer vectors, lex tie-break.
+    """Nearest points of D_n = even-sum integer vectors, lex tie-break.
 
     Start from the nearest integer vector f (halves rounded down, which is
     the lex-min nearest point of Z^n).  If its coordinate sum is even it is
     optimal: every equally near alternative only raises coordinates.  If the
     sum is odd, exactly one extra coordinate flip is needed, and a flip at
     coordinate i in direction d costs 1 - 2*d*e_i in squared distance; three
-    or more flips can never beat the best single flip.
+    or more flips can never beat the best single flip.  Listing the flips
+    lex-smallest result first (downward flips by rising index, then upward
+    flips by falling index), the first cheapest one is the lex-min nearest
+    point.
     """
-    f = np.array([_round_half_down(t) for t in y])
-    e = y - f
-    if int(f.sum()) % 2 == 0:
-        return f
-    pen_up = 1.0 - 2.0 * e
-    pen_dn = 1.0 + 2.0 * e
-    best = min(pen_up.min(), pen_dn.min())
-    candidates = []
-    for i in range(len(f)):
-        if pen_up[i] == best:
-            g = f.copy()
-            g[i] += 1.0
-            candidates.append(g)
-        if pen_dn[i] == best:
-            g = f.copy()
-            g[i] -= 1.0
-            candidates.append(g)
-    if len(candidates) == 1:
-        return candidates[0]
-    return min(candidates, key=lambda v: tuple(v))
-
-
-_E8_HALF = np.full(8, 0.5)
+    f = np.ceil(y - 0.5)
+    rows = f.reshape(-1, f.shape[-1])
+    odd = np.flatnonzero(rows.sum(axis=-1) % 2)
+    e = y.reshape(rows.shape)[odd] - rows[odd]
+    n = e.shape[-1]
+    pen = np.concatenate((1.0 + 2.0 * e, (1.0 - 2.0 * e)[:, ::-1]), axis=-1)
+    j = pen.argmin(axis=-1)
+    down = j < n
+    rows[odd, np.where(down, j, 2 * n - 1 - j)] += np.where(down, -1.0, 1.0)
+    return f
 
 
 def _quantize_e8(y: np.ndarray) -> np.ndarray:
-    """Nearest point of E8 = D8 union (D8 + half), lex tie-break across cosets."""
+    """Nearest points of E8 = D8 union (D8 + half), lex tie-break across cosets.
+
+    The two candidates differ in every coordinate, so on a distance tie the
+    lex-smaller one is the one with the smaller first coordinate.
+    """
     q0 = _quantize_dn(y)
-    q1 = _E8_HALF + _quantize_dn(y - _E8_HALF)
-    d0 = float(np.dot(y - q0, y - q0))
-    d1 = float(np.dot(y - q1, y - q1))
-    if d0 < d1:
-        return q0
-    if d1 < d0:
-        return q1
-    return min((q0, q1), key=lambda v: tuple(v))
+    q1 = 0.5 + _quantize_dn(y - 0.5)
+    d0 = ((y - q0) ** 2).sum(axis=-1)
+    d1 = ((y - q1) ** 2).sum(axis=-1)
+    first = (d0 < d1) | ((d0 == d1) & (q0[..., 0] < q1[..., 0]))
+    return np.where(first[..., None], q0, q1)
 
 
 def _quantize_unit(family: str, y: np.ndarray) -> np.ndarray:
     if family == "cubic":
-        return _quantize_cubic(y)
+        # nearest integers, exact halves toward -inf (the lex-smaller one)
+        return np.ceil(y - 0.5)
     if family == "d4":
         return _quantize_dn(y)
     return _quantize_e8(y)
 
 
-def _check_point(lattice: Lattice, x) -> np.ndarray:
+def _check_points(lattice: Lattice, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.shape != (lattice.dimension,):
+    if x.ndim == 0 or x.shape[-1] != lattice.dimension:
         raise ValueError(
-            f"expected a vector of shape ({lattice.dimension},), got {x.shape}"
+            f"expected points of shape (..., {lattice.dimension}), got {x.shape}"
         )
     if not np.all(np.isfinite(x)):
-        raise ValueError("input vector must be finite")
+        raise ValueError("input points must be finite")
     return x
 
 
 def quantize_nn(lattice: Lattice, x) -> np.ndarray:
-    """Nearest lattice point in Euclidean distance; lex-smallest on ties."""
-    x = _check_point(lattice, x)
+    """Nearest lattice point of each point along the last axis of x, in
+    Euclidean distance; lex-smallest on ties."""
+    x = _check_points(lattice, x)
     return lattice.scale * _quantize_unit(lattice.family, x / lattice.scale)
 
 
 def modulo(lattice: Lattice, x) -> np.ndarray:
-    """Residue x - quantize_nn(x), a point of the fundamental Voronoi cell."""
-    x = _check_point(lattice, x)
+    """Residues x - quantize_nn(x), points of the fundamental Voronoi cell."""
+    x = _check_points(lattice, x)
     return x - lattice.scale * _quantize_unit(lattice.family, x / lattice.scale)
 
 

@@ -26,9 +26,10 @@ the systems on every trial, not merely with high probability.
 
 One engine, :func:`_run_block`, simulates a block of consecutive trials:
 both systems of both copies advance together through the rounds as arrays
-of shape (system, trial, copy, dimension).  Campaigns reduce block after
-block in trial order; :func:`run_trial` and :func:`run_coupled_trial` are
-blocks of one trial.  A trial's draws do not depend on its block.
+of shape (system, trial, copy, dimension), and each modulo map folds its
+whole array in one :func:`~.lattices.modulo` call.  Campaigns reduce block
+after block in trial order; :func:`run_trial` and :func:`run_coupled_trial`
+are blocks of one trial.  A trial's draws do not depend on its block.
 
 Randomness: trial t uses Generator(Philox(key=[master_seed, t])), so trials
 are reproducible individually and in any execution order; the random
@@ -331,22 +332,6 @@ def _sq(x: np.ndarray) -> np.ndarray:
     return (x * x).sum(axis=-1)
 
 
-def _fold(lat: Lattice, x: np.ndarray) -> np.ndarray:
-    """Residues mod the lattice along the last axis.
-
-    The cubic family folds in one array expression, the same arithmetic as
-    :func:`modulo`; D4 and E8 go through :func:`modulo` row by row.
-    """
-    if lat.family == "cubic":
-        s = lat.scale
-        return x - s * np.ceil(x / s - 0.5)
-    out = np.empty_like(x)
-    rows = out.reshape(-1, lat.dimension)
-    for i, r in enumerate(x.reshape(-1, lat.dimension)):
-        rows[i] = modulo(lat, r)
-    return out
-
-
 def _decode_index(cfg: SchemeConfig, theta_hat: np.ndarray) -> np.ndarray:
     """Nearest-codeword index of each estimate along the last axis."""
     lead = theta_hat.shape[:-1]
@@ -354,7 +339,6 @@ def _decode_index(cfg: SchemeConfig, theta_hat: np.ndarray) -> np.ndarray:
         m = cfg.m_codewords
         if m == 1:
             return np.zeros(lead, dtype=np.intp)
-        # rint rounds halves to even, like the scalar slicer's round()
         t = theta_hat[..., 0] / cfg.pam_step + 0.5 * (m - 1)
         return np.clip(np.rint(t), 0, m - 1).astype(np.intp)
     rows = theta_hat.reshape(-1, cfg.dimension)
@@ -414,7 +398,7 @@ def _run_block(cfg: SchemeConfig, start: int, stop: int) -> _Block:
             rng.random(out=dith[j])
     z_fwd *= math.sqrt(p.sigma2)
     z_fb *= math.sqrt(p.sigma2_tilde)
-    dith = _fold(lat, dith @ lat.generator)
+    dith = modulo(lat, dith @ lat.generator)
 
     theta = cfg.codewords[msgs]
     th_hat = np.broadcast_to(theta + z_fwd[:, :, 0], (2, trials, 2, n))
@@ -431,10 +415,10 @@ def _run_block(cfg: SchemeConfig, start: int, stop: int) -> _Block:
             x = g * eps
         else:
             fb = g * th_hat + dith[:, :, k]
-            fb[_REAL] = _fold(lat, fb[_REAL])
+            fb[_REAL] = modulo(lat, fb[_REAL])
             # dither-cancelled receiver residue: equals the modulo chain
             w = g * eps + z_fb[:, :, k]
-            residue = _fold(lat, w)
+            residue = modulo(lat, w)
             alias[..., k] = np.any(residue != w, axis=-1)
             live &= ~alias[_REAL, ..., k]
             x = cfg.alpha * np.stack((residue[_REAL], w[_COUPLED]))

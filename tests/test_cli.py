@@ -180,6 +180,23 @@ def test_exponents_golden_bytes(golden, tmp_path):
         assert out.read_bytes() == golden.read_bytes()
 
 
+@pytest.mark.filterwarnings("ignore:e_fb argmax hit k_max")
+@pytest.mark.parametrize("snr_db,dsnr_db", [("50", "20"), ("60", "40")])
+def test_exponents_fig1_beyond_float_range(snr_db, dsnr_db, capsys):
+    """At these SNRs the boosted SNR of large round counts exceeds the float
+    range; the sweep still completes with finite exponents."""
+    code, out, _ = run_main(
+        ["exponents", "--snr-db", snr_db, "--dsnr-db", dsnr_db, "--fig1"],
+        capsys,
+    )
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 99
+    fb = [float(r["e_fb_norm"]) for r in rows if r["e_fb_norm"] != ""]
+    assert len(fb) == 50
+    assert all(math.isfinite(v) and v > 0.0 for v in fb)
+
+
 def test_exponents_reject_noiseless_feedback(capsys):
     """inf dB builds a noiseless link, which the optimizer rejects."""
     code, out, err = run_main(
@@ -236,6 +253,17 @@ def test_bound_report(capsys):
     assert float(rep["bound_nats"]) == pytest.approx(279.90980624916727)
     assert float(rep["l_star"]) == pytest.approx(22392.784499933383)
     assert float(rep["kstar_zero_rate"]) == pytest.approx(4.84739431676931)
+
+
+def test_bound_beyond_float_range(capsys):
+    """1200 rounds boost the SNR past the float range; the report stands."""
+    code, out, _ = run_main(
+        ["bound", "--snr-db", "40", "--dsnr-db", "20", "--rate", "0.01",
+         "--rounds", "1200"],
+        capsys,
+    )
+    assert code == 0
+    assert parse_report(out)["region_valid"] == "True"
 
 
 def test_bound_rejects_single_round(capsys):

@@ -115,6 +115,11 @@ def test_effective_snr_single_round_is_plain_snr():
     assert effective_snr(P20_30, 123.0, 1) == P20_30.snr
 
 
+def test_effective_snr_beyond_float_range_is_inf():
+    # g**199 overflows the float range itself, not only the product
+    assert effective_snr(ChannelParams.from_snrs(100, 1000), 5.0, 200) == math.inf
+
+
 # -----------------------------------------------------------------------------
 # the optimizer
 # -----------------------------------------------------------------------------
@@ -366,12 +371,26 @@ def test_decode_path_matches_gallager_exp_bitwise(snr):
     assert _bits(_gallager_value, snr, b.capacity) == float.hex(0.0)
 
 
-def test_decode_path_rejects_overflowed_snr():
-    """A boosted SNR that overflowed to inf raises, as gallager_exp does."""
+def test_decode_path_overflowed_snr_is_inf():
+    """A boosted SNR beyond the float range decodes with exponent inf, the
+    limit of the expurgation exponent as the SNR grows; the public
+    gallager_exp still rejects an infinite SNR."""
     for rate in (0.0, 1.0):
-        assert _bits(_decode_exponent, math.inf, rate) == _bits(
-            _gallager_value, math.inf, rate
-        )
+        assert _decode_exponent(math.inf, rate) == math.inf
+        assert "finite" in _bits(_gallager_value, math.inf, rate)
+
+
+def test_e_fb_binds_on_modulo_when_decode_is_unbounded():
+    """At 60/40 dB and R/C ~ 0.863 the optimum's boosted SNR is beyond the
+    float range, so only the modulo exponent can bind."""
+    params = ChannelParams.from_snrs(1e6, 1e4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # K* sits at k_max
+        res = e_fb(params, 8.601253260169738)
+    assert effective_snr(params, res.l_star, res.k_star) == math.inf
+    assert res.binding is Binding.MODULO
+    assert res.region_valid
+    assert res.e_fb == poltyrev_exponent(res.l_star) / (2.0 * res.k_star)
 
 
 # -----------------------------------------------------------------------------
@@ -480,6 +499,8 @@ def test_region_assumptions_boundary_cases():
 def test_region_assumptions_never_raise():
     assert not region_assumptions_hold(P20_30, 0.0, 5, 0.5)
     assert not region_assumptions_hold(P20_30, 0.0, 5, P20_30.bsnr + 1.0)
+    # a boosted SNR beyond the float range has an unbounded critical rate
+    assert region_assumptions_hold(P20_30, 1.0, 200, 5.0)
 
 
 def test_out_of_region_continuity_at_boundary():

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-from itertools import product
 
 import numpy as np
 import pytest
@@ -34,19 +33,41 @@ G_D4 = 13.0 / (120.0 * math.sqrt(2.0))
 G_E8 = 929.0 / 12960.0
 
 
-_OFFSETS = {}
+# covering radius of each unit-scale family: every point lies this close
+# to its nearest lattice point
+_COVERING = {"d4": 1.0, "e8": 1.0}
+
+
+def nearest_points(lat, y):
+    """All lattice points nearest to y, by exhaustive search, with their
+    squared distance.
+
+    A nearest point lies within the covering radius rho of y, so each of
+    its coordinates lies within rho of y's; the search enumerates every
+    member of the lattice in that box (D4 and E8 members are integer, or
+    for E8 all half-integer, vectors with even coordinate sum).
+    """
+    n = lat.dimension
+    t = np.asarray(y, dtype=float) / lat.scale
+    rho = _COVERING.get(lat.family, math.sqrt(n) / 2.0) + 1e-9
+    cosets = (0.0, 0.5) if lat.family == "e8" else (0.0,)
+    pts = []
+    for h in cosets:
+        axes = [np.arange(math.ceil(v - h - rho), math.floor(v - h + rho) + 1)
+                for v in t]
+        k = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+        if lat.family != "cubic":
+            k = k[k.sum(axis=1) % 2 == 0]
+        pts.append(k + h)
+    pts = lat.scale * np.concatenate(pts)
+    d = np.sum((pts - y) ** 2, axis=1)
+    return pts[d == d.min()], float(d.min())
 
 
 def brute_nearest(lat, y):
-    """Exhaustive nearest-lattice-point search over a small coefficient window."""
-    n = lat.dimension
-    if n not in _OFFSETS:
-        _OFFSETS[n] = np.array(list(product((-1, 0, 1, 2), repeat=n)))
-    base = np.floor(np.linalg.solve(lat.generator.T, y))
-    pts = (base + _OFFSETS[n]) @ lat.generator
-    d = np.sum((pts - y) ** 2, axis=1)
-    i = int(np.argmin(d))
-    return pts[i], float(d[i])
+    """The lex-smallest nearest lattice point and its squared distance."""
+    pts, d = nearest_points(lat, y)
+    return pts[np.lexsort(pts.T[::-1])[0]], d
 
 
 # -----------------------------------------------------------------------------
@@ -171,7 +192,48 @@ def test_quantizer_shape_checks():
     with pytest.raises(ValueError):
         quantize_nn(lat, np.zeros(3))
     with pytest.raises(ValueError):
-        modulo(lat, np.zeros((2, 4)))
+        modulo(lat, np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        modulo(lat, np.float64(0.0))
+    with pytest.raises(ValueError):
+        modulo(lat, np.array([[0.0, 0.0, np.nan, 0.0]]))
+    # a stack of points is one batch
+    assert modulo(lat, np.zeros((2, 4))).shape == (2, 4)
+
+
+def _tie_points(rng, n, count):
+    """Half- and quarter-integer points, which often sit on Voronoi facets
+    of D4 and E8."""
+    return np.concatenate([rng.integers(-6, 7, size=(count, n)) / 2.0,
+                           rng.integers(-12, 13, size=(count, n)) / 4.0])
+
+
+@pytest.mark.parametrize("lat", [cubic_lattice(3, spacing=0.7), d4_lattice(),
+                                 e8_lattice()], ids=lambda lat: lat.family)
+def test_batch_matches_row_by_row(lat):
+    rng = np.random.default_rng(14)
+    n = lat.dimension
+    pts = np.concatenate([_tie_points(rng, n, 70), rng.normal(size=(70, n))])
+    batch = lat.scale * pts[rng.permutation(len(pts))].reshape(6, 35, n)
+    rows = batch.reshape(-1, n)
+    for f in (quantize_nn, modulo):
+        one_by_one = np.stack([f(lat, r) for r in rows]).reshape(batch.shape)
+        assert np.array_equal(f(lat, batch), one_by_one)
+
+
+@pytest.mark.parametrize("lat", [d4_lattice(), e8_lattice()],
+                         ids=lambda lat: lat.family)
+def test_ties_go_to_lexicographic_minimum(lat):
+    rng = np.random.default_rng(15)
+    pts = _tie_points(rng, lat.dimension, 200)
+    q = quantize_nn(lat, pts)
+    ties = 0
+    for y, got in zip(pts, q):
+        best, _ = brute_nearest(lat, y)
+        assert np.array_equal(got, best), y
+        ties += len(nearest_points(lat, y)[0]) > 1
+    # the tie rule decides a good share of these points
+    assert ties > len(pts) // 4
 
 
 # -----------------------------------------------------------------------------
@@ -219,12 +281,9 @@ def test_modulo_distributes_over_addition():
         n = lat.dimension
         xs = rng.normal(size=(10_000, n)) * 4.0
         ys = rng.normal(size=(10_000, n)) * 4.0
-        worst = 0.0
-        for x, y in zip(xs, ys):
-            a = modulo(lat, modulo(lat, x) + y)
-            b = modulo(lat, x + y)
-            worst = max(worst, float(np.max(np.abs(a - b))))
-        assert worst <= 1e-12
+        a = modulo(lat, modulo(lat, xs) + ys)
+        b = modulo(lat, xs + ys)
+        assert float(np.max(np.abs(a - b))) <= 1e-12
 
 
 def test_modulo_idempotent():
