@@ -14,7 +14,9 @@ seed).  Per copy:
                noise (exact unless the pre-modulo value leaves the Voronoi
                cell: the aliasing event), rescales it to full forward
                power, and sends it; B applies the MMSE correction.
-  decode       B picks the nearest codeword to theta_hat_K.
+  decode       B picks the nearest codeword to theta_hat_K (a Gaussian
+               codebook is screened by one matrix product per chunk of
+               estimates; near-ties settle by the direct distances).
 
 The coupled twin runs the same rounds with the modulo maps removed (its
 feedback power is deliberately unbounded).  Both systems consume the same
@@ -76,10 +78,17 @@ _AGREEMENT_ATOL = 1e-9
 # the engine's system axis
 _REAL, _COUPLED = 0, 1
 
-# values per (trials, 2, rounds, n) block array, and bytes per decode
-# distance chunk: small enough that a block's temporaries stay in cache
+# values per (trials, 2, rounds, n) block array, and bytes per (rows, m)
+# decode score chunk (64 rows of a 256-word codebook): small enough that a
+# block's temporaries stay in cache, and small enough that a multithreaded
+# BLAS does not pay its start-up on every product
 _BLOCK_VALUES = 4096
-_DECODE_CHUNK_BYTES = 32 * 1024
+_DECODE_CHUNK_BYTES = 128 * 1024
+
+# relative width of the decode screen per (n + 2): 1e-12 at n = 8, about
+# a hundred times the rounding error of either distance form (see
+# _decode_index)
+_DECODE_SCREEN_TOL = 1e-13
 
 
 # =============================================================================
@@ -333,7 +342,31 @@ def _sq(x: np.ndarray) -> np.ndarray:
 
 
 def _decode_index(cfg: SchemeConfig, theta_hat: np.ndarray) -> np.ndarray:
-    """Nearest-codeword index of each estimate along the last axis."""
+    """Nearest-codeword index of each estimate along the last axis.
+
+    PAM slices.  A Gaussian codebook returns, for each row x, exactly the
+    direct form argmin_j |x - c_j|^2 (first index on ties), but finds it by
+    screen, then settle:
+
+    * screen: score_j = |c_j|^2 - 2 x.c_j, that is |x - c_j|^2 - |x|^2, for a
+      chunk of rows in one matrix product; a row's candidates are the
+      codewords within tol = 1e-13 (n + 2) (|x|^2 + max_j |c_j|^2) of its
+      minimum score, plus the smallest normal float against underflow;
+    * settle: a row with one candidate decodes to it; a row with several, or
+      with |x|^2 + max|c|^2 not below a quarter of the largest float (NaN
+      and inf included), decodes by the direct form.
+
+    Why a codeword c_k left out is never the direct form's argmin: no value
+    of either form can overflow below that size, and in any summation order
+    each form computes its value for c_j with an absolute error of at most
+    2 (n + 2) 2^-53 (|x|^2 + |c_j|^2).  So e, the two errors together, stays
+    below 4.5e-16 (n + 2) (|x|^2 + max|c|^2), under tol / 200.  With w the
+    screen's minimum, score_k > score_w + tol puts the exact distances of
+    c_k and c_w more than tol - 2e apart, and their direct-form values more
+    than tol - 4e > 2e apart: c_k trails c_w there too, by more than twice
+    the combined error.  So the direct argmin is always a candidate, and a
+    lone candidate is it.
+    """
     lead = theta_hat.shape[:-1]
     if cfg.codebook == "pam":
         m = cfg.m_codewords
@@ -341,12 +374,33 @@ def _decode_index(cfg: SchemeConfig, theta_hat: np.ndarray) -> np.ndarray:
             return np.zeros(lead, dtype=np.intp)
         t = theta_hat[..., 0] / cfg.pam_step + 0.5 * (m - 1)
         return np.clip(np.rint(t), 0, m - 1).astype(np.intp)
+    cw = cfg.codewords
     rows = theta_hat.reshape(-1, cfg.dimension)
     out = np.empty(len(rows), dtype=np.intp)
-    chunk = max(1, _DECODE_CHUNK_BYTES // cfg.codewords.nbytes)
-    for i in range(0, len(rows), chunk):
-        diff = cfg.codewords - rows[i:i + chunk, None, :]
-        out[i:i + chunk] = np.argmin(_sq(diff), axis=1)
+    c2 = _sq(cw)
+    rel = _DECODE_SCREEN_TOL * (cfg.dimension + 2)
+    floor = rel * c2.max() + np.finfo(float).tiny
+    # rows at least this large (or not finite) could overflow |x - c|^2
+    room = 0.25 * np.finfo(float).max - c2.max()
+    neg2ct = -2.0 * cw.T  # exact: scaling by a power of two
+    chunk = max(1, _DECODE_CHUNK_BYTES // (8 * len(cw)))
+    # the screen of such rows may overflow or meet inf - inf; it is unused
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i in range(0, len(rows), chunk):
+            x = rows[i:i + chunk]
+            score = x @ neg2ct
+            score += c2
+            idx = np.argmin(score, axis=1)
+            at = np.arange(len(idx))
+            best = score[at, idx]
+            # one candidate: the runner-up trails the minimum by more than tol
+            score[at, idx] = np.inf
+            x2 = _sq(x)
+            lone = score.min(axis=1) > best + (rel * x2 + floor)
+            lone &= x2 < room
+            for r in np.flatnonzero(~lone):
+                idx[r] = np.argmin(_sq(cw - x[r]))
+            out[i:i + chunk] = idx
     return out.reshape(lead)
 
 

@@ -180,6 +180,24 @@ def test_exponents_golden_bytes(golden, tmp_path):
         assert out.read_bytes() == golden.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "golden", sorted(GOLDEN_DIR.glob("simulate_*.csv")), ids=lambda path: path.stem
+)
+def test_simulate_golden_bytes(golden, tmp_path):
+    """Pinned Gaussian-codebook campaigns (D4, E8; 256 codewords) reproduce
+    byte for byte.  At 4.8 dB both systems decode wrongly on a few percent
+    of copies or more, so the decode decisions show in p_dec and p_e.
+
+    The campaign's config is the .cfg file of the same stem.
+    """
+    out = tmp_path / "sim.csv"
+    assert main([
+        "simulate", "--config", str(golden.with_suffix(".cfg")),
+        "--trials", "2000", "--out", str(out),
+    ]) == 0
+    assert out.read_bytes() == golden.read_bytes()
+
+
 @pytest.mark.filterwarnings("ignore:e_fb argmax hit k_max")
 @pytest.mark.parametrize("snr_db,dsnr_db", [("50", "20"), ("60", "40")])
 def test_exponents_fig1_beyond_float_range(snr_db, dsnr_db, capsys):

@@ -1,6 +1,7 @@
 """Tests for the Monte-Carlo protocol simulator."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -477,6 +478,159 @@ def test_ml_decode_on_gaussian_codebook():
     )
     for i in range(cfg.m_codewords):
         assert decode_one(cfg, cfg.codewords[i]) == i
+
+
+def direct_decode(codewords, rows):
+    """Reference: argmin of the directly summed squared distances."""
+    out = np.empty(len(rows), dtype=np.intp)
+    chunk = max(1, (1 << 18) // codewords.size)  # 2 MiB per difference chunk
+    for i in range(0, len(rows), chunk):
+        diff = codewords - rows[i:i + chunk, None, :]
+        out[i:i + chunk] = np.argmin((diff * diff).sum(axis=-1), axis=1)
+    return out
+
+
+def gaussian_book(codewords):
+    codewords = np.ascontiguousarray(codewords, dtype=float)
+    return SimpleNamespace(codebook="gaussian", dimension=codewords.shape[1],
+                           codewords=codewords)
+
+
+def assert_decodes_like_direct_form(codewords, rows):
+    with np.errstate(invalid="ignore", over="ignore"):
+        expected = direct_decode(codewords, rows)
+    got = _decode_index(gaussian_book(codewords), rows)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, expected), np.flatnonzero(got != expected)[:10]
+    return got
+
+
+@pytest.mark.parametrize("n,bits", [(4, 4), (8, 8)], ids=["d4-16", "e8-256"])
+def test_gaussian_decode_matches_direct_form(n, bits):
+    """100 000 noisy codewords and midpoints of codeword pairs, the latter
+    tied up to rounding, decode exactly as the direct form does."""
+    rng = np.random.default_rng(n * 1000 + bits)
+    codewords = rng.standard_normal((1 << bits, n))
+    msgs = rng.integers(0, len(codewords), 80_000)
+    scale = rng.choice([1e-3, 0.1, 0.5, 2.0], size=(len(msgs), 1))
+    noisy = codewords[msgs] + scale * rng.standard_normal((len(msgs), n))
+    a, b = rng.integers(0, len(codewords), (2, 20_000))
+    mid = 0.5 * (codewords[a] + codewords[b])
+    mid += 1e-15 * rng.standard_normal(mid.shape)
+    rows = np.concatenate((noisy, mid))
+    assert_decodes_like_direct_form(codewords, rows)
+    # the leading shape is kept
+    got = _decode_index(gaussian_book(codewords), rows[:60].reshape(3, 5, 4, n))
+    assert got.shape == (3, 5, 4)
+
+
+def test_gaussian_decode_exact_ties_take_the_first_index():
+    unit = np.eye(4)
+    codewords = np.concatenate([np.stack((e, -e)) for e in unit])  # +-e_i
+    rows = np.array([
+        [0.0, 0.0, 0.0, 0.0],    # all eight tie
+        [0.5, 0.5, 0.0, 0.0],    # +e_1 and +e_2 tie
+        [0.0, -3.0, 0.0, -3.0],  # -e_2 and -e_4 tie
+        [0.0, 0.0, 0.0, -2.0],   # -e_4 alone
+    ])
+    got = assert_decodes_like_direct_form(codewords, rows)
+    assert got.tolist() == [0, 0, 3, 7]
+    # the tie sets keep their first member when the book is reordered
+    order = np.random.default_rng(5).permutation(len(codewords))
+    got = assert_decodes_like_direct_form(codewords[order], rows)
+    assert got[0] == 0
+
+
+def test_gaussian_decode_duplicate_codewords():
+    rng = np.random.default_rng(21)
+    codewords = rng.standard_normal((16, 4))
+    codewords[[9, 12]] = codewords[3]
+    codewords[15] = codewords[0]
+    rows = np.concatenate((
+        codewords,
+        codewords[3] + 1e-9 * rng.standard_normal((50, 4)),
+        rng.standard_normal((500, 4)),
+    ))
+    got = assert_decodes_like_direct_form(codewords, rows)
+    assert got[[3, 9, 12, 15]].tolist() == [3, 3, 3, 0]
+
+
+def test_gaussian_decode_large_rows_where_the_expanded_form_cancels():
+    """At |x| ~ 1e8 the direct form rounds |x - c|^2 ~ 1e16 to a few units,
+    while |c|^2 - 2 x.c is accurate to ~1e-7: near the bisector of the two
+    nearest codewords the two forms pick different words, and the screen
+    must settle such rows by the direct form."""
+    rng = np.random.default_rng(8)
+    codewords = rng.standard_normal((16, 4))
+    u = rng.standard_normal((4000, 4))
+    u *= 1e8 / np.sqrt((u * u).sum(axis=1, keepdims=True))
+    # move each row onto the bisector of its two nearest codewords, give or
+    # take a few units of |x - c|^2
+    near = np.argsort(-(u @ codewords.T) + 0.5 * (codewords**2).sum(1), axis=1)
+    ca, cb = codewords[near[:, 0]], codewords[near[:, 1]]
+    d = cb - ca
+    d2 = (d * d).sum(axis=1, keepdims=True)
+    gap = 2.0 * (u * d).sum(axis=1, keepdims=True) + (ca * ca - cb * cb).sum(
+        axis=1, keepdims=True)
+    gap -= rng.uniform(-8.0, 8.0, gap.shape)
+    rows = u - gap / (2.0 * d2) * d
+    assert_decodes_like_direct_form(codewords, rows)
+
+
+def test_gaussian_decode_non_finite_rows():
+    rng = np.random.default_rng(4)
+    codewords = rng.standard_normal((16, 4))
+    codewords[2, 0] = 0.0
+    inf, nan = math.inf, math.nan
+    rows = np.array([
+        [nan, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, nan],
+        [inf, 0.0, 0.0, 0.0],
+        [-inf, 1.0, 0.0, 0.0],
+        [inf, -inf, 0.0, 0.0],
+        [inf, inf, inf, inf],
+        [1e200, 0.0, 0.0, 0.0],
+        [1e160, -1e160, 1e160, 0.0],
+        [0.1, 0.2, 0.3, 0.4],
+    ])
+    assert_decodes_like_direct_form(codewords, rows)
+
+
+def test_gaussian_decode_rows_whose_distances_overflow():
+    """|x|^2 is finite but every |x - c|^2 overflows: the direct form
+    returns the first index, and so must the decode."""
+    rng = np.random.default_rng(6)
+    codewords = -1e152 * np.abs(rng.standard_normal((8, 4)))
+    codewords[0] *= 3.0
+    rows = np.full((1, 4), 6.7e153)
+    with np.errstate(over="ignore"):
+        assert np.isfinite(sim._sq(rows)).all()
+        assert np.isinf(sim._sq(codewords - rows[0])).all()
+    assert assert_decodes_like_direct_form(codewords, rows).tolist() == [0]
+
+
+def test_gaussian_decode_rows_whose_distances_underflow():
+    """At scale 1e-162 the squared terms are the smallest subnormals or
+    zero: their rounding errors dwarf a tolerance relative to |x|^2."""
+    rng = np.random.default_rng(10)
+    codewords = 1e-162 * rng.standard_normal((16, 4))
+    rows = codewords[rng.integers(0, 16, 5000)]
+    rows += 1e-162 * rng.standard_normal(rows.shape)
+    assert_decodes_like_direct_form(codewords, rows)
+
+
+def test_gaussian_decode_largest_codebook():
+    """2**16 words, the largest brute-force ML codebook; chunks of one row."""
+    rng = np.random.default_rng(16)
+    codewords = rng.standard_normal((1 << 16, 8))
+    codewords[40_000] = codewords[7]
+    rows = np.concatenate((
+        codewords[[7, 40_000, 65_535]],
+        codewords[rng.integers(0, 1 << 16, 100)]
+        + 0.3 * rng.standard_normal((100, 8)),
+    ))
+    got = assert_decodes_like_direct_form(codewords, rows)
+    assert got[:3].tolist() == [7, 7, 65_535]
 
 
 def test_high_snr_trials_decode_correctly():
