@@ -540,17 +540,23 @@ def wilson_interval(successes: int, total: int) -> tuple[float, float]:
     return lo, hi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimulationSummary:
-    """Aggregate frequencies of a campaign, with Wilson 95% intervals.
+    """Exact counts and pooled averages of a campaign.
+
+    Every field is a plain Python scalar or a tuple of them; the rates and
+    their Wilson 95% intervals are properties computed from the counts.
 
     Aliasing rates come from the coupled system (whose rounds are all
     jointly Gaussian and hence comparable to the analysis); by the exact
     sample-path coupling the union of aliasing events is identical in the
-    real system.  ``p_dec`` is the coupled system's decode error rate,
-    ``p_e`` the real system's.  ``sigma_k2_hat`` estimates the final
-    estimation-error variance from real-system trials without aliasing,
-    pooling dimensions (``no_alias_dims`` of them).
+    real system.  ``alias_counts[i][k]`` counts the coupled trials whose
+    copy i wrapped at correction round k.  ``p_dec`` is the coupled
+    system's decode error rate (``dec_errors_coupled`` over ``2 * trials``
+    copies), ``p_e`` the real system's (``dec_errors_real``).
+    ``sigma_k2_hat`` estimates the final estimation-error variance from
+    real-system trials without aliasing, pooling dimensions
+    (``no_alias_dims`` of them).
 
     ``union_agreement`` and ``coupled_agreement`` count copies, out of
     ``2 * trials``: the first counts matching union-of-aliasing indicators
@@ -560,21 +566,61 @@ class SimulationSummary:
 
     trials: int
     rounds: int
-    p_mod: tuple[tuple[float, ...], ...]
-    p_mod_ci: tuple[tuple[tuple[float, float], ...], ...]
-    p_mod_total: float
-    p_dec: float
-    p_dec_ci: tuple[float, float]
-    p_e: float
-    p_e_ci: tuple[float, float]
+    alias_counts: tuple[tuple[int, ...], ...]
+    dec_errors_coupled: int
+    dec_errors_real: int
     ff_power: float
     fb_power: float
     union_agreement: int
     coupled_agreement: int
     sigma_k2_hat: float
     no_alias_dims: int
-    union_bound_ok: bool
     realized_rate_bits: float
+
+    @property
+    def p_mod(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(tuple(c / self.trials for c in row) for row in self.alias_counts)
+
+    @property
+    def p_mod_ci(self) -> tuple[tuple[tuple[float, float], ...], ...]:
+        return tuple(tuple(wilson_interval(c, self.trials) for c in row)
+                     for row in self.alias_counts)
+
+    @property
+    def p_mod_total(self) -> float:
+        total = 0.0
+        for row in self.p_mod:
+            for p in row:
+                total += p
+        return total
+
+    @property
+    def p_dec(self) -> float:
+        return self.dec_errors_coupled / (2 * self.trials)
+
+    @property
+    def p_dec_ci(self) -> tuple[float, float]:
+        return wilson_interval(self.dec_errors_coupled, 2 * self.trials)
+
+    @property
+    def p_e(self) -> float:
+        return self.dec_errors_real / (2 * self.trials)
+
+    @property
+    def p_e_ci(self) -> tuple[float, float]:
+        return wilson_interval(self.dec_errors_real, 2 * self.trials)
+
+    @property
+    def union_bound_ok(self) -> bool:
+        """p_e <= p_dec + sum of p_mod, with three Wilson half-widths of
+        slack (the real and coupled decode rates' and every p_mod's)."""
+        e_lo, e_hi = self.p_e_ci
+        d_lo, d_hi = self.p_dec_ci
+        slack = (e_hi - e_lo) / 2.0 + (d_hi - d_lo) / 2.0
+        for row in self.p_mod_ci:
+            for lo, hi in row:
+                slack += (hi - lo) / 2.0
+        return self.p_e <= self.p_dec + self.p_mod_total + 3.0 * slack
 
 
 def _ordered_sum(total: float, values: np.ndarray) -> float:
@@ -610,54 +656,27 @@ def estimate_error_prob(config: SchemeConfig, trials: int) -> SimulationSummary:
         alias_counts += b.alias[_COUPLED].sum(axis=0)
         dec_errs += (b.decoded != b.msgs).sum(axis=(1, 2))
         wrapped = b.alias.any(axis=-1)
-        union_mismatch += np.count_nonzero(wrapped[_REAL] != wrapped[_COUPLED])
+        union_mismatch += int(np.count_nonzero(wrapped[_REAL] != wrapped[_COUPLED]))
         clean = ~wrapped[_REAL]
         eps2_sum = _ordered_sum(eps2_sum, _sq(b.eps[_REAL][clean]))
-        no_alias += np.count_nonzero(clean)
+        no_alias += int(np.count_nonzero(clean))
         ff_sum = _ordered_sum(ff_sum, b.ff_sq[_REAL])
         fb_sum = _ordered_sum(fb_sum, b.fb_sq[_REAL])
-        agreement += np.count_nonzero(b.agree)
+        agreement += int(np.count_nonzero(b.agree))
 
-    alias_counts = alias_counts.tolist()
-    dec_err_real, dec_err_coupled = dec_errs.tolist()
     copies = 2 * trials
-    p_mod = tuple(
-        tuple(alias_counts[i][k] / trials for k in range(steps)) for i in range(2)
-    )
-    p_mod_ci = tuple(
-        tuple(wilson_interval(alias_counts[i][k], trials) for k in range(steps))
-        for i in range(2)
-    )
-    p_dec = dec_err_coupled / copies
-    p_e = dec_err_real / copies
-    p_dec_ci = wilson_interval(dec_err_coupled, copies)
-    p_e_ci = wilson_interval(dec_err_real, copies)
-
-    slack = (p_e_ci[1] - p_e_ci[0]) / 2.0 + (p_dec_ci[1] - p_dec_ci[0]) / 2.0
-    total_mod = 0.0
-    for i in range(2):
-        for k in range(steps):
-            total_mod += p_mod[i][k]
-            lo, hi = p_mod_ci[i][k]
-            slack += (hi - lo) / 2.0
-    union_ok = p_e <= p_dec + total_mod + 3.0 * slack
-
+    dec_err_real, dec_err_coupled = dec_errs.tolist()
     return SimulationSummary(
         trials=trials,
         rounds=k_rounds,
-        p_mod=p_mod,
-        p_mod_ci=p_mod_ci,
-        p_mod_total=total_mod,
-        p_dec=p_dec,
-        p_dec_ci=p_dec_ci,
-        p_e=p_e,
-        p_e_ci=p_e_ci,
+        alias_counts=tuple(map(tuple, alias_counts.tolist())),
+        dec_errors_coupled=dec_err_coupled,
+        dec_errors_real=dec_err_real,
         ff_power=ff_sum / (copies * k_rounds * n),
         fb_power=fb_sum / (copies * steps * n) if steps else 0.0,
         union_agreement=copies - union_mismatch,
         coupled_agreement=agreement,
         sigma_k2_hat=eps2_sum / (no_alias * n) if no_alias else math.nan,
         no_alias_dims=no_alias * n,
-        union_bound_ok=union_ok,
         realized_rate_bits=config.realized_rate_bits,
     )

@@ -1,5 +1,6 @@
 """Tests for the Monte-Carlo protocol simulator."""
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -353,9 +354,9 @@ def test_campaign_counts_equal_sums_over_trials(kw, trials):
         assert real.coupled_agreement == coupled.coupled_agreement == copies.all()
         agree += int(copies.sum())
     assert alias.sum() > 0  # the config is tight enough to wrap
-    assert [[round(p * trials) for p in row] for row in s.p_mod] == alias.tolist()
-    assert round(s.p_e * 2 * trials) == dec_err[0]
-    assert round(s.p_dec * 2 * trials) == dec_err[1]
+    assert s.alias_counts == tuple(map(tuple, alias.tolist()))
+    assert s.dec_errors_real == dec_err[0]
+    assert s.dec_errors_coupled == dec_err[1]
     assert s.union_agreement == union
     assert s.no_alias_dims == clean * cfg.dimension
     assert s.coupled_agreement == agree
@@ -370,6 +371,41 @@ def test_campaign_independent_of_block_size(monkeypatch, kw, trials):
     for values in (1, 1000):
         monkeypatch.setattr(sim, "_BLOCK_VALUES", values)
         assert estimate_error_prob(cfg, trials) == ref
+
+
+def test_summary_holds_plain_python_scalars():
+    """Counts are ints and averages floats, never numpy scalars, so the
+    summary is small, exact and prints without numpy type names."""
+    def plain(v):
+        if isinstance(v, tuple):
+            return all(plain(x) for x in v)
+        return type(v) in (int, float)
+
+    for cfg in (make_config(looseness=4.0, master_seed=7),
+                make_config(lattice=d4_lattice(), rounds=2, rate_bits=0.25,
+                            looseness=1.2, master_seed=11)):
+        s = estimate_error_prob(cfg, 300)
+        for f in dataclasses.fields(s):
+            assert plain(getattr(s, f.name)), f.name
+        assert type(s.union_bound_ok) is bool
+        assert "np." not in repr(s)
+        assert not hasattr(s, "__dict__")  # slots
+
+
+def test_summary_rates_follow_from_counts():
+    cfg = make_config(looseness=4.0, master_seed=7)
+    s = estimate_error_prob(cfg, 2000)
+    copies = 2 * s.trials
+    assert s.p_e == s.dec_errors_real / copies
+    assert s.p_dec == s.dec_errors_coupled / copies
+    assert s.p_e_ci == wilson_interval(s.dec_errors_real, copies)
+    assert s.p_dec_ci == wilson_interval(s.dec_errors_coupled, copies)
+    for i in range(2):
+        for k in range(cfg.rounds - 1):
+            c = s.alias_counts[i][k]
+            assert s.p_mod[i][k] == c / s.trials
+            assert s.p_mod_ci[i][k] == wilson_interval(c, s.trials)
+    assert s.p_mod_total == pytest.approx(sum(map(sum, s.alias_counts)) / s.trials)
 
 
 def test_sigma_recursion_against_campaign():
@@ -388,7 +424,7 @@ def test_aliasing_rate_constant_across_rounds():
     # pool the two interlaced copies round by round
     intervals = []
     for k in range(cfg.rounds - 1):
-        hits = sum(round(s.p_mod[i][k] * trials) for i in range(2))
+        hits = s.alias_counts[0][k] + s.alias_counts[1][k]
         intervals.append(wilson_interval(hits, 2 * trials))
         assert hits > 100  # the regime is tight enough to be informative
     for a in intervals:
