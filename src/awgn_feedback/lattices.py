@@ -246,14 +246,19 @@ def modulo(lattice: Lattice, x) -> np.ndarray:
     return x - lattice.scale * _quantize_unit(lattice.family, x / lattice.scale)
 
 
-def sample_dither(lattice: Lattice, rng: np.random.Generator) -> np.ndarray:
-    """A dither uniform on the fundamental Voronoi cell.
+def sample_dither(
+    lattice: Lattice, rng: np.random.Generator, size: int | tuple[int, ...] = ()
+) -> np.ndarray:
+    """Independent dithers uniform on the fundamental Voronoi cell, shape
+    (*size, n); one point of shape (n,) by default.
 
     Samples uniformly on the fundamental parallelepiped spanned by the
-    generator rows and folds it into the Voronoi cell; the fold is
+    generator rows (one ``rng.random`` call for all points) and folds the
+    points into the Voronoi cell in one :func:`modulo` call; the fold is
     volume-preserving, so uniformity is exact.
     """
-    u = rng.random(lattice.dimension)
+    size = (size,) if np.ndim(size) == 0 else tuple(size)
+    u = rng.random((*size, lattice.dimension))
     return modulo(lattice, u @ lattice.generator)
 
 

@@ -26,17 +26,24 @@ exactly and keeps the two sample paths bit-identical until the first
 aliasing event.  The union-of-aliasing indicator therefore agrees between
 the systems on every trial, not merely with high probability.
 
-One engine, :func:`_run_block`, simulates a block of consecutive trials:
-both systems of both copies advance together through the rounds as arrays
-of shape (system, trial, copy, dimension), and each modulo map folds its
-whole array in one :func:`~.lattices.modulo` call.  Campaigns reduce block
-after block in trial order; :func:`run_trial` and :func:`run_coupled_trial`
-are blocks of one trial.  A trial's draws do not depend on its block.
+One engine runs a range of consecutive trials in two steps: :func:`_draw`
+draws the variates of a keyed block, and :func:`_propagate` advances both
+systems of both copies together through the rounds as arrays of shape
+(system, trial, copy, dimension), each modulo map folding its whole array
+in one :func:`~.lattices.modulo` call.  Campaigns reduce block after block
+in trial order; :func:`run_trial` and :func:`run_coupled_trial` run ranges
+of one trial.
 
-Randomness: trial t uses Generator(Philox(key=[master_seed, t])), so trials
-are reproducible individually and in any execution order; the random
-codebook draws from the reserved stream key [master_seed, 2**63], and
-trial indices must stay below 2**63.
+Randomness: trials are keyed in blocks of B = max(1, 4096 // (2 K n)), a
+pure function of the config.  Block b holds trials [b B, (b + 1) B) and
+draws them all from Generator(Philox(key=[master_seed, b])), one variable
+after another: messages (B, 2), forward noise (B, 2, K, n), feedback noise
+and dither uniforms (B, 2, K - 1, n) each.  A range that ends inside a
+block draws the whole block and keeps its rows, so trial t is row t mod B
+of block t // B however a campaign is split or how long it runs, and a
+campaign is a pure function of (config, trials).  The random codebook
+draws from the reserved stream key [master_seed, 2**63]; trial indices
+stay below 2**63, so no block key reaches it.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .feedback import ChannelParams
-from .lattices import Lattice, modulo, scale_to_power
+from .lattices import Lattice, modulo, sample_dither, scale_to_power
 
 __all__ = [
     "SchemeConfig",
@@ -81,7 +88,8 @@ _REAL, _COUPLED = 0, 1
 # values per (trials, 2, rounds, n) block array, and bytes per (rows, m)
 # decode score chunk (64 rows of a 256-word codebook): small enough that a
 # block's temporaries stay in cache, and small enough that a multithreaded
-# BLAS does not pay its start-up on every product
+# BLAS does not pay its start-up on every product.  _BLOCK_VALUES also fixes
+# the keyed blocks of the draws: changing it changes every campaign.
 _BLOCK_VALUES = 4096
 _DECODE_CHUNK_BYTES = 128 * 1024
 
@@ -404,8 +412,17 @@ def _decode_index(cfg: SchemeConfig, theta_hat: np.ndarray) -> np.ndarray:
     return out.reshape(lead)
 
 
+class _Draws(NamedTuple):
+    """Variates of a run of trials, scaled as they enter the links."""
+
+    msgs: np.ndarray      # (trials, 2) message per copy
+    z_fwd: np.ndarray     # (trials, 2, rounds, n) forward noise
+    z_fb: np.ndarray      # (trials, 2, rounds - 1, n) feedback noise
+    dither: np.ndarray    # (trials, 2, rounds - 1, n) dither, in the cell
+
+
 class _Block(NamedTuple):
-    """Outcomes of trials [start, stop); leading axis 0 real, 1 coupled."""
+    """Outcomes of a run of trials; leading axis 0 real, 1 coupled."""
 
     msgs: np.ndarray      # (trials, 2) message per copy
     alias: np.ndarray     # (2, trials, 2, rounds - 1) wrap flags
@@ -416,43 +433,37 @@ class _Block(NamedTuple):
     agree: np.ndarray     # (trials, 2) paths agree up to the first alias
 
 
-def _run_block(cfg: SchemeConfig, start: int, stop: int) -> _Block:
-    """Run real and coupled systems of both copies of trials [start, stop)."""
-    p = cfg.params
-    lat = cfg.lattice
-    n = lat.dimension
-    steps = cfg.rounds - 1
-    trials = stop - start
+def _block_trials(cfg: SchemeConfig) -> int:
+    """Trials per keyed block, B: about _BLOCK_VALUES values per variable."""
+    return max(1, _BLOCK_VALUES // (2 * cfg.rounds * cfg.dimension))
 
-    # frozen per-trial draw order: messages, forward noise, feedback noise,
-    # dither uniforms (zero-size draws consume no generator state, so they
-    # are skipped)
-    msgs = np.empty((trials, 2), dtype=np.int64)
-    z_fwd = np.empty((trials, 2, cfg.rounds, n))
-    z_fb = np.empty((trials, 2, steps, n))
-    dith = np.empty((trials, 2, steps, n))
-    # one Philox rewound per trial: a zero counter and empty buffers under
-    # key [master_seed, t] make it a fresh generator bit for bit
-    bits = np.random.Philox(key=[0, 0])
-    rng = np.random.Generator(bits)
-    fresh = bits.state
-    key = fresh["state"]["key"]
-    key[0] = cfg.master_seed
-    m = cfg.m_codewords
-    for j in range(trials):
-        key[1] = start + j
-        bits.state = fresh
-        # two scalar draws: the values and state of size=2, without numpy's
-        # per-call size handling
-        msgs[j, 0] = rng.integers(0, m)
-        msgs[j, 1] = rng.integers(0, m)
-        rng.standard_normal(out=z_fwd[j])
-        if steps:
-            rng.standard_normal(out=z_fb[j])
-            rng.random(out=dith[j])
-    z_fwd *= math.sqrt(p.sigma2)
-    z_fb *= math.sqrt(p.sigma2_tilde)
-    dith = modulo(lat, dith @ lat.generator)
+
+def _draw(cfg: SchemeConfig, block: int) -> _Draws:
+    """All variates of the B trials of keyed block ``block``, whole.
+
+    The block draws from Generator(Philox(key=[master_seed, block])), one
+    variable after another: messages (B, 2), forward noise (B, 2, K, n),
+    feedback noise and dither uniforms (B, 2, K - 1, n) each.
+    """
+    p = cfg.params
+    per = _block_trials(cfg)
+    steps = cfg.rounds - 1
+    n = cfg.dimension
+    rng = np.random.Generator(np.random.Philox(
+        key=np.array([cfg.master_seed, block], dtype=np.uint64)))
+    msgs = rng.integers(0, cfg.m_codewords, size=(per, 2))
+    z_fwd = math.sqrt(p.sigma2) * rng.standard_normal((per, 2, cfg.rounds, n))
+    z_fb = math.sqrt(p.sigma2_tilde) * rng.standard_normal((per, 2, steps, n))
+    dither = sample_dither(cfg.lattice, rng, (per, 2, steps))
+    return _Draws(msgs, z_fwd, z_fb, dither)
+
+
+def _propagate(cfg: SchemeConfig, draws: _Draws) -> _Block:
+    """Run real and coupled systems of both copies on the given draws."""
+    lat = cfg.lattice
+    steps = cfg.rounds - 1
+    msgs, z_fwd, z_fb, dither = draws
+    trials, _, _, n = z_fwd.shape
 
     theta = cfg.codewords[msgs]
     th_hat = np.broadcast_to(theta + z_fwd[:, :, 0], (2, trials, 2, n))
@@ -468,7 +479,7 @@ def _run_block(cfg: SchemeConfig, start: int, stop: int) -> _Block:
             fb = th_hat
             x = g * eps
         else:
-            fb = g * th_hat + dith[:, :, k]
+            fb = g * th_hat + dither[:, :, k]
             fb[_REAL] = modulo(lat, fb[_REAL])
             # dither-cancelled receiver residue: equals the modulo chain
             w = g * eps + z_fb[:, :, k]
@@ -484,6 +495,16 @@ def _run_block(cfg: SchemeConfig, start: int, stop: int) -> _Block:
         agree &= ~(live & (gap > _AGREEMENT_ATOL))
     return _Block(msgs, alias, _decode_index(cfg, th_hat), eps, ff_sq, fb_sq,
                   agree)
+
+
+def _run_block(cfg: SchemeConfig, start: int, stop: int) -> _Block:
+    """Run trials [start, stop): rows of the keyed blocks they fall in."""
+    per = _block_trials(cfg)
+    parts = []
+    for b in range(start // per, (stop - 1) // per + 1):
+        rows = slice(max(start - b * per, 0), min(stop - b * per, per))
+        parts.append([a[rows] for a in _draw(cfg, b)])
+    return _propagate(cfg, _Draws(*map(np.concatenate, zip(*parts))))
 
 
 def _record(cfg: SchemeConfig, trial_index: int, system: str) -> TrialRecord:
@@ -509,7 +530,8 @@ def _record(cfg: SchemeConfig, trial_index: int, system: str) -> TrialRecord:
 
 
 def run_trial(config: SchemeConfig, trial_index: int) -> TrialRecord:
-    """Simulate one trial of the real (power-respecting) system."""
+    """Simulate one trial of the real (power-respecting) system, exactly
+    as every campaign runs it (row t mod B of keyed block t // B)."""
     return _record(config, trial_index, "real")
 
 
@@ -588,6 +610,8 @@ class SimulationSummary:
 
     @property
     def p_mod_total(self) -> float:
+        # a plain left-to-right loop: sum() compensates float rounding from
+        # Python 3.12 on, which would move the last bits
         total = 0.0
         for row in self.p_mod:
             for p in row:
@@ -629,15 +653,15 @@ def _ordered_sum(total: float, values: np.ndarray) -> float:
 
 
 def estimate_error_prob(config: SchemeConfig, trials: int) -> SimulationSummary:
-    """Run ``trials`` independent trials and aggregate the error statistics.
+    """Run trials 0 .. ``trials`` - 1 and aggregate the error statistics.
 
-    Trials run in blocks of the array engine; counters and float sums are
-    reduced in trial order, so the aggregate does not depend on the block
-    size, and because every trial derives its own stream from
-    (master_seed, trial_index) it is a pure function of (config, trials).
-    The union-bound flag checks the real decode error rate against the
-    coupled rate plus all aliasing rates, with three Wilson half-widths of
-    slack.
+    Trials run one keyed block at a time (see the module docstring), and
+    counters and float sums are reduced in trial order.  Trial t's draws
+    depend only on (master_seed, t // B, t mod B), so the aggregate is a
+    pure function of (config, trials) and does not depend on how the
+    trials are split into runs.  The summary's union-bound flag checks the
+    real decode error rate against the coupled rate plus all aliasing
+    rates, with three Wilson half-widths of slack.
     """
     if not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
@@ -650,7 +674,7 @@ def estimate_error_prob(config: SchemeConfig, trials: int) -> SimulationSummary:
     union_mismatch = agreement = no_alias = 0
     ff_sum = fb_sum = eps2_sum = 0.0
 
-    per_block = max(1, _BLOCK_VALUES // (2 * k_rounds * n))
+    per_block = _block_trials(config)
     for start in range(0, trials, per_block):
         b = _run_block(config, start, min(trials, start + per_block))
         alias_counts += b.alias[_COUPLED].sum(axis=0)

@@ -309,30 +309,29 @@ def test_modulo_output_in_cell(x):
 # dither
 # -----------------------------------------------------------------------------
 
-def folded_dither(lat, rng, size):
-    """``size`` dithers as sample_dither draws them, folded in one call."""
-    return modulo(lat, rng.random((size, lat.dimension)) @ lat.generator)
-
-
 @pytest.mark.parametrize(
     "lat", [cubic_lattice(1, spacing=2.0), d4_lattice(), e8_lattice()],
     ids=["z1", "d4", "e8"],
 )
 def test_sample_dither_is_a_folded_parallelepiped_draw(lat):
-    """sample_dither folds u @ G for u = rng.random(n), so the stacked
-    draws of folded_dither stand for its draws below."""
+    """sample_dither(size=s) folds one rng.random((*s, n)) @ G: the points
+    of single draws from the same stream, in the shape (*s, n)."""
     rng, twin = np.random.default_rng(3), np.random.default_rng(3)
     drawn = np.stack([sample_dither(lat, rng) for _ in range(6)])
+    assert drawn.shape == (6, lat.dimension)
+    stacked = sample_dither(lat, twin, (2, 3))
+    assert stacked.shape == (2, 3, lat.dimension)
     # equal up to the summation order of u @ G (vector vs matrix product)
-    np.testing.assert_allclose(drawn, folded_dither(lat, twin, 6),
-                               rtol=0.0, atol=1e-12)
-    assert rng.random() == twin.random()  # n uniforms per draw, no more
+    np.testing.assert_allclose(drawn, stacked.reshape(6, -1), rtol=0.0, atol=1e-12)
+    assert rng.random() == twin.random()  # n uniforms per point, no more
+    assert sample_dither(lat, rng, 4).shape == (4, lat.dimension)
+    assert sample_dither(lat, rng, (5, 0)).shape == (5, 0, lat.dimension)
 
 
 def test_dither_uniform_on_cubic_cell():
     lat = cubic_lattice(1, spacing=2.0)
     rng = np.random.default_rng(8)
-    d = folded_dither(lat, rng, 100_000)[:, 0]
+    d = sample_dither(lat, rng, 100_000)[:, 0]
     assert d.min() > -1.0 - 1e-12 and d.max() <= 1.0 + 1e-12
     # KS against uniform on (-1, 1]
     p = stats.kstest(d, stats.uniform(loc=-1.0, scale=2.0).cdf).pvalue
@@ -345,7 +344,7 @@ def test_dither_uniform_on_cubic_cell():
 def test_dither_moments():
     rng = np.random.default_rng(9)
     for lat in (d4_lattice(), e8_lattice()):
-        d = folded_dither(lat, rng, 12_000)
+        d = sample_dither(lat, rng, 12_000)
         per_dim = float(np.mean(d ** 2))
         assert per_dim == pytest.approx(lat.second_moment, rel=0.01)
         assert np.abs(d.mean(axis=0)).max() < 3.0 * math.sqrt(
@@ -358,7 +357,7 @@ def test_crypto_lemma_shift_invariance():
     lat = scale_to_power(d4_lattice(), 1.0)
     rng = np.random.default_rng(10)
     s = np.array([0.37, -1.91, 0.22, 5.5])
-    shifted = modulo(lat, s + folded_dither(lat, rng, 20_000))
+    shifted = modulo(lat, s + sample_dither(lat, rng, 20_000))
     assert float(np.mean(shifted ** 2)) == pytest.approx(1.0, rel=0.01)
     assert np.abs(shifted.mean(axis=0)).max() < 4.0 / math.sqrt(20_000)
 

@@ -13,6 +13,7 @@ from awgn_feedback import (
     SchemeConfig,
     cubic_lattice,
     d4_lattice,
+    e8_lattice,
     effective_snr,
     estimate_error_prob,
     make_lattice,
@@ -285,21 +286,28 @@ SPLIT_CASES = [
     (dict(looseness=2.0, master_seed=13), 1500),
     (dict(lattice=d4_lattice(), rounds=2, rate_bits=0.25, looseness=1.2,
           master_seed=11), 600),
+    (dict(lattice=e8_lattice(), rounds=3, rate_bits=0.25, looseness=1.2,
+          master_seed=(1 << 64) - 1), 300),
 ]
 
 
 def reference_copies(cfg, t):
     """Trial t as a plain loop over copies, systems and rounds.
 
-    The dithers are the trial's last draw and cancel from the residue, so
-    they are not drawn here.
+    The trial is row t mod B of keyed block t // B, drawn here from its own
+    Philox stream in the documented layout.  The dithers are the block's
+    last draw and cancel from the residue, so they are not drawn here.
     """
-    rng = np.random.Generator(np.random.Philox(key=[cfg.master_seed, t]))
+    per = sim._block_trials(cfg)
+    assert per == max(1, sim._BLOCK_VALUES // (2 * cfg.rounds * cfg.dimension))
+    key = np.array([cfg.master_seed, t // per], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
     p, lat, n = cfg.params, cfg.lattice, cfg.dimension
     steps = cfg.rounds - 1
-    msgs = rng.integers(0, cfg.m_codewords, size=2)
-    z_fwd = math.sqrt(p.sigma2) * rng.standard_normal((2, cfg.rounds, n))
-    z_fb = math.sqrt(p.sigma2_tilde) * rng.standard_normal((2, steps, n))
+    row = t % per
+    msgs = rng.integers(0, cfg.m_codewords, size=(per, 2))[row]
+    z_fwd = math.sqrt(p.sigma2) * rng.standard_normal((per, 2, cfg.rounds, n))[row]
+    z_fb = math.sqrt(p.sigma2_tilde) * rng.standard_normal((per, 2, steps, n))[row]
     out = {}
     for i in range(2):
         theta = cfg.codewords[msgs[i]]
@@ -316,25 +324,80 @@ def reference_copies(cfg, t):
     return out
 
 
+def concat_blocks(parts):
+    """Join _Block results of consecutive trial ranges along the trial axis."""
+    return sim._Block(*(
+        np.concatenate(arrays, axis=0 if name in ("msgs", "agree") else 1)
+        for name, arrays in zip(sim._Block._fields, zip(*parts))
+    ))
+
+
+def block_rows(block, lo, hi):
+    """Trials [lo, hi) of a _Block."""
+    return sim._Block(*(
+        x[lo:hi] if name in ("msgs", "agree") else x[:, lo:hi]
+        for name, x in zip(sim._Block._fields, block)
+    ))
+
+
+def assert_blocks_equal(a, b):
+    for name, x, y in zip(sim._Block._fields, a, b):
+        assert np.array_equal(x, y), name
+
+
 @pytest.mark.parametrize("kw, trials", SPLIT_CASES)
 def test_engine_matches_per_copy_loop(kw, trials):
-    """The array engine repeats a per-copy loop bit for bit, wraps included."""
+    """The array engine repeats a per-copy loop bit for bit, wraps included,
+    over a range that crosses a block boundary."""
     cfg = make_config(**kw)
-    trials = trials // 5
-    block = _run_block(cfg, 0, trials)
+    per = sim._block_trials(cfg)
+    start, stop = per - trials // 10, per + trials // 10
+    block = _run_block(cfg, start, stop)
     assert block.alias.any()
-    for t in range(trials):
+    for t in range(start, stop):
         for (system, i), (flags, eps) in reference_copies(cfg, t).items():
             s = 0 if system == "real" else 1
-            assert block.alias[s, t, i].tolist() == flags
-            assert np.array_equal(block.eps[s, t, i], eps)
+            assert block.alias[s, t - start, i].tolist() == flags
+            assert np.array_equal(block.eps[s, t - start, i], eps)
+
+
+@pytest.mark.parametrize("kw, trials", SPLIT_CASES)
+def test_run_trial_is_a_row_of_its_block(kw, trials):
+    """Trial t is row t mod B of block t // B whatever range runs it: the
+    first row, both sides of a block boundary, and the last row of a
+    partial block."""
+    cfg = make_config(**kw)
+    per = sim._block_trials(cfg)
+    stop = 2 * per + per // 3 + 1
+    whole = _run_block(cfg, 0, stop)
+    for t in (0, per - 1, per, stop - 1):
+        one = _run_block(cfg, t, t + 1)
+        assert_blocks_equal(one, block_rows(whole, t, t + 1))
+        assert_blocks_equal(one, block_rows(_run_block(cfg, t, stop), 0, 1))
+        for s, record in ((0, run_trial(cfg, t)), (1, run_coupled_trial(cfg, t))):
+            assert record.aliasing_flags == tuple(map(tuple, whole.alias[s, t].tolist()))
+            assert record.decode_success == tuple(
+                (whole.decoded[s, t] == whole.msgs[t]).tolist())
+            assert record.coupled_agreement == bool(whole.agree[t].all())
+
+
+@pytest.mark.parametrize("kw, trials", SPLIT_CASES)
+def test_run_block_equals_the_concatenation_of_its_blocks(kw, trials):
+    cfg = make_config(**kw)
+    per = sim._block_trials(cfg)
+    start, stop = per // 2, 2 * per + 3
+    cuts = [start, per, 2 * per, stop]
+    parts = [_run_block(cfg, a, b) for a, b in zip(cuts, cuts[1:])]
+    assert_blocks_equal(_run_block(cfg, start, stop), concat_blocks(parts))
+    # and each whole block is the propagation of its own keyed draws
+    assert_blocks_equal(parts[1], sim._propagate(cfg, sim._draw(cfg, 1)))
 
 
 @pytest.mark.parametrize("kw, trials", SPLIT_CASES)
 def test_campaign_counts_equal_sums_over_trials(kw, trials):
     """A multi-block campaign counts exactly what its single trials show."""
     cfg = make_config(**kw)
-    assert trials > sim._BLOCK_VALUES // (2 * cfg.rounds * cfg.dimension)
+    assert trials > sim._block_trials(cfg)
     s = estimate_error_prob(cfg, trials)
     alias = np.zeros((2, cfg.rounds - 1), dtype=int)
     dec_err = [0, 0]  # real, coupled
@@ -364,13 +427,109 @@ def test_campaign_counts_equal_sums_over_trials(kw, trials):
 
 @pytest.mark.parametrize("kw, trials", SPLIT_CASES)
 def test_campaign_independent_of_block_size(monkeypatch, kw, trials):
-    """Sums run in trial order, so no aggregate depends on the blocking."""
+    """A campaign is a pure function of (config, trials): a twin config
+    repeats it, and running its trials in ranges of any other size, cut
+    across the keyed blocks, changes no count and no float sum."""
     cfg = make_config(**kw)
-    trials = trials // 4
+    trials = sim._block_trials(cfg) + trials // 4  # two keyed blocks
     ref = estimate_error_prob(cfg, trials)
-    for values in (1, 1000):
-        monkeypatch.setattr(sim, "_BLOCK_VALUES", values)
+    assert estimate_error_prob(make_config(**kw), trials) == ref
+    run_block = sim._run_block
+    for size in (1, 7, 1000):
+        def split(cfg, start, stop, size=size):
+            cuts = [*range(start, stop, size), stop]
+            return concat_blocks([run_block(cfg, a, b) for a, b in zip(cuts, cuts[1:])])
+
+        monkeypatch.setattr(sim, "_run_block", split)
         assert estimate_error_prob(cfg, trials) == ref
+
+
+def test_campaign_counts_do_not_depend_on_its_length():
+    """The first N trials of a longer campaign are the N-trial campaign."""
+    cfg = make_config(looseness=2.0, master_seed=(1 << 63) + 5)
+    per = sim._block_trials(cfg)
+    whole = _run_block(cfg, 0, 2 * per + 1)
+    for trials in (1, per - 1, per, per + 1, 2 * per + 1):
+        s = estimate_error_prob(cfg, trials)
+        alias = whole.alias[1, :trials].sum(axis=0).tolist()
+        assert s.alias_counts == tuple(map(tuple, alias))
+        errs = (whole.decoded[:, :trials] != whole.msgs[:trials]).sum(axis=(1, 2))
+        assert (s.dec_errors_real, s.dec_errors_coupled) == tuple(errs.tolist())
+
+
+def test_block_keys_hold_seeds_past_2_63_exactly():
+    """Block b of a seed draws from key [seed, b] as uint64 words, so seeds
+    at and past 2**63 that differ in their low bits differ in every block."""
+    for seed in (1 << 63, (1 << 63) + 1, (1 << 64) - 1):
+        cfg = make_config(master_seed=seed)
+        for b in (0, 3):
+            draws = sim._draw(cfg, b)
+            rng = np.random.Generator(np.random.Philox(
+                key=np.array([seed, b], dtype=np.uint64)))
+            assert np.array_equal(draws.msgs, rng.integers(
+                0, cfg.m_codewords, size=draws.msgs.shape))
+            other = sim._draw(make_config(master_seed=seed - 1), b)
+            assert not np.array_equal(draws.z_fwd, other.z_fwd)
+
+
+# -----------------------------------------------------------------------------
+# designed draws
+# -----------------------------------------------------------------------------
+
+ENGINE_CASES = [
+    dict(),
+    dict(rounds=2, looseness=4.0),
+    dict(lattice=d4_lattice(), rounds=2, rate_bits=0.25, looseness=1.2),
+    dict(lattice=e8_lattice(), rounds=3, rate_bits=0.25, looseness=1.2),
+]
+
+
+def designed_draws(cfg, trials, z_fb=None):
+    """Noise-free draws of ``trials`` trials, messages cycling through the
+    codebook, keyed-block dithers, and optional feedback noise."""
+    real = sim._draw(cfg, 0)
+    reps = -(-trials // len(real.msgs))
+    dither = np.concatenate([real.dither] * reps)[:trials]
+    msgs = np.arange(2 * trials).reshape(trials, 2) % cfg.m_codewords
+    z_fwd = np.zeros((trials, 2, cfg.rounds, cfg.dimension))
+    if z_fb is None:
+        z_fb = np.zeros_like(dither)
+    return sim._Draws(msgs, z_fwd, z_fb, dither)
+
+
+@pytest.mark.parametrize("kw", ENGINE_CASES)
+def test_propagate_without_noise_is_exact(kw):
+    """With no noise nothing wraps, every estimate is the codeword itself
+    (eps = 0 exactly), and both systems decode every message."""
+    cfg = make_config(**kw)
+    draws = designed_draws(cfg, 40)
+    b = sim._propagate(cfg, draws)
+    assert not b.alias.any()
+    assert np.array_equal(b.eps, np.zeros_like(b.eps))
+    assert np.array_equal(b.decoded, np.stack([draws.msgs] * 2))
+    assert b.agree.all()
+
+
+@pytest.mark.parametrize("kw", ENGINE_CASES)
+def test_propagate_flags_feedback_noise_past_a_facet(kw):
+    """With no forward noise the first pre-modulo value is the feedback
+    noise itself.  Placed just inside the Voronoi facet at v/2 of a minimal
+    lattice vector v it folds to itself; just past it, it wraps, in both
+    systems, and the union indicators of the real and coupled systems
+    agree."""
+    cfg = make_config(**kw)
+    g = cfg.lattice.generator
+    v = g[np.argmin((g * g).sum(axis=1))]  # a minimal vector
+    scales = np.array([1 - 1e-9, 1 + 1e-9, -(1 - 1e-9), -(1 + 1e-9)])
+    z_fb = np.zeros((len(scales), 2, cfg.rounds - 1, cfg.dimension))
+    z_fb[:, 1, 0] = scales[:, None] * v / 2  # copy 1, first correction round
+    b = sim._propagate(cfg, designed_draws(cfg, len(scales), z_fb))
+    past = np.abs(scales) > 1
+    for system in (0, 1):
+        assert b.alias[system, :, 1, 0].tolist() == past.tolist()
+    assert not b.alias[:, :, 0].any()  # the noiseless copy never wraps
+    union = b.alias.any(axis=-1)
+    assert np.array_equal(union[0], union[1])
 
 
 def test_summary_holds_plain_python_scalars():
@@ -468,11 +627,10 @@ def test_feedback_hop_matches_link_primitives():
     lat = cubic_lattice(1, spacing=2.0)
     gamma = 1.7
     params = JsccParams(beta=gamma, lattice=lat)
-    for _ in range(300):
+    for v in sample_dither(lat, rng, 300):
         theta = rng.normal(size=1)
         eps = rng.normal(size=1) * 0.3
         theta_hat = theta + eps
-        v = sample_dither(lat, rng)
         z_fb = rng.normal(size=1) * 0.1
 
         sent = modulo(lat, gamma * theta_hat + v)
