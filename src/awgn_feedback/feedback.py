@@ -428,8 +428,11 @@ def region_assumptions_hold(
     the total rate K*R to fall strictly below the critical rate of the
     boosted channel, so the decode exponent is in its expurgation form; a
     boosted SNR beyond the float range passes, since the critical rate grows
-    without bound with the SNR.  Never raises; parameters outside the
-    scheme's domain return False.
+    without bound with the SNR.  A looseness outside the closed-form domain
+    (not finite, at most 4, or not in [1, bsnr)) returns False.  Like
+    :func:`e_fb`, it raises ValueError on an invalid link (noiseless, or
+    dsnr <= 1), rate (negative or not finite) or round count (not an int, or
+    below 1).
     """
     _require_noisy(params)
     rate_bits = _check_rate(rate_bits)

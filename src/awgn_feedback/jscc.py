@@ -37,33 +37,23 @@ class JsccParams:
             raise ValueError(f"beta must be finite and positive, got {self.beta!r}")
 
 
-def _vec(params: JsccParams, name: str, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    n = params.lattice.dimension
-    if x.shape != (n,):
-        raise ValueError(f"{name} must have shape ({n},), got {x.shape}")
-    return x
-
-
 def wz_encode(q, j, v, params: JsccParams) -> np.ndarray:
-    """Channel input [beta*(j + q) + v] mod lattice.
+    """Channel inputs [beta*(j + q) + v] mod lattice, points along the last
+    axis of shape (..., n).
 
     Uniform on the fundamental cell over the dither draw, hence transmit
     power equals the lattice second moment regardless of q and j.
     """
-    q = _vec(params, "q", q)
-    j = _vec(params, "j", j)
-    v = _vec(params, "v", v)
+    q, j, v = (np.asarray(a, dtype=float) for a in (q, j, v))
     return modulo(params.lattice, params.beta * (j + q) + v)
 
 
 def wz_receive(y, v, j, params: JsccParams) -> np.ndarray:
-    """Receiver residue [y - v - beta*j] mod lattice.
+    """Receiver residues [y - v - beta*j] mod lattice, points along the
+    last axis of shape (..., n).
 
     Equals [beta*q + z] mod lattice for channel noise z, and is exactly
     beta*q + z whenever that vector lies in the fundamental cell.
     """
-    y = _vec(params, "y", y)
-    v = _vec(params, "v", v)
-    j = _vec(params, "j", j)
+    y, v, j = (np.asarray(a, dtype=float) for a in (y, v, j))
     return modulo(params.lattice, y - v - params.beta * j)

@@ -2,18 +2,21 @@
 
 Supported families: the scaled cubic lattice cZ^n (any n, including the
 scalar case n=1), the checkerboard lattice D4, and the Gosset lattice E8.
-Lattice points and modulo residues are plain float ndarrays; no wrapper
-types.  :func:`quantize_nn` and :func:`modulo` act on arrays of shape
-(..., n), one point per row of the last axis, with one vectorized quantizer
-per family (Conway & Sloane, "Fast quantizing and decoding algorithms for
-lattice quantizers and codes", IEEE T-IT 28(2), 1982): rounding for cZ^n,
-rounding plus one parity-fixing flip for D_n, and the nearer of the D8 and
-D8 + 1/2 candidates for E8.  A residue r returned by :func:`modulo`
-satisfies quantize_nn(r) = 0.
+A :class:`Lattice` is just (family, dimension, scale).  One table row per
+family holds its unit-scale generator, cell volume, second moment and
+quantizer, and every other quantity is derived from the row and the scale.
+Lattice points and modulo residues are plain float ndarrays.
+:func:`quantize_nn` and :func:`modulo` act on arrays of shape (..., n), one
+point per row of the last axis, with one vectorized quantizer per family
+(Conway & Sloane, "Fast quantizing and decoding algorithms for lattice
+quantizers and codes", IEEE T-IT 28(2), 1982): rounding for cZ^n, rounding
+plus one parity-fixing flip for D_n, and the nearer of the D8 and D8 + 1/2
+candidates for E8.  A residue r returned by :func:`modulo` satisfies
+quantize_nn(r) = 0.
 
-Second moments are exact closed forms (Conway & Sloane, *Sphere Packings,
-Lattices and Groups*, ch. 21): normalized second moments 1/12 for Z^n,
-13/(120*sqrt(2)) for D4 and 929/12960 for E8.
+The table's second moments are exact closed forms (Conway & Sloane, *Sphere
+Packings, Lattices and Groups*, ch. 21): normalized second moments 1/12 for
+Z^n, 13/(120*sqrt(2)) for D4 and 929/12960 for E8.
 
 Quantization ties on Voronoi facets are broken toward the lexicographically
 smallest lattice point, so every operation here is a deterministic pure
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,136 +47,15 @@ __all__ = [
 
 TWO_PI_E = 2.0 * math.pi * math.e
 
-# Per-dimension second moment of the unit-scale D4 (cell volume 2) and E8
-# (cell volume 1) bases below; Conway & Sloane, SPLAG, ch. 21.
-_D4_UNIT_MOMENT = 13.0 / 120.0
-_E8_UNIT_MOMENT = 929.0 / 12960.0
-
-
-@dataclass(frozen=True, eq=False)
-class Lattice:
-    """An immutable lattice: scale * (base family).
-
-    ``second_moment`` is the per-dimension power of a uniform dither over
-    the fundamental Voronoi cell; ``nsm`` is the scale-free version
-    second_moment / cell_volume**(2/n).  Both are exact closed forms, set at
-    construction and carried through rescaling.
-    """
-
-    family: str
-    dimension: int
-    scale: float
-    generator: np.ndarray
-    cell_volume: float
-    second_moment: float
-    nsm: float
-
 
 # =============================================================================
-# CONSTRUCTION
+# UNIT FAMILIES
 # =============================================================================
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
+def _quantize_zn(y: np.ndarray) -> np.ndarray:
+    """Nearest integer vectors, exact halves toward -inf (the lex-smaller)."""
+    return np.ceil(y - 0.5)
 
-
-def cubic_lattice(dimension: int, spacing: float = 1.0) -> Lattice:
-    """The lattice spacing * Z^dimension."""
-    if not isinstance(dimension, int) or dimension < 1:
-        raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
-    spacing = _check_scale(spacing)
-    return Lattice(
-        family="cubic",
-        dimension=dimension,
-        scale=spacing,
-        generator=_frozen(spacing * np.eye(dimension)),
-        cell_volume=spacing**dimension,
-        second_moment=spacing * spacing / 12.0,
-        nsm=1.0 / 12.0,
-    )
-
-
-def d4_lattice(scale: float = 1.0) -> Lattice:
-    """The checkerboard lattice: integer 4-vectors with even coordinate sum."""
-    scale = _check_scale(scale)
-    base = np.array(
-        [
-            [1.0, 1.0, 0.0, 0.0],
-            [1.0, -1.0, 0.0, 0.0],
-            [0.0, 1.0, -1.0, 0.0],
-            [0.0, 0.0, 1.0, -1.0],
-        ]
-    )
-    return _family_lattice("d4", 4, scale, base, 2.0, _D4_UNIT_MOMENT)
-
-
-def e8_lattice(scale: float = 1.0) -> Lattice:
-    """The Gosset lattice: D8 together with its half-integer coset."""
-    scale = _check_scale(scale)
-    base = np.zeros((8, 8))
-    base[0, 0] = 2.0
-    for i in range(1, 7):
-        base[i, i - 1] = -1.0
-        base[i, i] = 1.0
-    base[7, :] = 0.5
-    return _family_lattice("e8", 8, scale, base, 1.0, _E8_UNIT_MOMENT)
-
-
-def make_lattice(name: str, dimension: int | None = None) -> Lattice:
-    """Factory by family name: 'z' (cubic, any dimension), 'd4', or 'e8'.
-
-    ``dimension`` sizes the cubic family (default 1) and must be omitted or
-    match for the fixed-dimension families.
-    """
-    key = name.strip().lower()
-    if key in ("z", "cubic", "int"):
-        return cubic_lattice(1 if dimension is None else dimension)
-    if key == "d4":
-        fixed = d4_lattice()
-    elif key == "e8":
-        fixed = e8_lattice()
-    else:
-        raise ValueError(
-            f"unknown lattice family {name!r}; expected z, d4, or e8"
-        )
-    if dimension is not None and dimension != fixed.dimension:
-        raise ValueError(
-            f"lattice {key!r} has dimension {fixed.dimension}, not {dimension}"
-        )
-    return fixed
-
-
-def _check_scale(scale: float) -> float:
-    scale = float(scale)
-    if not math.isfinite(scale) or scale <= 0.0:
-        raise ValueError(f"scale must be finite and positive, got {scale!r}")
-    return scale
-
-
-def _family_lattice(
-    family: str,
-    n: int,
-    scale: float,
-    base: np.ndarray,
-    unit_volume: float,
-    unit_moment: float,
-) -> Lattice:
-    return Lattice(
-        family=family,
-        dimension=n,
-        scale=scale,
-        generator=_frozen(scale * base),
-        cell_volume=unit_volume * scale**n,
-        second_moment=unit_moment * scale * scale,
-        nsm=unit_moment / unit_volume ** (2.0 / n),
-    )
-
-
-# =============================================================================
-# QUANTIZATION
-# =============================================================================
 
 def _quantize_dn(y: np.ndarray) -> np.ndarray:
     """Nearest points of D_n = even-sum integer vectors, lex tie-break.
@@ -213,14 +96,131 @@ def _quantize_e8(y: np.ndarray) -> np.ndarray:
     return np.where(first[..., None], q0, q1)
 
 
-def _quantize_unit(family: str, y: np.ndarray) -> np.ndarray:
-    if family == "cubic":
-        # nearest integers, exact halves toward -inf (the lex-smaller one)
-        return np.ceil(y - 0.5)
-    if family == "d4":
-        return _quantize_dn(y)
-    return _quantize_e8(y)
+# integer 4-vectors with even coordinate sum
+_D4_BASE = np.array(
+    [[1, 1, 0, 0], [1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1]], dtype=float
+)
+# D8 together with its half-integer coset
+_E8_BASE = np.eye(8) - np.eye(8, k=-1)
+_E8_BASE[0, 0] = 2.0
+_E8_BASE[7] = 0.5
 
+
+class _Family(NamedTuple):
+    """Unit-scale facts of one lattice family."""
+
+    dimension: int | None  # None: any dimension
+    generator: Callable[[int], np.ndarray]  # generator rows in n dimensions
+    volume: float  # cell volume
+    moment: float  # per-dimension second moment
+    quantize: Callable[[np.ndarray], np.ndarray]  # lex-min nearest points
+
+
+# Conway & Sloane, SPLAG, ch. 4 and 21; IEEE T-IT 28(2), 1982.
+_FAMILIES = {
+    "cubic": _Family(None, np.eye, 1.0, 1.0 / 12.0, _quantize_zn),
+    "d4": _Family(4, lambda n: _D4_BASE, 2.0, 13.0 / 120.0, _quantize_dn),
+    "e8": _Family(8, lambda n: _E8_BASE, 1.0, 929.0 / 12960.0, _quantize_e8),
+}
+
+
+# =============================================================================
+# CONSTRUCTION
+# =============================================================================
+
+@dataclass(frozen=True, eq=False)
+class Lattice:
+    """An immutable lattice: scale * (unit lattice of the family).
+
+    ``family`` is 'cubic' (any dimension), 'd4' or 'e8'.  The generator,
+    cell volume and second moments are derived from the family's unit-scale
+    row and the scale.  ``second_moment`` is the per-dimension power of a
+    uniform dither over the fundamental Voronoi cell; ``nsm`` is the
+    scale-free version second_moment / cell_volume**(2/n).  Construction
+    rejects an unknown family, a dimension the family does not have, and a
+    scale that is not finite and positive.
+    """
+
+    family: str
+    dimension: int
+    scale: float
+
+    def __post_init__(self) -> None:
+        fam = _FAMILIES.get(self.family) if isinstance(self.family, str) else None
+        if fam is None:
+            raise ValueError(
+                f"unknown lattice family {self.family!r}; "
+                f"expected one of {', '.join(_FAMILIES)}"
+            )
+        n = self.dimension
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"dimension must be a positive integer, got {n!r}")
+        if fam.dimension is not None and n != fam.dimension:
+            raise ValueError(
+                f"lattice {self.family!r} has dimension {fam.dimension}, not {n}"
+            )
+        scale = float(self.scale)
+        if not math.isfinite(scale) or scale <= 0.0:
+            raise ValueError(f"scale must be finite and positive, got {scale!r}")
+        object.__setattr__(self, "scale", scale)
+
+    @property
+    def generator(self) -> np.ndarray:
+        """Generator rows, read-only."""
+        g = self.scale * _FAMILIES[self.family].generator(self.dimension)
+        g.setflags(write=False)
+        return g
+
+    @property
+    def cell_volume(self) -> float:
+        return _FAMILIES[self.family].volume * self.scale**self.dimension
+
+    @property
+    def second_moment(self) -> float:
+        return _FAMILIES[self.family].moment * self.scale * self.scale
+
+    @property
+    def nsm(self) -> float:
+        fam = _FAMILIES[self.family]
+        return fam.moment / fam.volume ** (2.0 / self.dimension)
+
+
+def cubic_lattice(dimension: int, spacing: float = 1.0) -> Lattice:
+    """The lattice spacing * Z^dimension."""
+    return Lattice("cubic", dimension, spacing)
+
+
+def d4_lattice(scale: float = 1.0) -> Lattice:
+    """The checkerboard lattice: integer 4-vectors with even coordinate sum."""
+    return Lattice("d4", 4, scale)
+
+
+def e8_lattice(scale: float = 1.0) -> Lattice:
+    """The Gosset lattice: D8 together with its half-integer coset."""
+    return Lattice("e8", 8, scale)
+
+
+def make_lattice(name: str, dimension: int | None = None) -> Lattice:
+    """Factory by family name: 'z' (cubic, any dimension), 'd4', or 'e8'.
+
+    ``dimension`` sizes the cubic family (default 1) and must be omitted or
+    match for the fixed-dimension families.
+    """
+    key = name.strip().lower()
+    family = "cubic" if key in ("z", "cubic", "int") else key
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown lattice family {name!r}; expected z, d4, or e8")
+    fixed = _FAMILIES[family].dimension
+    if fixed is None:
+        return Lattice(family, 1 if dimension is None else dimension, 1.0)
+    if dimension is not None and dimension != fixed:
+        raise ValueError(f"lattice {key!r} has dimension {fixed}, not {dimension}")
+    return Lattice(family, fixed, 1.0)
+
+
+# =============================================================================
+# QUANTIZATION
+# =============================================================================
 
 def _check_points(lattice: Lattice, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
@@ -237,13 +237,13 @@ def quantize_nn(lattice: Lattice, x) -> np.ndarray:
     """Nearest lattice point of each point along the last axis of x, in
     Euclidean distance; lex-smallest on ties."""
     x = _check_points(lattice, x)
-    return lattice.scale * _quantize_unit(lattice.family, x / lattice.scale)
+    return lattice.scale * _FAMILIES[lattice.family].quantize(x / lattice.scale)
 
 
 def modulo(lattice: Lattice, x) -> np.ndarray:
     """Residues x - quantize_nn(x), points of the fundamental Voronoi cell."""
     x = _check_points(lattice, x)
-    return x - lattice.scale * _quantize_unit(lattice.family, x / lattice.scale)
+    return x - lattice.scale * _FAMILIES[lattice.family].quantize(x / lattice.scale)
 
 
 def sample_dither(
@@ -274,13 +274,7 @@ def scale_to_power(lattice: Lattice, target_power: float) -> Lattice:
             f"target power must be finite and positive, got {target_power!r}"
         )
     s = math.sqrt(target_power / lattice.second_moment)
-    return replace(
-        lattice,
-        scale=lattice.scale * s,
-        generator=_frozen(lattice.generator * s),
-        cell_volume=lattice.cell_volume * s**lattice.dimension,
-        second_moment=lattice.second_moment * s * s,
-    )
+    return replace(lattice, scale=lattice.scale * s)
 
 
 def vnr(lattice: Lattice, noise_variance: float) -> float:

@@ -99,6 +99,11 @@ _DECODE_CHUNK_BYTES = 128 * 1024
 _DECODE_SCREEN_TOL = 1e-13
 
 
+def _is_int(x) -> bool:
+    """An int and not a bool, the rule of feedback's round-count check."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 # =============================================================================
 # COEFFICIENTS AND THE VARIANCE RECURSION
 # =============================================================================
@@ -194,14 +199,12 @@ class SchemeConfig:
 
     def __post_init__(self) -> None:
         p = self.params
-        if not isinstance(self.rounds, int) or self.rounds < 1:
+        if not _is_int(self.rounds) or self.rounds < 1:
             raise ValueError(f"rounds must be a positive integer, got {self.rounds!r}")
         rate = float(self.rate_bits)
         if not math.isfinite(rate) or rate < 0.0:
             raise ValueError(f"rate must be finite and nonnegative, got {rate!r}")
-        if not isinstance(self.master_seed, int) or not (
-            0 <= self.master_seed < (1 << 64)
-        ):
+        if not _is_int(self.master_seed) or not 0 <= self.master_seed < (1 << 64):
             raise ValueError("master_seed must be an integer in [0, 2**64)")
 
         loose = float(self.looseness)
@@ -508,7 +511,7 @@ def _run_block(cfg: SchemeConfig, start: int, stop: int) -> _Block:
 
 
 def _record(cfg: SchemeConfig, trial_index: int, system: str) -> TrialRecord:
-    if not isinstance(trial_index, int) or not (0 <= trial_index < _MAX_TRIAL_INDEX):
+    if not _is_int(trial_index) or not (0 <= trial_index < _MAX_TRIAL_INDEX):
         raise ValueError(f"trial_index must be an integer in [0, 2**63), "
                          f"got {trial_index!r}")
     b = _run_block(cfg, trial_index, trial_index + 1)
@@ -663,7 +666,7 @@ def estimate_error_prob(config: SchemeConfig, trials: int) -> SimulationSummary:
     real decode error rate against the coupled rate plus all aliasing
     rates, with three Wilson half-widths of slack.
     """
-    if not isinstance(trials, int) or trials < 1:
+    if not _is_int(trials) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
     k_rounds = config.rounds
     steps = k_rounds - 1

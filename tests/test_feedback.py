@@ -496,11 +496,20 @@ def test_region_assumptions_boundary_cases():
     assert region_assumptions_hold(P20_30, r * (1.0 - 1e-9), 5, L)
 
 
-def test_region_assumptions_never_raise():
+def test_region_assumptions_false_outside_domain():
     assert not region_assumptions_hold(P20_30, 0.0, 5, 0.5)
     assert not region_assumptions_hold(P20_30, 0.0, 5, P20_30.bsnr + 1.0)
     # a boosted SNR beyond the float range has an unbounded critical rate
     assert region_assumptions_hold(P20_30, 1.0, 200, 5.0)
+
+
+def test_region_assumptions_raise_on_invalid_link_rate_or_rounds():
+    with pytest.raises(ValueError, match="dsnr > 1"):
+        region_assumptions_hold(ChannelParams.from_snrs(100.0, 1.0), 0.0, 5, 5.0)
+    with pytest.raises(ValueError, match="rate must be finite and nonnegative"):
+        region_assumptions_hold(P20_30, -0.1, 5, 5.0)
+    with pytest.raises(ValueError, match="rounds must be >= 1"):
+        region_assumptions_hold(P20_30, 0.0, 0, 5.0)
 
 
 def test_out_of_region_continuity_at_boundary():

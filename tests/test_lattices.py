@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from awgn_feedback import (
+    Lattice,
     cubic_lattice,
     d4_lattice,
     e8_lattice,
@@ -90,6 +92,34 @@ def test_make_lattice_names():
         make_lattice("leech")
     with pytest.raises(ValueError):
         make_lattice("d4", 5)
+
+
+def test_direct_construction_validates():
+    # family names are the lower-case table keys; D4 and E8 fix the dimension
+    for family, n in (("D4", 4), ("d5", 5), ("d4", 5), ("e8", 4), ("cubic", 0),
+                      ("cubic", True)):
+        with pytest.raises(ValueError):
+            Lattice(family, n, 1.0)
+    for scale in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            Lattice("d4", 4, scale)
+
+
+def test_derived_quantities_follow_the_scale():
+    """Rescaling by replace or scale_to_power moves the generator, cell
+    volume and second moment with the scale; the nsm is scale-free."""
+    for unit in (cubic_lattice(3), d4_lattice(), e8_lattice()):
+        n = unit.dimension
+        for lat in (replace(unit, scale=2.0),
+                    scale_to_power(unit, 4.0 * unit.second_moment)):
+            assert lat.scale == pytest.approx(2.0, rel=1e-12)
+            np.testing.assert_allclose(lat.generator, 2.0 * unit.generator,
+                                       rtol=1e-12)
+            assert lat.cell_volume == pytest.approx(2.0 ** n * unit.cell_volume,
+                                                    rel=1e-12)
+            assert lat.second_moment == pytest.approx(4.0 * unit.second_moment,
+                                                      rel=1e-12)
+            assert lat.nsm == unit.nsm
 
 
 def test_generators_produce_members():

@@ -134,6 +134,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         make_config(rounds=2.0)
     with pytest.raises(ValueError):
+        make_config(rounds=True)  # a bool is not a count
+    with pytest.raises(ValueError):
         make_config(looseness=0.5)
     with pytest.raises(ValueError):
         make_config(looseness=-1.0)
@@ -145,6 +147,8 @@ def test_config_validation():
         make_config(master_seed=-1)
     with pytest.raises(ValueError):
         make_config(master_seed=1 << 64)
+    with pytest.raises(ValueError):
+        make_config(master_seed=True)
     with pytest.raises(ValueError):
         make_config(rate_bits=-0.1)
     with pytest.raises(ValueError):
@@ -244,9 +248,11 @@ def test_master_seeds_past_2_63_keep_their_own_streams():
 
 def test_trial_index_validation():
     cfg = make_config()
-    for bad in (-1, 1 << 63, 1.5):
+    for bad in (-1, 1 << 63, 1.5, False):
         with pytest.raises(ValueError):
             run_trial(cfg, bad)
+        with pytest.raises(ValueError):
+            run_coupled_trial(cfg, bad)
 
 
 def test_trial_records_label_system():
@@ -869,3 +875,5 @@ def test_wilson_interval_edges():
 def test_estimate_rejects_bad_trial_count():
     with pytest.raises(ValueError):
         estimate_error_prob(make_config(), 0)
+    with pytest.raises(ValueError):
+        estimate_error_prob(make_config(), True)
