@@ -20,21 +20,25 @@ The public functions check their arguments, then call unchecked kernels
 once, reads the link SNRs once, and runs its search on the kernels alone, so
 it returns the bits a search through the checked functions would.
 
-The search also stops the looseness bisection of a round count K as soon as
-K provably cannot beat the best value found so far: each step that lowers
-the bracket's upper end b checks the modulo exponent there, and since the
-final looseness never exceeds b and the modulo exponent is non-decreasing,
-min(decode, modulo)/(2K) is already capped below the incumbent.  Round
-counts that win run the same bisection as without the check, so the result
-is bit for bit that of the full search.
+The search over round counts is best-first: it keeps an upper bound on each
+K's value and always advances the looseness bisection of the K with the
+largest bound.  Each bisection step that lowers the bracket's upper end b
+lowers that bound to the modulo exponent at b over 2K, which holds because
+the final looseness never exceeds b and the modulo exponent is
+non-decreasing.  The search ends once no bound left can beat the best value
+found, so mostly only the winning K bisects to the end.  Every bisection
+follows the same path as in a plain ascending scan of K, so the result is
+bit for bit that of the full search (the argument is in :func:`e_fb`).
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import heapq
 import math
 import warnings
+from collections.abc import Generator
 from dataclasses import dataclass
 
 from .exponents import (
@@ -223,28 +227,28 @@ def _decode_exponent(snr: float, rate_bits: float) -> float:
 
 
 def _inner_optimum(
-    snr: float,
-    bsnr: float,
-    dsnr: float,
-    rate_bits: float,
-    rounds: int,
-    incumbent: float = -math.inf,
-) -> tuple[float, float] | None:
+    snr: float, bsnr: float, dsnr: float, rate_bits: float, rounds: int
+) -> Generator[float, None, tuple[float, float]]:
     """Best min(decode, modulo) over looseness for a fixed round count.
 
     The decode exponent falls with L (less SNR growth) while the modulo
     exponent rises with L (coarser lattice, rarer wraps), so the pointwise
     min is maximized at their crossing, or at an endpoint when the curves do
-    not cross inside (1, bsnr).  Returns (unnormalized value, looseness), or
-    None as soon as the bisection shows that the value divided by 2K cannot
-    exceed ``incumbent``: the returned looseness never exceeds the upper end
-    b of the bracket, and the value is at most the modulo exponent there.
-    Unchecked: the caller has validated the link SNRs and the rate, and
-    every looseness tried lies in [1 + _L_EDGE, bsnr * (1 - _L_EDGE)].
+    not cross inside (1, bsnr).  A generator: each bisection step that
+    lowers the bracket's upper end b yields the bound modulo(b) / (2K) on
+    the final normalized value, and the search returns (unnormalized value,
+    looseness) through StopIteration.  The returned looseness never exceeds
+    b, also when it is the lower end of the search, and the modulo exponent
+    is non-decreasing, so every bound holds.  The gap at the lower end is
+    read only when it decides the answer, which spares it for a K the
+    caller drops.  Unchecked: the caller has validated the link SNRs and
+    the rate, and every looseness tried lies in
+    [1 + _L_EDGE, bsnr * (1 - _L_EDGE)].
     """
     lo = 1.0 + _L_EDGE
     hi = bsnr * (1.0 - _L_EDGE)
     rate_k = rounds * rate_bits
+    two_k = 2.0 * rounds
 
     def decode(L: float) -> float:
         return _decode_exponent(_effective_snr(snr, bsnr, dsnr, L, rounds), rate_k)
@@ -252,10 +256,8 @@ def _inner_optimum(
     def gap(L: float) -> float:
         return decode(L) - _poltyrev(L)
 
-    if gap(lo) <= 0.0:
-        l_opt = lo
-    elif gap(hi) >= 0.0:
-        l_opt = hi
+    if gap(hi) >= 0.0:
+        l_opt = lo if gap(lo) <= 0.0 else hi
     else:
         a, b = lo, hi
         while b - a > _L_TOL * a:
@@ -264,9 +266,8 @@ def _inner_optimum(
                 a = mid
             else:
                 b = mid
-                if _poltyrev(b) / (2.0 * rounds) <= incumbent:
-                    return None
-        l_opt = 0.5 * (a + b)
+                yield _poltyrev(b) / two_k
+        l_opt = lo if gap(lo) <= 0.0 else 0.5 * (a + b)
     return min(decode(l_opt), _poltyrev(l_opt)), l_opt
 
 
@@ -276,20 +277,30 @@ def e_fb(
     """Best achievable exponent of the interactive scheme at ``rate_bits``.
 
     Maximizes min(decode exponent, modulo exponent) / (2K) over the round
-    count K in [1, k_max] and the looseness L in [1, bsnr).  The K scan
-    prunes once even a wrap-free scheme could not beat the incumbent: the
-    modulo exponent is at most L/8 < bsnr/8, so no K with bsnr/(16K) below
-    the best value so far can win, and that cap shrinks with K.
+    count K in [1, k_max] and the looseness L in [1, bsnr), and returns the
+    largest value with the smallest K that reaches it, as an ascending scan
+    of K with a strict ``>`` test would.
 
-    Within one K, the L bisection stops early by the same argument: when a
-    step lowers the bracket's upper end to b and the modulo exponent at b,
-    divided by 2K, is no larger than the incumbent, K is skipped.  The L the
-    bisection would return lies at or below b, the modulo exponent is
-    non-decreasing, and dividing by the same 2K preserves the order under
-    rounding, so K's value could not pass the strict ``>`` test that
-    replaces the incumbent.  A K that does win runs the full bisection, so
-    ``e_fb``, ``k_star``, ``l_star`` and ``binding`` are bit for bit those
-    of the unpruned search.
+    The search is best-first (branch and bound): a heap holds an upper
+    bound on each K's value, seeded with bsnr/(16K), since the modulo
+    exponent is at most L/8 < bsnr/8.  The K with the largest bound runs its
+    L bisection, each step of which lowers that K's bound to modulo(b)/(2K)
+    at the bracket's upper end b, until the bound drops below the next one
+    on the heap; a K whose bisection ends offers its value.  The search
+    stops once the largest bound left is below the best value, or equal to
+    it at a larger K.  The result is bit for bit that of the full scan:
+
+    1. A K's bisection path depends only on K, not on the best value so far
+       or on how the round counts are interleaved.
+    2. Both bounds hold in floating point: value/(2K) <= bsnr/(16K), and
+       value/(2K) <= modulo(b)/(2K), because the final L is at most b, the
+       modulo exponent is non-decreasing, and dividing by the same 2K keeps
+       the order under rounding.
+    3. So a K left out could not have replaced the best value under the
+       strict ``>`` test of the scan, nor tied it at a smaller K.
+
+    A K that cannot win stops at the bound that rules it out, so mostly
+    only the winning K runs its bisection to the end.
 
     A result with ``k_at_boundary`` set means the argmax sat at k_max and a
     larger search range might still improve the value; a warning is emitted.
@@ -312,16 +323,28 @@ def e_fb(
     best_val = -math.inf
     best_k = 1
     best_l = 1.0
-    for k in range(1, k_max + 1):
-        if bsnr / (16.0 * k) <= best_val:
+    # (-bound, K, bisection or None before K's first step): bsnr/(16K)
+    # falls with K, so the list is already a heap
+    heap = [(-bsnr / (16.0 * k), k, None) for k in range(1, k_max + 1)]
+    while heap:
+        neg_bound, k, search = heapq.heappop(heap)
+        if -neg_bound < best_val or (-neg_bound == best_val and k > best_k):
             break
-        inner = _inner_optimum(snr, bsnr, dsnr, rate_bits, k, best_val)
-        if inner is None:
+        if search is None:
+            search = _inner_optimum(snr, bsnr, dsnr, rate_bits, k)
+        # step K while it stays ahead of the next bound and the best value
+        top = -heap[0][0] if heap else -math.inf
+        try:
+            bound = next(search)
+            while bound >= top and bound > best_val:
+                bound = next(search)
+        except StopIteration as done:
+            val, l_opt = done.value
+            val /= 2.0 * k
+            if val > best_val or (val == best_val and k < best_k):
+                best_val, best_k, best_l = val, k, l_opt
             continue
-        val, l_opt = inner
-        val /= 2.0 * k
-        if val > best_val:
-            best_val, best_k, best_l = val, k, l_opt
+        heapq.heappush(heap, (-bound, k, search))
 
     k_at_boundary = best_k == k_max
     if k_at_boundary:

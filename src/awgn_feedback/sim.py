@@ -104,6 +104,14 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _real(name: str, x) -> float:
+    """``x`` as a float, with a ValueError naming the field when it is not."""
+    try:
+        return float(x)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a real number, got {x!r}") from None
+
+
 # =============================================================================
 # COEFFICIENTS AND THE VARIANCE RECURSION
 # =============================================================================
@@ -198,16 +206,21 @@ class SchemeConfig:
     pam_step: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        for name, kind in (("params", ChannelParams), ("lattice", Lattice),
+                           ("codebook", str)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
         p = self.params
         if not _is_int(self.rounds) or self.rounds < 1:
             raise ValueError(f"rounds must be a positive integer, got {self.rounds!r}")
-        rate = float(self.rate_bits)
+        rate = _real("rate", self.rate_bits)
         if not math.isfinite(rate) or rate < 0.0:
             raise ValueError(f"rate must be finite and nonnegative, got {rate!r}")
         if not _is_int(self.master_seed) or not 0 <= self.master_seed < (1 << 64):
             raise ValueError("master_seed must be an integer in [0, 2**64)")
 
-        loose = float(self.looseness)
+        loose = _real("looseness", self.looseness)
         exact = loose == 0.0
         if exact:
             if p.sigma2_tilde != 0.0:

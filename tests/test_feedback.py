@@ -162,13 +162,22 @@ def test_e_fb_recompute_invariant():
         assert again == pytest.approx(res.e_fb, rel=1e-9)
 
 
+def _finish(search):
+    """Drive an inner search generator to its end and return its result."""
+    while True:
+        try:
+            next(search)
+        except StopIteration as done:
+            return done.value
+
+
 def test_e_fb_bisection_matches_grid_scan():
     """The inner bisection agrees with a brute-force 2000-point grid."""
     from awgn_feedback.feedback import _inner_optimum
 
     p = P20_30
     for rate, k in [(0.0, 4), (0.0, 8), (0.8, 4), (0.8, 8), (2.0, 10)]:
-        _, l_bis = _inner_optimum(p.snr, p.bsnr, p.dsnr, rate, k)
+        _, l_bis = _finish(_inner_optimum(p.snr, p.bsnr, p.dsnr, rate, k))
 
         lo, hi = 1.0 + 1e-9, p.bsnr * (1.0 - 1e-9)
         step = (hi - lo) / 1999.0
@@ -292,15 +301,20 @@ def checked_search(p, rate, k_max=64):
     ],
 )
 def test_e_fb_matches_checked_search_bitwise(snr_db, dsnr_db):
-    """The pruned search on unchecked kernels reproduces the unpruned
-    checked search bit for bit."""
+    """The best-first search on unchecked kernels reproduces the ascending
+    checked scan bit for bit, at several k_max since the heap's seed bounds
+    depend on it."""
     p = ChannelParams.from_snrs(10.0 ** (snr_db / 10.0), 10.0 ** (dsnr_db / 10.0))
     cap = capacity(p.snr)
-    for x in (0.0, 0.1, 0.45, 0.8, 0.9):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # k_max hits at 3 dB
-            res = e_fb(p, x * cap)
-        assert (res.e_fb, res.k_star, res.l_star) == checked_search(p, x * cap)
+    for k_max in (1, 3, 13, 64):
+        for x in (0.0, 0.1, 0.45, 0.8, 0.9):
+            with warnings.catch_warnings():
+                # k_max hits below 64, and at 64 at 3 dB
+                warnings.simplefilter("ignore", RuntimeWarning)
+                res = e_fb(p, x * cap, k_max)
+            assert (res.e_fb, res.k_star, res.l_star) == checked_search(
+                p, x * cap, k_max
+            )
 
 
 def test_poltyrev_non_decreasing():
@@ -319,7 +333,7 @@ def test_poltyrev_non_decreasing():
 
 
 def test_e_fb_prunes_losing_round_counts(monkeypatch):
-    """Round counts that cannot beat the incumbent stop their bisection."""
+    """Round counts that cannot beat the best value stop their bisection."""
     from awgn_feedback import feedback
 
     calls = 0
@@ -332,8 +346,27 @@ def test_e_fb_prunes_losing_round_counts(monkeypatch):
 
     monkeypatch.setattr(feedback, "_decode_exponent", counted)
     e_fb(P20_30, 1.0)
-    # 2530 without the early exit
-    assert 0 < calls <= 1000
+    # 279 best-first; the ascending scan takes 548 with its early exit and
+    # 2530 without it
+    assert 0 < calls <= 400
+
+
+def test_e_fb_tie_goes_to_the_smaller_round_count(monkeypatch):
+    """When two round counts reach a bit-equal value, the smaller K wins, as
+    in the ascending scan of checked_search, even when the larger K finishes
+    first."""
+    from awgn_feedback import feedback
+
+    def inner(snr, bsnr, dsnr, rate_bits, rounds):
+        if rounds == 2:
+            # fall behind K = 3..8 so that K = 4 finishes first
+            yield bsnr / 100.0
+        value = 1.0 if rounds in (2, 4) else 0.0
+        return value * 2.0 * rounds, float(rounds)
+
+    monkeypatch.setattr(feedback, "_inner_optimum", inner)
+    res = e_fb(P20_30, 1.0, k_max=8)
+    assert (res.e_fb, res.k_star, res.l_star) == (1.0, 2, 2.0)
 
 
 def _bits(f, *args):

@@ -153,6 +153,16 @@ def test_config_validation():
         make_config(rate_bits=-0.1)
     with pytest.raises(ValueError):
         make_config(codebook="turbo")
+    # a field of the wrong type is a bad value like any other
+    for bad in (
+        dict(codebook=3),
+        dict(lattice="z"),
+        dict(params=None),
+        dict(rate_bits=None),
+        dict(looseness=None),
+    ):
+        with pytest.raises(ValueError):
+            make_config(**bad)
 
 
 def test_codebook_dimension_rules():
