@@ -31,6 +31,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+from ._checks import real
+
 __all__ = [
     "ExponentRegion",
     "RegionBoundaries",
@@ -63,20 +65,6 @@ def rate_nats(rate_bits: float) -> float:
     return rate_bits * LN2
 
 
-def _check_snr(snr: float) -> float:
-    snr = float(snr)
-    if not math.isfinite(snr) or snr <= 0.0:
-        raise ValueError(f"snr must be finite and positive, got {snr!r}")
-    return snr
-
-
-def _check_rate(rate_bits: float) -> float:
-    rate_bits = float(rate_bits)
-    if not math.isfinite(rate_bits) or rate_bits < 0.0:
-        raise ValueError(f"rate must be finite and nonnegative, got {rate_bits!r}")
-    return rate_bits
-
-
 # =============================================================================
 # REGION GEOMETRY
 # =============================================================================
@@ -103,21 +91,21 @@ class RegionBoundaries:
 
 def capacity(snr: float) -> float:
     """Shannon capacity of the AWGN channel, 0.5*log2(1 + snr), in bits."""
-    return _capacity(_check_snr(snr))
+    return _capacity(real("snr", snr, above=0.0))
 
 
 def critical_rate(snr: float) -> float:
     """Rate (bits) above which random coding meets the sphere-packing bound."""
-    return _critical_rate(_check_snr(snr))
+    return _critical_rate(real("snr", snr, above=0.0))
 
 
 def expurgation_rate(snr: float) -> float:
     """Rate (bits) below which expurgation improves on random coding."""
-    return _expurgation_rate(_check_snr(snr))
+    return _expurgation_rate(real("snr", snr, above=0.0))
 
 
 def region_boundaries(snr: float) -> RegionBoundaries:
-    snr = _check_snr(snr)
+    snr = real("snr", snr, above=0.0)
     return RegionBoundaries(
         capacity=_capacity(snr),
         critical_rate=_critical_rate(snr),
@@ -149,10 +137,7 @@ def poltyrev_exponent(x: float) -> float:
     x = 1 threshold (no reliable decoding there, returned as 0 so the
     function is total on x > 0).
     """
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"normalized VNR must be finite and positive, got {x!r}")
-    return _poltyrev(x)
+    return _poltyrev(real("normalized VNR x", x, above=0.0))
 
 
 def _poltyrev(x: float) -> float:
@@ -189,10 +174,8 @@ def sphere_packing_exp(snr: float, rate_bits: float) -> float:
     exactly 0 at capacity in floating point.  Rates at or below
     ZERO_RATE_BITS return the analytic limit snr/2.
     """
-    snr = _check_snr(snr)
-    rate_bits = float(rate_bits)
-    if not math.isfinite(rate_bits):
-        raise ValueError(f"rate must be finite, got {rate_bits!r}")
+    snr = real("snr", snr, above=0.0)
+    rate_bits = real("rate", rate_bits)
     if rate_bits >= ZERO_RATE_BITS:
         _check_below_capacity(snr, rate_bits)
     return _sphere_packing(snr, rate_bits)
@@ -241,7 +224,8 @@ def random_coding_exp(snr: float, rate_bits: float) -> float:
     clamped, so values above the line's zero crossing come out negative.
     The region dispatch in :func:`gallager_exp` never evaluates it there.
     """
-    return _random_coding(_check_snr(snr), _check_rate(rate_bits))
+    snr = real("snr", snr, above=0.0)
+    return _random_coding(snr, real("rate", rate_bits, at_least=0.0))
 
 
 def _random_coding(snr: float, rate_bits: float) -> float:
@@ -254,7 +238,8 @@ def expurgation_exp(snr: float, rate_bits: float) -> float:
     Evaluated as (snr/4)*u/(1 + sqrt(1-u)) with u = 2^{-2R}, which is exact
     at R = 0 (returns snr/4) and loses nothing as u -> 0.
     """
-    return _expurgation(_check_snr(snr), _check_rate(rate_bits))
+    snr = real("snr", snr, above=0.0)
+    return _expurgation(snr, real("rate", rate_bits, at_least=0.0))
 
 
 def _expurgation(snr: float, rate_bits: float) -> float:
@@ -269,8 +254,8 @@ def gallager_exp(snr: float, rate_bits: float) -> tuple[float, ExponentRegion]:
     lower-rate region: R <= R_ex is expurgation, R_ex < R <= R_cr is random
     coding, R_cr < R <= C is sphere packing.  Rates above capacity raise.
     """
-    snr = _check_snr(snr)
-    rate_bits = _check_rate(rate_bits)
+    snr = real("snr", snr, above=0.0)
+    rate_bits = real("rate", rate_bits, at_least=0.0)
     _check_below_capacity(snr, rate_bits)
     return _gallager(snr, rate_bits)
 

@@ -41,14 +41,8 @@ import warnings
 from collections.abc import Generator
 from dataclasses import dataclass
 
-from .exponents import (
-    _capacity,
-    _check_rate,
-    _gallager,
-    _poltyrev,
-    capacity,
-    critical_rate,
-)
+from ._checks import count, real
+from .exponents import _capacity, _gallager, _poltyrev, capacity, critical_rate
 
 __all__ = [
     "Binding",
@@ -83,7 +77,8 @@ class ChannelParams:
     ``sigma2`` and ``sigma2_tilde`` may be zero so that noiseless limits of
     the simulator can be expressed; the analysis functions in this module
     require both links to be noisy (finite SNRs) and reject degenerate
-    parameters at call time.
+    parameters at call time.  Every field is stored as a float, so equal
+    values of any numeric type give equal (and equally hashed) parameters.
     """
 
     p: float
@@ -93,13 +88,11 @@ class ChannelParams:
 
     def __post_init__(self) -> None:
         for name in ("p", "p_tilde"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {v!r}")
+            v = real(name, getattr(self, name), above=0.0)
+            object.__setattr__(self, name, v)
         for name in ("sigma2", "sigma2_tilde"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be finite and nonnegative, got {v!r}")
+            v = real(name, getattr(self, name), at_least=0.0)
+            object.__setattr__(self, name, v)
 
     @property
     def snr(self) -> float:
@@ -179,7 +172,7 @@ def effective_snr(params: ChannelParams, looseness: float, rounds: int) -> float
     correction carries no information and the growth factor degenerates to 1.
     """
     _require_noisy(params)
-    rounds = _check_rounds(rounds)
+    rounds = count("rounds", rounds)
     looseness = _check_looseness(looseness, params.bsnr)
     return _effective_snr(params.snr, params.bsnr, params.dsnr, looseness, rounds)
 
@@ -195,23 +188,13 @@ def _effective_snr(
 
 
 def _check_looseness(looseness: float, bsnr: float) -> float:
-    looseness = float(looseness)
-    if not math.isfinite(looseness) or looseness < 1.0:
-        raise ValueError(f"looseness must be finite and >= 1, got {looseness!r}")
+    looseness = real("looseness", looseness, at_least=1.0)
     if looseness >= bsnr:
         raise ValueError(
             f"looseness {looseness} must stay below bsnr {bsnr}; "
             f"the feedback correction cannot be scaled into its power budget there"
         )
     return looseness
-
-
-def _check_rounds(rounds: int) -> int:
-    if not isinstance(rounds, (int,)) or isinstance(rounds, bool):
-        raise ValueError(f"rounds must be an integer, got {rounds!r}")
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
-    return rounds
 
 
 def _decode_exponent(snr: float, rate_bits: float) -> float:
@@ -308,8 +291,8 @@ def e_fb(
     :func:`high_snr_bound` apply at the optimizing (K, L).
     """
     _require_noisy(params)
-    rate_bits = _check_rate(rate_bits)
-    k_max = _check_rounds(k_max)
+    rate_bits = real("rate", rate_bits, at_least=0.0)
+    k_max = count("k_max", k_max)
     snr, bsnr, dsnr = params.snr, params.bsnr, params.dsnr
     cap = capacity(snr)
     if rate_bits >= cap:
@@ -387,10 +370,7 @@ def eta(x: float) -> float:
     product in bits.  Computed as u / (1 + sqrt(1 - u)) with u = 2**-x,
     which stays accurate as u -> 0.
     """
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise ValueError(f"argument must be finite and nonnegative, got {x!r}")
-    u = 2.0 ** (-x)
+    u = 2.0 ** (-real("x", x, at_least=0.0))
     return u / (1.0 + math.sqrt(1.0 - u))
 
 
@@ -407,8 +387,8 @@ def balance_looseness(params: ChannelParams, rate_bits: float, rounds: int) -> f
     the high-SNR regime of :func:`region_assumptions_hold` applies.
     """
     _require_noisy(params)
-    rate_bits = _check_rate(rate_bits)
-    rounds = _check_rounds(rounds)
+    rate_bits = real("rate", rate_bits, at_least=0.0)
+    rounds = count("rounds", rounds)
     h = eta(rate_bits * rounds)
     return params.bsnr / (1.0 + (params.dsnr / (2.0 * h)) ** (1.0 / rounds))
 
@@ -422,9 +402,7 @@ def high_snr_bound(params: ChannelParams, rate_bits: float, rounds: int) -> floa
     Validity of the underlying approximations should be checked with
     :func:`region_assumptions_hold`.
     """
-    rounds = _check_rounds(rounds)
-    if rounds <= 1:
-        raise ValueError(f"the closed-form bound needs rounds > 1, got {rounds}")
+    rounds = count("rounds", rounds, lo=2)
     l_star = balance_looseness(params, rate_bits, rounds)
     return l_star / (16.0 * rounds)
 
@@ -436,10 +414,7 @@ def kstar_zero_rate(dsnr: float) -> float:
     ceil.  Defined for dsnr >= 2 (returns 0 exactly at 2, where no
     correction round pays for itself).
     """
-    dsnr = float(dsnr)
-    if not math.isfinite(dsnr) or dsnr < 2.0:
-        raise ValueError(f"dsnr must be >= 2 for the round-count rule, got {dsnr!r}")
-    return 0.78 * math.log(dsnr / 2.0)
+    return 0.78 * math.log(real("dsnr", dsnr, at_least=2.0) / 2.0)
 
 
 def region_assumptions_hold(
@@ -458,8 +433,8 @@ def region_assumptions_hold(
     below 1).
     """
     _require_noisy(params)
-    rate_bits = _check_rate(rate_bits)
-    rounds = _check_rounds(rounds)
+    rate_bits = real("rate", rate_bits, at_least=0.0)
+    rounds = count("rounds", rounds)
     looseness = float(looseness)
     if not math.isfinite(looseness):
         return False
@@ -493,7 +468,8 @@ def _region_anchor(params: ChannelParams) -> tuple[float, int, float]:
         for k in candidates:
             l_star = balance_looseness(params, rate, k)
             if region_assumptions_hold(params, rate, k, l_star):
-                feasible.append((high_snr_bound(params, rate, k), k, l_star))
+                # high_snr_bound's value, without checking its arguments again
+                feasible.append((l_star / (16.0 * k), k, l_star))
         if feasible:
             _, k, l_star = max(feasible)
             return rate, k, l_star
@@ -512,7 +488,7 @@ def out_of_region_exponent(params: ChannelParams, rate_bits: float) -> float:
     Raises when no rate qualifies at all (closed forms inapplicable).
     """
     _require_noisy(params)
-    rate_bits = _check_rate(rate_bits)
+    rate_bits = real("rate", rate_bits, at_least=0.0)
     _, k, l_star = _region_anchor(params)
     snr_eff = effective_snr(params, l_star, k)
     return _decode_exponent(snr_eff, k * rate_bits) / (2.0 * k)

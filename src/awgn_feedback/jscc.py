@@ -15,11 +15,11 @@ scaling drops out of every quantity of interest and is omitted.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import real
 from .lattices import Lattice, modulo
 
 __all__ = ["JsccParams", "wz_encode", "wz_receive"]
@@ -33,8 +33,7 @@ class JsccParams:
     lattice: Lattice
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.beta) and self.beta > 0.0):
-            raise ValueError(f"beta must be finite and positive, got {self.beta!r}")
+        object.__setattr__(self, "beta", real("beta", self.beta, above=0.0))
 
 
 def wz_encode(q, j, v, params: JsccParams) -> np.ndarray:

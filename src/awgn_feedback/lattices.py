@@ -31,6 +31,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ._checks import count, real
+
 __all__ = [
     "Lattice",
     "cubic_lattice",
@@ -152,17 +154,13 @@ class Lattice:
                 f"unknown lattice family {self.family!r}; "
                 f"expected one of {', '.join(_FAMILIES)}"
             )
-        n = self.dimension
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ValueError(f"dimension must be a positive integer, got {n!r}")
+        n = count("dimension", self.dimension)
         if fam.dimension is not None and n != fam.dimension:
             raise ValueError(
                 f"lattice {self.family!r} has dimension {fam.dimension}, not {n}"
             )
-        scale = float(self.scale)
-        if not math.isfinite(scale) or scale <= 0.0:
-            raise ValueError(f"scale must be finite and positive, got {scale!r}")
-        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "dimension", n)
+        object.__setattr__(self, "scale", real("scale", self.scale, above=0.0))
 
     @property
     def generator(self) -> np.ndarray:
@@ -268,31 +266,21 @@ def sample_dither(
 
 def scale_to_power(lattice: Lattice, target_power: float) -> Lattice:
     """Rescale so the per-dimension dither power equals ``target_power``."""
-    target_power = float(target_power)
-    if not math.isfinite(target_power) or target_power <= 0.0:
-        raise ValueError(
-            f"target power must be finite and positive, got {target_power!r}"
-        )
+    target_power = real("target_power", target_power, above=0.0)
     s = math.sqrt(target_power / lattice.second_moment)
     return replace(lattice, scale=lattice.scale * s)
 
 
 def vnr(lattice: Lattice, noise_variance: float) -> float:
     """Volume-to-noise ratio cell_volume**(2/n) / noise_variance."""
-    noise_variance = float(noise_variance)
-    if not math.isfinite(noise_variance) or noise_variance <= 0.0:
-        raise ValueError(
-            f"noise variance must be finite and positive, got {noise_variance!r}"
-        )
+    noise_variance = real("noise_variance", noise_variance, above=0.0)
     return lattice.cell_volume ** (2.0 / lattice.dimension) / noise_variance
 
 
 def looseness_to_vnr(looseness: float, lattice: Lattice | None = None) -> float:
     """VNR mu realizing looseness L: 2*pi*e*L for the asymptotically best
     shaping, or L / nsm for a concrete lattice (L = mu * nsm)."""
-    looseness = float(looseness)
-    if not math.isfinite(looseness) or looseness <= 0.0:
-        raise ValueError(f"looseness must be finite and positive, got {looseness!r}")
+    looseness = real("looseness", looseness, above=0.0)
     if lattice is None:
         return TWO_PI_E * looseness
     return looseness / lattice.nsm

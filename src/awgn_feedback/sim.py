@@ -54,7 +54,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .feedback import ChannelParams
+from ._checks import count, real
+from .feedback import ChannelParams, _check_looseness
 from .lattices import Lattice, modulo, sample_dither, scale_to_power
 
 __all__ = [
@@ -99,27 +100,13 @@ _DECODE_CHUNK_BYTES = 128 * 1024
 _DECODE_SCREEN_TOL = 1e-13
 
 
-def _is_int(x) -> bool:
-    """An int and not a bool, the rule of feedback's round-count check."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _real(name: str, x) -> float:
-    """``x`` as a float, with a ValueError naming the field when it is not."""
-    try:
-        return float(x)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a real number, got {x!r}") from None
-
-
 # =============================================================================
 # COEFFICIENTS AND THE VARIANCE RECURSION
 # =============================================================================
 
 def alpha_coefficient(params: ChannelParams, looseness: float) -> float:
     """Forward rescale sqrt(L*P/P~) putting the reconstruction at power P."""
-    if looseness <= 0.0:
-        raise ValueError(f"looseness must be positive, got {looseness!r}")
+    looseness = real("looseness", looseness, above=0.0)
     return math.sqrt(looseness * params.p / params.p_tilde)
 
 
@@ -127,10 +114,8 @@ def gamma_coefficient(
     params: ChannelParams, looseness: float, sigma_k2: float
 ) -> float:
     """Feedback scale making P~ / (gamma^2 sigma_k^2 + fb noise var) = L."""
-    if sigma_k2 <= 0.0 or not math.isfinite(sigma_k2):
-        raise ValueError(f"estimation variance must be positive, got {sigma_k2!r}")
-    if looseness <= 0.0:
-        raise ValueError(f"looseness must be positive, got {looseness!r}")
+    sigma_k2 = real("sigma_k2", sigma_k2, above=0.0)
+    looseness = real("looseness", looseness, above=0.0)
     num = params.p_tilde / looseness - params.sigma2_tilde
     if num <= 0.0:
         raise ValueError(
@@ -150,10 +135,8 @@ def wiener_update(
     noiseless feedback link and looseness 0 this degenerates to the classic
     exact-feedback recursion sigma_k^2 / (1 + snr).
     """
-    sigma_k2 = float(sigma_k2)
-    if not math.isfinite(sigma_k2) or sigma_k2 <= 0.0:
-        raise ValueError(f"estimation variance must be positive, got {sigma_k2!r}")
-    looseness = float(looseness)
+    sigma_k2 = real("sigma_k2", sigma_k2, above=0.0)
+    looseness = real("looseness", looseness, at_least=0.0)
     if looseness == 0.0:
         if params.sigma2_tilde != 0.0:
             raise ValueError("looseness 0 is defined only for noiseless feedback")
@@ -183,7 +166,9 @@ class SchemeConfig:
     parameters alone (it never adapts to data), so it is computed once here;
     construction fails, rather than any trial, if a round's gamma would not
     be real.  ``codebook`` may be 'pam' (scalar lattices only), 'gaussian'
-    (dimension >= 2), or 'auto' to pick by dimension.
+    (dimension >= 2), or 'auto' to pick by dimension.  ``rounds``,
+    ``rate_bits``, ``master_seed`` and ``looseness`` are stored as the int
+    or float their check makes of them.
     """
 
     params: ChannelParams
@@ -212,35 +197,18 @@ class SchemeConfig:
             if not isinstance(value, kind):
                 raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
         p = self.params
-        if not _is_int(self.rounds) or self.rounds < 1:
-            raise ValueError(f"rounds must be a positive integer, got {self.rounds!r}")
-        rate = _real("rate", self.rate_bits)
-        if not math.isfinite(rate) or rate < 0.0:
-            raise ValueError(f"rate must be finite and nonnegative, got {rate!r}")
-        if not _is_int(self.master_seed) or not 0 <= self.master_seed < (1 << 64):
-            raise ValueError("master_seed must be an integer in [0, 2**64)")
-
-        loose = _real("looseness", self.looseness)
-        exact = loose == 0.0
-        if exact:
-            if p.sigma2_tilde != 0.0:
-                raise ValueError(
-                    "looseness 0 selects exact feedback and needs a noiseless "
-                    "feedback link"
-                )
-        else:
-            if not math.isfinite(loose) or loose < 1.0:
-                raise ValueError(
-                    f"looseness must be >= 1 (or exactly 0 for exact feedback), "
-                    f"got {loose!r}"
-                )
-            if p.sigma2_tilde > 0.0 and loose >= p.bsnr:
-                raise ValueError(
-                    f"looseness {loose} must stay below bsnr {p.bsnr} for the "
-                    f"feedback scale to be real"
-                )
-        object.__setattr__(self, "looseness", loose)
-        object.__setattr__(self, "exact_feedback", exact)
+        # exactly 0 selects exact feedback on a noiseless feedback link, whose
+        # bsnr is inf, so any other L in [1, inf) passes there
+        loose = real("looseness", self.looseness)
+        exact = loose == 0.0 and p.sigma2_tilde == 0.0
+        for name, value in (
+            ("rounds", count("rounds", self.rounds)),
+            ("rate_bits", real("rate", self.rate_bits, at_least=0.0)),
+            ("master_seed", count("master_seed", self.master_seed, 0, 1 << 64)),
+            ("looseness", loose if exact else _check_looseness(loose, p.bsnr)),
+            ("exact_feedback", exact),
+        ):
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "lattice", scale_to_power(self.lattice, p.p_tilde))
         object.__setattr__(self, "alpha", 0.0 if exact else alpha_coefficient(p, loose))
 
@@ -524,9 +492,7 @@ def _run_block(cfg: SchemeConfig, start: int, stop: int) -> _Block:
 
 
 def _record(cfg: SchemeConfig, trial_index: int, system: str) -> TrialRecord:
-    if not _is_int(trial_index) or not (0 <= trial_index < _MAX_TRIAL_INDEX):
-        raise ValueError(f"trial_index must be an integer in [0, 2**63), "
-                         f"got {trial_index!r}")
+    trial_index = count("trial_index", trial_index, 0, _MAX_TRIAL_INDEX)
     b = _run_block(cfg, trial_index, trial_index + 1)
     s = _REAL if system == "real" else _COUPLED
     flags = b.alias[s, 0].tolist()
@@ -679,8 +645,7 @@ def estimate_error_prob(config: SchemeConfig, trials: int) -> SimulationSummary:
     real decode error rate against the coupled rate plus all aliasing
     rates, with three Wilson half-widths of slack.
     """
-    if not _is_int(trials) or trials < 1:
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    trials = count("trials", trials)
     k_rounds = config.rounds
     steps = k_rounds - 1
     n = config.dimension

@@ -4,6 +4,7 @@ import math
 import warnings
 from decimal import Decimal, getcontext
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,6 +65,18 @@ def test_from_snrs_infinite_snr_is_a_noiseless_link():
     for params in (fb, fwd):
         with pytest.raises(ValueError, match="noisy"):
             e_fb(params, 0.5)
+
+
+def test_params_store_floats_of_any_real_type():
+    py = ChannelParams(1.0, 1.0, 0.01, 0.0001)
+    for np_params in (ChannelParams(np.float64(1.0), np.int64(1), 0.01, 0.0001),
+                      ChannelParams(np.float32(1.0), 1, np.float64(0.01), 0.0001)):
+        assert np_params == py and hash(np_params) == hash(py)
+        assert {type(v) for v in vars(np_params).values()} == {float}
+    _region_anchor.cache_clear()
+    anchor = _region_anchor(py)
+    assert _region_anchor(ChannelParams(np.float64(1.0), 1.0, 0.01, 0.0001)) == anchor
+    assert _region_anchor.cache_info().hits == 1
 
 
 def test_params_validation():

@@ -165,6 +165,17 @@ def test_config_validation():
             make_config(**bad)
 
 
+def test_config_stores_the_normalized_fields():
+    cfg = make_config(rounds=np.int64(3), looseness=np.int64(40),
+                      rate_bits=np.float32(0.5), master_seed=np.uint32(99))
+    assert (type(cfg.rounds), type(cfg.looseness), type(cfg.rate_bits),
+            type(cfg.master_seed)) == (int, float, float, int)
+    assert repr(cfg) == repr(make_config())
+    for bad in ("0.5", True, None):
+        with pytest.raises(ValueError, match="rate"):
+            make_config(rate_bits=bad)
+
+
 def test_codebook_dimension_rules():
     with pytest.raises(ValueError):
         make_config(lattice=d4_lattice(), codebook="pam")
