@@ -1,8 +1,9 @@
 """The argument rules every public function of the package applies.
 
-A *real* is any ``numbers.Real`` except ``bool`` (Python and numpy floats
-and integers, fractions); it is returned as a ``float`` and must be finite
-and, when a bound is given, above it (``above``) or at least it
+A *number* is any ``numbers.Real`` except ``bool`` (Python and numpy floats
+and integers, fractions), returned as a ``float``; infinities and nan pass,
+for the few arguments where they carry a meaning.  A *real* is a number that
+is finite and, when a bound is given, above it (``above``) or at least it
 (``at_least``).  A *count* is any ``numbers.Integral`` except ``bool``; it
 is returned as an ``int`` and must lie in [lo, hi).  Any other value raises
 ValueError naming the argument, never TypeError.
@@ -14,14 +15,19 @@ import math
 from numbers import Integral, Real
 
 
+def number(name: str, x) -> float:
+    """``x`` as a float, infinite and nan included, else ValueError."""
+    # exact float first: the ABC isinstance costs about 30 times more
+    if type(x) is not float and (not isinstance(x, Real) or isinstance(x, bool)):
+        raise ValueError(f"{name} must be a real number, got {x!r}")
+    return float(x)
+
+
 def real(
     name: str, x, *, above: float | None = None, at_least: float | None = None
 ) -> float:
     """``x`` as a finite float within its bound, else ValueError."""
-    # exact float first: the ABC isinstance costs about 30 times more
-    if type(x) is not float and (not isinstance(x, Real) or isinstance(x, bool)):
-        raise ValueError(f"{name} must be a real number, got {x!r}")
-    v = float(x)
+    v = number(name, x)
     if (math.isfinite(v) and (above is None or v > above)
             and (at_least is None or v >= at_least)):
         return v

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from contextlib import nullcontext
 
@@ -319,7 +320,10 @@ def cmd_simulate(args) -> int:
 # ENTRY POINT
 # =============================================================================
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    call of :func:`main`; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="awgn-feedback",
         description="Error exponents and Monte-Carlo simulation of AWGN "

@@ -15,34 +15,42 @@ normalized by the total block length 2KN (forward and feedback uses both
 count), which is where the 1/(2K) factor comes from.
 
 The public functions check their arguments, then call unchecked kernels
-(``_effective_snr`` here, the exponent kernels of :mod:`.exponents`).
-:func:`e_fb` validates its inputs and the ends of the looseness interval
-once, reads the link SNRs once, and runs its search on the kernels alone, so
-it returns the bits a search through the checked functions would.
+(``_effective_snr``, ``_region_holds`` and ``_balance_looseness`` here, the
+exponent kernels of :mod:`.exponents`).  :func:`e_fb` validates its inputs
+and the ends of the looseness interval once, reads the link SNRs once, and
+runs its search on the kernels alone, so it returns the bits a search
+through the checked functions would.
 
-The search over round counts is best-first: it keeps an upper bound on each
-K's value and always advances the looseness bisection of the K with the
-largest bound.  Each bisection step that lowers the bracket's upper end b
-lowers that bound to the modulo exponent at b over 2K, which holds because
-the final looseness never exceeds b and the modulo exponent is
-non-decreasing.  The search ends once no bound left can beat the best value
-found, so mostly only the winning K bisects to the end.  Every bisection
-follows the same path as in a plain ascending scan of K, so the result is
-bit for bit that of the full search (the argument is in :func:`e_fb`).
+The search over round counts first runs to the end the K that maximizes the
+closed form L*(K)/(16K) of :func:`high_snr_bound`, and takes its value as
+the incumbent.  It then scans K = 1..k_max upward and drops a K as soon as
+an upper bound on its value cannot beat the incumbent: bsnr/(16K) before
+its looseness bisection starts, and the modulo exponent at the bracket's
+upper end b, over 2K, after each bisection step that lowers b.  A K's
+bisection path does not depend on the incumbent, so the result is bit for
+bit that of the full scan (the argument is in :func:`e_fb`).  Each
+bisection step evaluates the gap between the two exponents in one fused
+expression: the kernels' arithmetic in the kernels' order, with the terms
+that depend only on K computed once per K.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import heapq
 import math
 import warnings
-from collections.abc import Generator
 from dataclasses import dataclass
 
-from ._checks import count, real
-from .exponents import _capacity, _gallager, _poltyrev, capacity, critical_rate
+from ._checks import count, number, real
+from .exponents import (
+    _capacity,
+    _critical_rate,
+    _gallager,
+    _poltyrev,
+    capacity,
+    rate_nats,
+)
 
 __all__ = [
     "Binding",
@@ -121,6 +129,8 @@ class ChannelParams:
         ``snr = inf`` both links; the simulator accepts noiseless links, the
         analysis functions reject them.
         """
+        snr = number("snr", snr)
+        dsnr = number("dsnr", dsnr)
         if not snr > 0.0:
             raise ValueError(f"snr must be positive, got {snr!r}")
         if not dsnr > 0.0:
@@ -210,23 +220,20 @@ def _decode_exponent(snr: float, rate_bits: float) -> float:
 
 
 def _inner_optimum(
-    snr: float, bsnr: float, dsnr: float, rate_bits: float, rounds: int
-) -> Generator[float, None, tuple[float, float]]:
-    """Best min(decode, modulo) over looseness for a fixed round count.
+    snr: float, bsnr: float, dsnr: float, rate_bits: float, rounds: int,
+    best_val: float = -math.inf, best_k: int = 0,
+) -> tuple[float, float | None, int]:
+    """Best min(decode, modulo) / (2K) over looseness for a fixed round count.
 
     The decode exponent falls with L (less SNR growth) while the modulo
-    exponent rises with L (coarser lattice, rarer wraps), so the pointwise
-    min is maximized at their crossing, or at an endpoint when the curves do
-    not cross inside (1, bsnr).  A generator: each bisection step that
-    lowers the bracket's upper end b yields the bound modulo(b) / (2K) on
-    the final normalized value, and the search returns (unnormalized value,
-    looseness) through StopIteration.  The returned looseness never exceeds
-    b, also when it is the lower end of the search, and the modulo exponent
-    is non-decreasing, so every bound holds.  The gap at the lower end is
-    read only when it decides the answer, which spares it for a K the
-    caller drops.  Unchecked: the caller has validated the link SNRs and
-    the rate, and every looseness tried lies in
-    [1 + _L_EDGE, bsnr * (1 - _L_EDGE)].
+    exponent rises with L (coarser lattice, rarer wraps), so the min peaks
+    where they cross, found by bisection on their gap, or at an end of
+    (1, bsnr).  Returns (value, looseness, gap evaluations).  Each step that
+    lowers the bracket's upper end b bounds the value by modulo(b)/(2K), as
+    the looseness returned never exceeds b and the modulo exponent is
+    non-decreasing; once that bound is below best_val, or equal to it at a
+    larger K, the search returns (bound, None, gap evaluations).  Unchecked:
+    the caller has validated the link SNRs, the rate and the interval ends.
     """
     lo = 1.0 + _L_EDGE
     hi = bsnr * (1.0 - _L_EDGE)
@@ -236,22 +243,64 @@ def _inner_optimum(
     def decode(L: float) -> float:
         return _decode_exponent(_effective_snr(snr, bsnr, dsnr, L, rounds), rate_k)
 
-    def gap(L: float) -> float:
-        return decode(L) - _poltyrev(L)
-
-    if gap(hi) >= 0.0:
-        l_opt = lo if gap(lo) <= 0.0 else hi
+    evals = 2
+    if decode(hi) - _poltyrev(hi) >= 0.0:
+        l_opt = hi
     else:
+        # gap(mid) fused: the kernels' arithmetic, in the kernels' order
+        k1 = rounds - 1
+        u = math.exp(-2.0 * rate_nats(rate_k))
+        den = 1.0 + math.sqrt(1.0 - u)
         a, b = lo, hi
         while b - a > _L_TOL * a:
             mid = 0.5 * (a + b)
-            if gap(mid) > 0.0:
-                a = mid
+            evals += 1
+            g = 1.0 + snr * (1.0 - mid / bsnr) / (1.0 + mid / dsnr)
+            try:
+                s = snr * g ** k1
+            except OverflowError:
+                s = math.inf
+            mod = 0.125 * mid if mid > 4.0 else _poltyrev(mid)
+            if s == math.inf:
+                dec = math.inf
+            elif rate_k >= 0.5 * math.log2(1.0 + s):
+                dec = 0.0
+            elif rate_k <= 0.5 * math.log2(0.5 + 0.5 * math.hypot(1.0, 0.5 * s)):
+                dec = 0.25 * s * u / den
             else:
-                b = mid
-                yield _poltyrev(b) / two_k
-        l_opt = lo if gap(lo) <= 0.0 else 0.5 * (a + b)
-    return min(decode(l_opt), _poltyrev(l_opt)), l_opt
+                dec = _gallager(s, rate_k)[0]
+            if dec - mod > 0.0:
+                a = mid
+                continue
+            b = mid
+            bound = mod / two_k
+            if bound < best_val or (bound == best_val and rounds > best_k):
+                return bound, None, evals - 1
+        l_opt = 0.5 * (a + b)
+    if decode(lo) - _poltyrev(lo) <= 0.0:
+        l_opt = lo
+    return min(decode(l_opt), _poltyrev(l_opt)) / two_k, l_opt, evals
+
+
+def _first_guess(bsnr: float, dsnr: float, rate_bits: float, k_max: int) -> int:
+    """The K in [1, k_max] with the largest closed form L*(K) / (16K).
+
+    The scan stops at the closed form's first fall, which was its maximum
+    on every link tried, and where eta(RK) underflows to 0 and leaves no
+    closed form for that K or any larger one.  Only the order of e_fb's
+    search depends on this guess, never its result.
+    """
+    best, k0 = -math.inf, 1
+    for k in range(1, k_max + 1):
+        try:
+            v = _balance_looseness(bsnr, dsnr, rate_bits, k) / (16.0 * k)
+        except ZeroDivisionError:
+            break
+        if v < best:
+            break
+        if v > best:
+            best, k0 = v, k
+    return k0
 
 
 def e_fb(
@@ -264,26 +313,21 @@ def e_fb(
     largest value with the smallest K that reaches it, as an ascending scan
     of K with a strict ``>`` test would.
 
-    The search is best-first (branch and bound): a heap holds an upper
-    bound on each K's value, seeded with bsnr/(16K), since the modulo
-    exponent is at most L/8 < bsnr/8.  The K with the largest bound runs its
-    L bisection, each step of which lowers that K's bound to modulo(b)/(2K)
-    at the bracket's upper end b, until the bound drops below the next one
-    on the heap; a K whose bisection ends offers its value.  The search
-    stops once the largest bound left is below the best value, or equal to
-    it at a larger K.  The result is bit for bit that of the full scan:
+    The K with the largest closed form L*(K)/(16K) runs first, to the end,
+    and sets the incumbent (best value, K).  The scan of K = 1..k_max then
+    ends at the first K whose bound bsnr/(16K) (the modulo exponent is at
+    most L/8 < bsnr/8) cannot beat the incumbent, and ends a K's bisection
+    at the first bound modulo(b)/(2K) that cannot.  The result is bit for
+    bit that of the full scan:
 
-    1. A K's bisection path depends only on K, not on the best value so far
-       or on how the round counts are interleaved.
+    1. A K's bisection path depends only on K, not on the incumbent.
     2. Both bounds hold in floating point: value/(2K) <= bsnr/(16K), and
        value/(2K) <= modulo(b)/(2K), because the final L is at most b, the
        modulo exponent is non-decreasing, and dividing by the same 2K keeps
-       the order under rounding.
-    3. So a K left out could not have replaced the best value under the
-       strict ``>`` test of the scan, nor tied it at a smaller K.
-
-    A K that cannot win stops at the bound that rules it out, so mostly
-    only the winning K runs its bisection to the end.
+       the order under rounding.  bsnr/(16K) does not rise with K.
+    3. The incumbent only improves, so a K dropped could not have replaced
+       the final best value under the strict ``>`` test, nor tied it at a
+       smaller K, whatever order the round counts ran in.
 
     A result with ``k_at_boundary`` set means the argmax sat at k_max and a
     larger search range might still improve the value; a warning is emitted.
@@ -303,31 +347,18 @@ def e_fb(
     _check_looseness(1.0 + _L_EDGE, bsnr)
     _check_looseness(bsnr * (1.0 - _L_EDGE), bsnr)
 
-    best_val = -math.inf
-    best_k = 1
-    best_l = 1.0
-    # (-bound, K, bisection or None before K's first step): bsnr/(16K)
-    # falls with K, so the list is already a heap
-    heap = [(-bsnr / (16.0 * k), k, None) for k in range(1, k_max + 1)]
-    while heap:
-        neg_bound, k, search = heapq.heappop(heap)
-        if -neg_bound < best_val or (-neg_bound == best_val and k > best_k):
+    k0 = best_k = _first_guess(bsnr, dsnr, rate_bits, k_max)
+    best_val, best_l, _ = _inner_optimum(snr, bsnr, dsnr, rate_bits, k0)
+    for k in range(1, k_max + 1):
+        bound = bsnr / (16.0 * k)
+        if bound < best_val or (bound == best_val and k > best_k):
             break
-        if search is None:
-            search = _inner_optimum(snr, bsnr, dsnr, rate_bits, k)
-        # step K while it stays ahead of the next bound and the best value
-        top = -heap[0][0] if heap else -math.inf
-        try:
-            bound = next(search)
-            while bound >= top and bound > best_val:
-                bound = next(search)
-        except StopIteration as done:
-            val, l_opt = done.value
-            val /= 2.0 * k
-            if val > best_val or (val == best_val and k < best_k):
-                best_val, best_k, best_l = val, k, l_opt
+        if k == k0:
             continue
-        heapq.heappush(heap, (-bound, k, search))
+        # a K stopped early returns a bound that fails the test below
+        val, l_opt, _ = _inner_optimum(snr, bsnr, dsnr, rate_bits, k, best_val, best_k)
+        if val > best_val or (val == best_val and k < best_k):
+            best_val, best_k, best_l = val, k, l_opt
 
     k_at_boundary = best_k == k_max
     if k_at_boundary:
@@ -354,7 +385,7 @@ def e_fb(
         k_star=best_k,
         l_star=best_l,
         binding=binding,
-        region_valid=region_assumptions_hold(params, rate_bits, best_k, best_l),
+        region_valid=_region_holds(snr, bsnr, dsnr, rate_bits, best_k, best_l),
         k_at_boundary=k_at_boundary,
     )
 
@@ -370,7 +401,11 @@ def eta(x: float) -> float:
     product in bits.  Computed as u / (1 + sqrt(1 - u)) with u = 2**-x,
     which stays accurate as u -> 0.
     """
-    u = 2.0 ** (-real("x", x, at_least=0.0))
+    return _eta(real("x", x, at_least=0.0))
+
+
+def _eta(x: float) -> float:
+    u = 2.0 ** (-x)
     return u / (1.0 + math.sqrt(1.0 - u))
 
 
@@ -389,8 +424,14 @@ def balance_looseness(params: ChannelParams, rate_bits: float, rounds: int) -> f
     _require_noisy(params)
     rate_bits = real("rate", rate_bits, at_least=0.0)
     rounds = count("rounds", rounds)
-    h = eta(rate_bits * rounds)
-    return params.bsnr / (1.0 + (params.dsnr / (2.0 * h)) ** (1.0 / rounds))
+    return _balance_looseness(params.bsnr, params.dsnr, rate_bits, rounds)
+
+
+def _balance_looseness(
+    bsnr: float, dsnr: float, rate_bits: float, rounds: int
+) -> float:
+    h = _eta(rate_bits * rounds)
+    return bsnr / (1.0 + (dsnr / (2.0 * h)) ** (1.0 / rounds))
 
 
 def high_snr_bound(params: ChannelParams, rate_bits: float, rounds: int) -> float:
@@ -429,21 +470,27 @@ def region_assumptions_hold(
     without bound with the SNR.  A looseness outside the closed-form domain
     (not finite, at most 4, or not in [1, bsnr)) returns False.  Like
     :func:`e_fb`, it raises ValueError on an invalid link (noiseless, or
-    dsnr <= 1), rate (negative or not finite) or round count (not an int, or
-    below 1).
+    dsnr <= 1), rate (negative or not finite), round count (not an int, or
+    below 1) or looseness (not a real number).
     """
     _require_noisy(params)
     rate_bits = real("rate", rate_bits, at_least=0.0)
     rounds = count("rounds", rounds)
-    looseness = float(looseness)
-    if not math.isfinite(looseness):
+    looseness = number("looseness", looseness)
+    return _region_holds(
+        params.snr, params.bsnr, params.dsnr, rate_bits, rounds, looseness
+    )
+
+
+def _region_holds(
+    snr: float, bsnr: float, dsnr: float, rate_bits: float, rounds: int,
+    looseness: float,
+) -> bool:
+    # 4 < L < bsnr also rules out a looseness that is nan or inf
+    if not 4.0 < looseness < bsnr:
         return False
-    if looseness <= 4.0:
-        return False
-    if not (1.0 <= looseness < params.bsnr):
-        return False
-    snr_eff = effective_snr(params, looseness, rounds)
-    return snr_eff == math.inf or rounds * rate_bits < critical_rate(snr_eff)
+    snr_eff = _effective_snr(snr, bsnr, dsnr, looseness, rounds)
+    return snr_eff == math.inf or rounds * rate_bits < _critical_rate(snr_eff)
 
 
 @functools.lru_cache(maxsize=64)
@@ -453,22 +500,25 @@ def _region_anchor(params: ChannelParams) -> tuple[float, int, float]:
     Scans rates downward from capacity in steps of capacity/1000.  At each
     rate the candidate round counts are floor and ceil of
     :func:`kstar_zero_rate` (at least 2); the candidate with the larger
-    closed-form bound wins.  Raises when no rate qualifies.
+    closed-form bound wins.  Raises when no rate qualifies.  Checks the link
+    once and runs the scan on the unchecked kernels.
     """
-    if params.dsnr < 2.0:
+    _require_noisy(params)
+    snr, bsnr, dsnr = params.snr, params.bsnr, params.dsnr
+    if dsnr < 2.0:
         raise ValueError(
             "closed-form regime needs dsnr >= 2; no valid round count exists"
         )
-    k_real = kstar_zero_rate(params.dsnr)
+    k_real = kstar_zero_rate(dsnr)
     candidates = sorted({max(2, math.floor(k_real)), max(2, math.ceil(k_real))})
-    cap = capacity(params.snr)
+    cap = capacity(snr)
     for i in range(999, 0, -1):
         rate = cap * (i / 1000.0)
         feasible = []
         for k in candidates:
-            l_star = balance_looseness(params, rate, k)
-            if region_assumptions_hold(params, rate, k, l_star):
-                # high_snr_bound's value, without checking its arguments again
+            l_star = _balance_looseness(bsnr, dsnr, rate, k)
+            if _region_holds(snr, bsnr, dsnr, rate, k, l_star):
+                # high_snr_bound's value
                 feasible.append((l_star / (16.0 * k), k, l_star))
         if feasible:
             _, k, l_star = max(feasible)

@@ -22,6 +22,7 @@ from awgn_feedback import (
     eta,
     gallager_exp,
     poltyrev_exponent,
+    region_assumptions_hold,
     run_trial,
     scale_to_power,
 )
@@ -95,3 +96,26 @@ def test_numpy_scalars_give_the_same_bits(case):
     expected = repr(call(good))
     for twin in twins:
         assert repr(call(twin)) == expected
+
+
+# arguments where infinity carries a meaning (a noiseless link for
+# from_snrs, a looseness outside the closed-form domain for
+# region_assumptions_hold): any real passes the type rule, nothing else does
+NUMBER_CASES = {
+    "from_snrs-snr": (lambda v: ChannelParams.from_snrs(v, 10.0), "snr", 100.0),
+    "from_snrs-dsnr": (lambda v: ChannelParams.from_snrs(100.0, v), "dsnr", 10.0),
+    "region_assumptions_hold-looseness": (
+        lambda v: region_assumptions_hold(P, 0.0, 2, v), "looseness", 40.0),
+}
+
+
+@pytest.mark.parametrize("case", NUMBER_CASES.values(), ids=NUMBER_CASES.keys())
+def test_bad_number_raises_value_error_naming_it(case):
+    call, name, good = case
+    expected = repr(call(good))
+    for twin in (np.float32(good), np.float64(good), np.int64(good)):
+        assert repr(call(twin)) == expected
+    call(math.inf)
+    for bad in (None, "1", True):
+        with pytest.raises(ValueError, match=f"{name} must be a real number"):
+            call(bad)

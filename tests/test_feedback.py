@@ -1,6 +1,7 @@
 """Tests for the feedback exponent optimizer and its high-SNR closed forms."""
 
 import math
+import random
 import warnings
 from decimal import Decimal, getcontext
 
@@ -175,22 +176,13 @@ def test_e_fb_recompute_invariant():
         assert again == pytest.approx(res.e_fb, rel=1e-9)
 
 
-def _finish(search):
-    """Drive an inner search generator to its end and return its result."""
-    while True:
-        try:
-            next(search)
-        except StopIteration as done:
-            return done.value
-
-
 def test_e_fb_bisection_matches_grid_scan():
     """The inner bisection agrees with a brute-force 2000-point grid."""
     from awgn_feedback.feedback import _inner_optimum
 
     p = P20_30
     for rate, k in [(0.0, 4), (0.0, 8), (0.8, 4), (0.8, 8), (2.0, 10)]:
-        _, l_bis = _finish(_inner_optimum(p.snr, p.bsnr, p.dsnr, rate, k))
+        _, l_bis, _ = _inner_optimum(p.snr, p.bsnr, p.dsnr, rate, k)
 
         lo, hi = 1.0 + 1e-9, p.bsnr * (1.0 - 1e-9)
         step = (hi - lo) / 1999.0
@@ -269,6 +261,9 @@ def checked_search(p, rate, k_max=64):
 
     def decode(L, k):
         snr_k = effective_snr(p, L, k)
+        if snr_k == math.inf:
+            # the limit of the expurgation exponent as the snr grows
+            return math.inf
         if k * rate >= capacity(snr_k):
             return 0.0
         return gallager_exp(snr_k, k * rate)[0]
@@ -314,9 +309,9 @@ def checked_search(p, rate, k_max=64):
     ],
 )
 def test_e_fb_matches_checked_search_bitwise(snr_db, dsnr_db):
-    """The best-first search on unchecked kernels reproduces the ascending
-    checked scan bit for bit, at several k_max since the heap's seed bounds
-    depend on it."""
+    """The search on unchecked kernels reproduces the ascending checked scan
+    bit for bit, at several k_max since the first round count run and the
+    end of the scan depend on it."""
     p = ChannelParams.from_snrs(10.0 ** (snr_db / 10.0), 10.0 ** (dsnr_db / 10.0))
     cap = capacity(p.snr)
     for k_max in (1, 3, 13, 64):
@@ -345,23 +340,80 @@ def test_poltyrev_non_decreasing():
     assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
-def test_e_fb_prunes_losing_round_counts(monkeypatch):
-    """Round counts that cannot beat the best value stop their bisection."""
+def test_e_fb_matches_checked_search_on_random_draws():
+    """Seeded random links, rates and k_max, forward SNR -5..60 dB and
+    feedback SNR at least 0.5 dB: the same bits as the checked scan."""
+    rng = random.Random(2015)
+    for i in range(300):
+        snr_db = rng.uniform(-5.0, 60.0)
+        dsnr_db = max(rng.uniform(0.5, 60.0), 0.5 - snr_db)
+        p = ChannelParams.from_snrs(10.0 ** (snr_db / 10.0), 10.0 ** (dsnr_db / 10.0))
+        rate = (0.0 if i % 10 == 0 else rng.uniform(0.0, 0.999)) * capacity(p.snr)
+        k_max = (1, 2, 5, 13, 64, 100)[i % 6]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            res = e_fb(p, rate, k_max)
+        assert (res.e_fb, res.k_star, res.l_star) == checked_search(
+            p, rate, k_max
+        ), (snr_db, dsnr_db, rate, k_max)
+
+
+def _count_evals(monkeypatch):
+    """Tally the gap evaluations that e_fb's bisections report."""
     from awgn_feedback import feedback
 
-    calls = 0
-    decode = feedback._decode_exponent
+    total = 0
+    inner = feedback._inner_optimum
 
-    def counted(snr, rate_bits):
-        nonlocal calls
-        calls += 1
-        return decode(snr, rate_bits)
+    def counted(*args):
+        nonlocal total
+        result = inner(*args)
+        total += result[2]
+        return result
 
-    monkeypatch.setattr(feedback, "_decode_exponent", counted)
+    monkeypatch.setattr(feedback, "_inner_optimum", counted)
+    return lambda: total
+
+
+def test_e_fb_prunes_losing_round_counts(monkeypatch):
+    """Round counts that cannot beat the best value stop their bisection."""
+    evals = _count_evals(monkeypatch)
     e_fb(P20_30, 1.0)
-    # 279 best-first; the ascending scan takes 548 with its early exit and
-    # 2530 without it
-    assert 0 < calls <= 400
+    # 307 here; the ascending scan with only the bsnr/(16K) exit takes ~550
+    # and the full scan ~2500
+    assert 0 < evals() <= 400
+
+
+def test_fig1_sweep_evaluation_budget(monkeypatch, tmp_path):
+    """One ``exponents --fig1`` sweep at 20/30 dB stays within 10 % of the
+    24080 gap evaluations it makes."""
+    from awgn_feedback.cli import main
+
+    evals = _count_evals(monkeypatch)
+    argv = ["exponents", "--fig1", "--snr-db", "20", "--dsnr-db", "30",
+            "--out", str(tmp_path / "fig1.csv")]
+    assert main(argv) == 0
+    assert 0 < evals() <= 26_488
+
+
+def test_inner_optimum_stops_only_where_it_cannot_win():
+    """A bisection stops at the first bound below the incumbent's value, or
+    equal to it at a smaller incumbent K; at a larger incumbent K an equal
+    bound goes on, since K could still take the tie."""
+    from awgn_feedback.feedback import _L_EDGE, _inner_optimum
+
+    p, rate, k = P20_30, 1.0, 8
+    args = (p.snr, p.bsnr, p.dsnr, rate, k)
+    value, l_opt, evals = _inner_optimum(*args)
+    # the first midpoint lowers the bracket's upper end, so its modulo
+    # exponent over 2K is the first bound
+    mid = 0.5 * ((1.0 + _L_EDGE) + p.bsnr * (1.0 - _L_EDGE))
+    assert _decode_exponent(effective_snr(p, mid, k), k * rate) < poltyrev_exponent(mid)
+    first = poltyrev_exponent(mid) / (2.0 * k)
+    assert _inner_optimum(*args, first, k - 1) == (first, None, 2)
+    bound, none, steps = _inner_optimum(*args, first, k + 1)
+    assert none is None and value <= bound < first and 2 < steps < evals
+    assert _inner_optimum(*args, value, k + 1) == (value, l_opt, evals)
 
 
 def test_e_fb_tie_goes_to_the_smaller_round_count(monkeypatch):
@@ -370,16 +422,31 @@ def test_e_fb_tie_goes_to_the_smaller_round_count(monkeypatch):
     first."""
     from awgn_feedback import feedback
 
-    def inner(snr, bsnr, dsnr, rate_bits, rounds):
-        if rounds == 2:
-            # fall behind K = 3..8 so that K = 4 finishes first
-            yield bsnr / 100.0
-        value = 1.0 if rounds in (2, 4) else 0.0
-        return value * 2.0 * rounds, float(rounds)
+    def inner(snr, bsnr, dsnr, rate_bits, rounds, best_val=-math.inf, best_k=0):
+        return (1.0 if rounds in (2, 4) else 0.0), float(rounds), 1
 
+    monkeypatch.setattr(feedback, "_first_guess", lambda *args: 4)
     monkeypatch.setattr(feedback, "_inner_optimum", inner)
     res = e_fb(P20_30, 1.0, k_max=8)
     assert (res.e_fb, res.k_star, res.l_star) == (1.0, 2, 2.0)
+
+
+@pytest.mark.parametrize("snr_db, dsnr_db", [(20.0, 30.0), (3.0, 33.0), (40.0, 40.0)])
+def test_e_fb_does_not_depend_on_the_first_round_count(monkeypatch, snr_db, dsnr_db):
+    """Whichever K runs first and sets the incumbent, every field of the
+    result keeps its bits."""
+    from awgn_feedback import feedback
+
+    p = ChannelParams.from_snrs(10.0 ** (snr_db / 10.0), 10.0 ** (dsnr_db / 10.0))
+    for x in (0.0, 0.5, 0.9):
+        rate = x * capacity(p.snr)
+        with warnings.catch_warnings():
+            # the argmax sits at k_max = 64 at 3 dB
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = repr(e_fb(p, rate))
+            for k0 in range(1, 65):
+                monkeypatch.setattr(feedback, "_first_guess", lambda *args: k0)
+                assert repr(e_fb(p, rate)) == expected, (x, k0)
 
 
 def _bits(f, *args):
@@ -545,6 +612,8 @@ def test_region_assumptions_boundary_cases():
 def test_region_assumptions_false_outside_domain():
     assert not region_assumptions_hold(P20_30, 0.0, 5, 0.5)
     assert not region_assumptions_hold(P20_30, 0.0, 5, P20_30.bsnr + 1.0)
+    for looseness in (math.inf, -math.inf, math.nan):
+        assert not region_assumptions_hold(P20_30, 0.0, 5, looseness)
     # a boosted SNR beyond the float range has an unbounded critical rate
     assert region_assumptions_hold(P20_30, 1.0, 200, 5.0)
 
@@ -556,6 +625,36 @@ def test_region_assumptions_raise_on_invalid_link_rate_or_rounds():
         region_assumptions_hold(P20_30, -0.1, 5, 5.0)
     with pytest.raises(ValueError, match="rounds must be >= 1"):
         region_assumptions_hold(P20_30, 0.0, 0, 5.0)
+
+
+def _checked_region_anchor(p):
+    """_region_anchor's scan through the checked public functions."""
+    k_real = kstar_zero_rate(p.dsnr)
+    candidates = sorted({max(2, math.floor(k_real)), max(2, math.ceil(k_real))})
+    cap = capacity(p.snr)
+    for i in range(999, 0, -1):
+        rate = cap * (i / 1000.0)
+        feasible = [
+            (high_snr_bound(p, rate, k), k, balance_looseness(p, rate, k))
+            for k in candidates
+            if region_assumptions_hold(p, rate, k, balance_looseness(p, rate, k))
+        ]
+        if feasible:
+            _, k, l_star = max(feasible)
+            return rate, k, l_star
+    raise ValueError("no rate qualifies")
+
+
+@pytest.mark.parametrize(
+    "snr, dsnr",
+    [(100.0, 1000.0), (10.0, 100.0), (1000.0, 1000.0), (1e4, 1e4),
+     (316.0, 3162.0), (50.0, 700.0), (3.0, 2000.0), (1e6, 2.5)],
+)
+def test_region_anchor_matches_checked_scan_bitwise(snr, dsnr):
+    p = ChannelParams.from_snrs(snr, dsnr)
+    rate, k, l_star = _region_anchor.__wrapped__(p)
+    c_rate, c_k, c_l_star = _checked_region_anchor(p)
+    assert (rate.hex(), k, l_star.hex()) == (c_rate.hex(), c_k, c_l_star.hex())
 
 
 def test_out_of_region_continuity_at_boundary():
