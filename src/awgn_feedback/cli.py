@@ -320,10 +320,7 @@ def cmd_simulate(args) -> int:
 # ENTRY POINT
 # =============================================================================
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process and shared by every
-    call of :func:`main`; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="awgn-feedback",
         description="Error exponents and Monte-Carlo simulation of AWGN "
@@ -366,8 +363,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # main's parser, built once per process; parsing leaves it unchanged
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:  # ConfigError included

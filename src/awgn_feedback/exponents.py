@@ -18,11 +18,14 @@ Checked shells and kernels
 --------------------------
 Each formula lives in one private kernel (``_capacity``, ``_critical_rate``,
 ``_expurgation_rate``, ``_expurgation``, ``_random_coding``,
-``_sphere_packing``, the region dispatch ``_gallager`` and ``_poltyrev``)
-that trusts its arguments.  Each public function checks its arguments, then
-calls its kernel, so checked and unchecked callers get the same bits.  Inner
-loops that have validated their inputs once (the optimizer in
-:mod:`.feedback`) call the kernels directly.
+``_sphere_packing``, the region dispatch ``_gallager``, ``_poltyrev`` and
+the decoder's clamped exponent ``_decode_exponent``) that trusts its
+arguments.  Each public function checks its arguments, then calls its
+kernel, so checked and unchecked callers get the same bits.  Inner loops
+that have validated their inputs once (the optimizer in :mod:`.feedback`)
+call the kernels directly; ``_decode_exponent_hoisted`` takes the
+rate-only factors of the expurgation exponent (``_expurgation_terms``) from
+a caller that evaluates many snrs at one rate.
 """
 
 from __future__ import annotations
@@ -239,12 +242,19 @@ def expurgation_exp(snr: float, rate_bits: float) -> float:
     at R = 0 (returns snr/4) and loses nothing as u -> 0.
     """
     snr = real("snr", snr, above=0.0)
-    return _expurgation(snr, real("rate", rate_bits, at_least=0.0))
+    rate_bits = real("rate", rate_bits, at_least=0.0)
+    return _expurgation(snr, *_expurgation_terms(rate_bits))
 
 
-def _expurgation(snr: float, rate_bits: float) -> float:
+def _expurgation_terms(rate_bits: float) -> tuple[float, float]:
+    # the factors of the expurgation exponent that depend on the rate alone:
+    # u = 2^{-2R} and 1 + sqrt(1 - u)
     u = math.exp(-2.0 * rate_nats(rate_bits))
-    return 0.25 * snr * u / (1.0 + math.sqrt(1.0 - u))
+    return u, 1.0 + math.sqrt(1.0 - u)
+
+
+def _expurgation(snr: float, u: float, den: float) -> float:
+    return 0.25 * snr * u / den
 
 
 def gallager_exp(snr: float, rate_bits: float) -> tuple[float, ExponentRegion]:
@@ -263,7 +273,30 @@ def gallager_exp(snr: float, rate_bits: float) -> tuple[float, ExponentRegion]:
 def _gallager(snr: float, rate_bits: float) -> tuple[float, ExponentRegion]:
     # R_cr is only computed for rates above R_ex
     if rate_bits <= _expurgation_rate(snr):
-        return _expurgation(snr, rate_bits), ExponentRegion.EXPURGATION
+        u, den = _expurgation_terms(rate_bits)
+        return _expurgation(snr, u, den), ExponentRegion.EXPURGATION
     if rate_bits <= _critical_rate(snr):
         return _random_coding(snr, rate_bits), ExponentRegion.RANDOM_CODING
     return _sphere_packing(snr, rate_bits), ExponentRegion.SPHERE_PACKING
+
+
+def _decode_exponent(snr: float, rate_bits: float) -> float:
+    """Reliability exponent of a decoder at a positive snr and a nonnegative
+    rate: :func:`gallager_exp`'s value below capacity, 0 at or above it (no
+    reliable decoding, so clamp instead of raising), and inf at snr = inf,
+    the limit of the expurgation exponent as the snr grows."""
+    return _decode_exponent_hoisted(snr, rate_bits, *_expurgation_terms(rate_bits))
+
+
+def _decode_exponent_hoisted(
+    snr: float, rate_bits: float, u: float, den: float
+) -> float:
+    # _decode_exponent with u, den = _expurgation_terms(rate_bits) passed in,
+    # so a caller that holds the rate fixed across many snrs computes them once
+    if snr == math.inf:
+        return math.inf
+    if rate_bits >= _capacity(snr):
+        return 0.0
+    if rate_bits <= _expurgation_rate(snr):
+        return _expurgation(snr, u, den)
+    return _gallager(snr, rate_bits)[0]

@@ -28,10 +28,9 @@ an upper bound on its value cannot beat the incumbent: bsnr/(16K) before
 its looseness bisection starts, and the modulo exponent at the bracket's
 upper end b, over 2K, after each bisection step that lowers b.  A K's
 bisection path does not depend on the incumbent, so the result is bit for
-bit that of the full scan (the argument is in :func:`e_fb`).  Each
-bisection step evaluates the gap between the two exponents in one fused
-expression: the kernels' arithmetic in the kernels' order, with the terms
-that depend only on K computed once per K.
+bit that of the full scan (the argument is in :func:`e_fb`).  The factors
+of the decode exponent that depend only on K (through the rate K*R) are
+computed once per K and passed to the decode kernel.
 """
 
 from __future__ import annotations
@@ -44,12 +43,12 @@ from dataclasses import dataclass
 
 from ._checks import count, number, real
 from .exponents import (
-    _capacity,
     _critical_rate,
-    _gallager,
+    _decode_exponent,
+    _decode_exponent_hoisted,
+    _expurgation_terms,
     _poltyrev,
     capacity,
-    rate_nats,
 )
 
 __all__ = [
@@ -207,18 +206,6 @@ def _check_looseness(looseness: float, bsnr: float) -> float:
     return looseness
 
 
-def _decode_exponent(snr: float, rate_bits: float) -> float:
-    # reliability exponent of the terminal decoder at a positive snr and a
-    # nonnegative rate; no reliable decoding at or above capacity, so clamp
-    # to 0 instead of raising.  A boosted snr beyond the float range gives
-    # inf, the limit of the expurgation exponent as snr grows.
-    if snr == math.inf:
-        return math.inf
-    if rate_bits >= _capacity(snr):
-        return 0.0
-    return _gallager(snr, rate_bits)[0]
-
-
 def _inner_optimum(
     snr: float, bsnr: float, dsnr: float, rate_bits: float, rounds: int,
     best_val: float = -math.inf, best_k: int = 0,
@@ -228,58 +215,45 @@ def _inner_optimum(
     The decode exponent falls with L (less SNR growth) while the modulo
     exponent rises with L (coarser lattice, rarer wraps), so the min peaks
     where they cross, found by bisection on their gap, or at an end of
-    (1, bsnr).  Returns (value, looseness, gap evaluations).  Each step that
+    (1, bsnr).  Returns (value, looseness, evaluations), counting the
+    looseness values at which both exponents were computed.  Each step that
     lowers the bracket's upper end b bounds the value by modulo(b)/(2K), as
     the looseness returned never exceeds b and the modulo exponent is
     non-decreasing; once that bound is below best_val, or equal to it at a
-    larger K, the search returns (bound, None, gap evaluations).  Unchecked:
+    larger K, the search returns (bound, None, evaluations).  Unchecked:
     the caller has validated the link SNRs, the rate and the interval ends.
     """
     lo = 1.0 + _L_EDGE
     hi = bsnr * (1.0 - _L_EDGE)
     rate_k = rounds * rate_bits
     two_k = 2.0 * rounds
+    u, den = _expurgation_terms(rate_k)
 
     def decode(L: float) -> float:
-        return _decode_exponent(_effective_snr(snr, bsnr, dsnr, L, rounds), rate_k)
+        snr_k = _effective_snr(snr, bsnr, dsnr, L, rounds)
+        return _decode_exponent_hoisted(snr_k, rate_k, u, den)
 
-    evals = 2
+    evals = 1
     if decode(hi) - _poltyrev(hi) >= 0.0:
         l_opt = hi
     else:
-        # gap(mid) fused: the kernels' arithmetic, in the kernels' order
-        k1 = rounds - 1
-        u = math.exp(-2.0 * rate_nats(rate_k))
-        den = 1.0 + math.sqrt(1.0 - u)
         a, b = lo, hi
         while b - a > _L_TOL * a:
             mid = 0.5 * (a + b)
             evals += 1
-            g = 1.0 + snr * (1.0 - mid / bsnr) / (1.0 + mid / dsnr)
-            try:
-                s = snr * g ** k1
-            except OverflowError:
-                s = math.inf
-            mod = 0.125 * mid if mid > 4.0 else _poltyrev(mid)
-            if s == math.inf:
-                dec = math.inf
-            elif rate_k >= 0.5 * math.log2(1.0 + s):
-                dec = 0.0
-            elif rate_k <= 0.5 * math.log2(0.5 + 0.5 * math.hypot(1.0, 0.5 * s)):
-                dec = 0.25 * s * u / den
-            else:
-                dec = _gallager(s, rate_k)[0]
-            if dec - mod > 0.0:
+            mod = _poltyrev(mid)
+            if decode(mid) - mod > 0.0:
                 a = mid
                 continue
             b = mid
             bound = mod / two_k
             if bound < best_val or (bound == best_val and rounds > best_k):
-                return bound, None, evals - 1
+                return bound, None, evals
         l_opt = 0.5 * (a + b)
     if decode(lo) - _poltyrev(lo) <= 0.0:
         l_opt = lo
-    return min(decode(l_opt), _poltyrev(l_opt)) / two_k, l_opt, evals
+    # evaluations at lo and l_opt
+    return min(decode(l_opt), _poltyrev(l_opt)) / two_k, l_opt, evals + 2
 
 
 def _first_guess(bsnr: float, dsnr: float, rate_bits: float, k_max: int) -> int:
