@@ -74,14 +74,18 @@ def _db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
+def _params_from_db(snr_db: float, dsnr_db: float) -> ChannelParams:
+    # inf dB is a noiseless link
+    return ChannelParams.from_snrs(_db_to_linear(snr_db), _db_to_linear(dsnr_db))
+
+
 # =============================================================================
 # EXPONENTS SWEEP
 # =============================================================================
 
 def _sweep_rows(snr_db: float, dsnr_db: float, grid: int, fig1: bool):
     snr = _db_to_linear(snr_db)
-    dsnr = _db_to_linear(dsnr_db)
-    params = ChannelParams.from_snrs(snr, dsnr)
+    params = _params_from_db(snr_db, dsnr_db)
     cap = capacity(snr)
 
     if fig1:
@@ -149,7 +153,7 @@ def _report(pairs) -> None:
 
 def cmd_optimize(args) -> int:
     snr = _db_to_linear(args.snr_db)
-    params = ChannelParams.from_snrs(snr, _db_to_linear(args.dsnr_db))
+    params = _params_from_db(args.snr_db, args.dsnr_db)
     res = e_fb(params, args.rate)
     _report([
         ("snr_db", args.snr_db),
@@ -169,7 +173,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_bound(args) -> int:
     snr = _db_to_linear(args.snr_db)
-    params = ChannelParams.from_snrs(snr, _db_to_linear(args.dsnr_db))
+    params = _params_from_db(args.snr_db, args.dsnr_db)
     bound = high_snr_bound(params, args.rate, args.rounds)
     l_star = balance_looseness(params, args.rate, args.rounds)
     _report([
@@ -251,13 +255,9 @@ def parse_config(text: str) -> dict:
 
 
 def config_to_scheme(cfg: dict, seed_override: int | None = None) -> SchemeConfig:
-    # inf dB is a noiseless link
-    params = ChannelParams.from_snrs(
-        _db_to_linear(cfg["snr_db"]), _db_to_linear(cfg["dsnr_db"])
-    )
     seed = cfg["seed"] if seed_override is None else seed_override
     return SchemeConfig(
-        params=params,
+        params=_params_from_db(cfg["snr_db"], cfg["dsnr_db"]),
         rounds=cfg["rounds"],
         looseness=cfg["looseness"],
         lattice=make_lattice(cfg["lattice"], cfg["dimension"]),

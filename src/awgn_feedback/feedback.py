@@ -393,12 +393,17 @@ def balance_looseness(params: ChannelParams, rate_bits: float, rounds: int) -> f
         L* = bsnr / (1 + (dsnr / (2 * eta(R*K)))**(1/K)),
 
     which this returns.  L* < bsnr always; it also stays above 1 whenever
-    the high-SNR regime of :func:`region_assumptions_hold` applies.
+    the high-SNR regime of :func:`region_assumptions_hold` applies.  Past
+    R*K ~ 1074 bits eta(R*K) is 0 in floats and this raises ValueError.
     """
     _require_noisy(params)
     rate_bits = real("rate", rate_bits, at_least=0.0)
     rounds = count("rounds", rounds)
-    return _balance_looseness(params.bsnr, params.dsnr, rate_bits, rounds)
+    try:
+        return _balance_looseness(params.bsnr, params.dsnr, rate_bits, rounds)
+    except ZeroDivisionError:
+        raise ValueError(f"rate {rate_bits} over {rounds} rounds is beyond the "
+                         f"closed form: eta(rate * rounds) underflows to 0") from None
 
 
 def _balance_looseness(

@@ -62,12 +62,9 @@ __all__ = [
     "SchemeConfig",
     "SimulationSummary",
     "TrialRecord",
-    "alpha_coefficient",
     "estimate_error_prob",
-    "gamma_coefficient",
     "run_coupled_trial",
     "run_trial",
-    "wiener_update",
     "wilson_interval",
 ]
 
@@ -101,59 +98,6 @@ _DECODE_SCREEN_TOL = 1e-13
 
 
 # =============================================================================
-# COEFFICIENTS AND THE VARIANCE RECURSION
-# =============================================================================
-
-def alpha_coefficient(params: ChannelParams, looseness: float) -> float:
-    """Forward rescale sqrt(L*P/P~) putting the reconstruction at power P."""
-    looseness = real("looseness", looseness, above=0.0)
-    return math.sqrt(looseness * params.p / params.p_tilde)
-
-
-def gamma_coefficient(
-    params: ChannelParams, looseness: float, sigma_k2: float
-) -> float:
-    """Feedback scale making P~ / (gamma^2 sigma_k^2 + fb noise var) = L."""
-    sigma_k2 = real("sigma_k2", sigma_k2, above=0.0)
-    looseness = real("looseness", looseness, above=0.0)
-    num = params.p_tilde / looseness - params.sigma2_tilde
-    if num <= 0.0:
-        raise ValueError(
-            f"looseness {looseness} leaves no signal power on the feedback link "
-            f"(needs L < bsnr = {params.bsnr})"
-        )
-    return math.sqrt(num / sigma_k2)
-
-
-def wiener_update(
-    sigma_k2: float, params: ChannelParams, looseness: float
-) -> tuple[float, float]:
-    """One MMSE correction round: returns (beta_next, sigma_next^2).
-
-    beta_next scales the received correction, sigma_next^2 is the new
-    estimation-error variance sigma_k^2 * (1 + L/dsnr) / (1 + snr).  With a
-    noiseless feedback link and looseness 0 this degenerates to the classic
-    exact-feedback recursion sigma_k^2 / (1 + snr).
-    """
-    sigma_k2 = real("sigma_k2", sigma_k2, above=0.0)
-    looseness = real("looseness", looseness, at_least=0.0)
-    if looseness == 0.0:
-        if params.sigma2_tilde != 0.0:
-            raise ValueError("looseness 0 is defined only for noiseless feedback")
-        ag = math.sqrt(params.p / sigma_k2)
-        a2s = 0.0
-    else:
-        ag = alpha_coefficient(params, looseness) * gamma_coefficient(
-            params, looseness, sigma_k2
-        )
-        a2s = (looseness * params.p / params.p_tilde) * params.sigma2_tilde
-    denom = ag * ag * sigma_k2 + a2s + params.sigma2
-    beta = ag * sigma_k2 / denom
-    sigma_next = sigma_k2 * (params.sigma2 + a2s) / denom
-    return beta, sigma_next
-
-
-# =============================================================================
 # CONFIGURATION
 # =============================================================================
 
@@ -163,12 +107,12 @@ class SchemeConfig:
 
     The lattice passed in is rescaled so its dither power equals the
     feedback power budget.  The gamma/beta/variance schedule is fixed by the
-    parameters alone (it never adapts to data), so it is computed once here;
-    construction fails, rather than any trial, if a round's gamma would not
-    be real.  ``codebook`` may be 'pam' (scalar lattices only), 'gaussian'
-    (dimension >= 2), or 'auto' to pick by dimension.  ``rounds``,
-    ``rate_bits``, ``master_seed`` and ``looseness`` are stored as the int
-    or float their check makes of them.
+    parameters alone (it never adapts to data), so it is computed once here
+    (see ``_build_schedule``); construction fails, rather than any trial, if
+    a correction round has no finite real gain.  ``codebook`` may be 'pam'
+    (scalar lattices only), 'gaussian' (dimension >= 2), or 'auto' to pick
+    by dimension.  ``rounds``, ``rate_bits``, ``master_seed`` and
+    ``looseness`` are stored as the int or float their check makes of them.
     """
 
     params: ChannelParams
@@ -183,7 +127,7 @@ class SchemeConfig:
     exact_feedback: bool = field(init=False, repr=False)
     m_codewords: int = field(init=False, repr=False)
     realized_rate_bits: float = field(init=False, repr=False)
-    alpha: float = field(init=False, repr=False)
+    alpha: float = field(init=False, repr=False)  # sqrt(L P / P~), 0 if exact
     gains: tuple = field(init=False, repr=False)
     betas: tuple = field(init=False, repr=False)
     sigmas2: tuple = field(init=False, repr=False)
@@ -207,10 +151,10 @@ class SchemeConfig:
             ("master_seed", count("master_seed", self.master_seed, 0, 1 << 64)),
             ("looseness", loose if exact else _check_looseness(loose, p.bsnr)),
             ("exact_feedback", exact),
+            ("alpha", 0.0 if exact else math.sqrt(loose * p.p / p.p_tilde)),
         ):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "lattice", scale_to_power(self.lattice, p.p_tilde))
-        object.__setattr__(self, "alpha", 0.0 if exact else alpha_coefficient(p, loose))
 
         self._build_codebook()
         self._build_schedule()
@@ -269,6 +213,10 @@ class SchemeConfig:
     # -- gamma/beta/variance schedule ------------------------------------
 
     def _build_schedule(self) -> None:
+        """Round k = 2..K feeds gamma_k eps_k back with gamma_k^2 sigma_k^2 =
+        P~/L - sigma~^2 (P if exact), A resends it times alpha (as is if
+        exact), and B corrects by beta_k, so that
+        sigma_{k+1}^2 = sigma_k^2 (1 + L/dsnr) / (1 + snr)."""
         p = self.params
         steps = self.rounds - 1
         if p.sigma2 == 0.0:
@@ -278,17 +226,28 @@ class SchemeConfig:
             object.__setattr__(self, "betas", (0.0,) * steps)
             object.__setattr__(self, "sigmas2", (0.0,) * self.rounds)
             return
-        gains = []
-        betas = []
-        sigmas = [p.sigma2]
+        # num = gamma_k^2 sigma_k^2; a2s = alpha^2 sigma~^2, resent fb noise
+        if self.exact_feedback:
+            num, a2s, alpha = p.p, 0.0, 1.0
+        else:
+            num = p.p_tilde / self.looseness - p.sigma2_tilde
+            a2s = (self.looseness * p.p / p.p_tilde) * p.sigma2_tilde
+            alpha = self.alpha
+        if steps and num <= 0.0:
+            raise ValueError(f"looseness {self.looseness} leaves no signal power on "
+                             f"the feedback link (needs L < bsnr = {p.bsnr})")
         s = p.sigma2
-        for _ in range(steps):
-            if self.exact_feedback:
-                gains.append(math.sqrt(p.p / s))
-            else:
-                gains.append(gamma_coefficient(p, self.looseness, s))
-            b, s = wiener_update(s, p, self.looseness)
-            betas.append(b)
+        gains, betas, sigmas = [], [], [s]
+        for k in range(2, self.rounds + 1):
+            if not 0.0 < s < math.inf:
+                raise ValueError(f"round {k} has no finite gain: the estimation-"
+                                 f"error variance before it is {s!r}; use fewer rounds")
+            g = math.sqrt(num / s)
+            ag = alpha * g
+            denom = ag * ag * s + a2s + p.sigma2
+            gains.append(g)
+            betas.append(ag * s / denom)
+            s = s * (p.sigma2 + a2s) / denom
             sigmas.append(s)
         object.__setattr__(self, "gains", tuple(gains))
         object.__setattr__(self, "betas", tuple(betas))

@@ -293,6 +293,17 @@ def test_bound_rejects_single_round(capsys):
     assert code == 3
 
 
+def test_bound_past_the_closed_form_is_a_domain_error(capsys):
+    """eta(R K) underflows to 0 at R K = 1280 bits: no closed form there."""
+    code, out, err = run_main(
+        ["bound", "--snr-db", "3000", "--dsnr-db", "10", "--rate", "20",
+         "--rounds", "64"],
+        capsys,
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("error: rate 20.0 ")
+
+
 # -----------------------------------------------------------------------------
 # simulate
 # -----------------------------------------------------------------------------
@@ -392,6 +403,20 @@ def test_simulate_zero_snr_is_a_domain_error(tmp_path, capsys):
     )
     assert (code, out) == (3, "")
     assert "snr must be positive" in err
+
+
+def test_simulate_underflowing_schedule_is_a_domain_error(tmp_path, capsys):
+    """Exact feedback at 120 dB drives sigma_k^2 to 0 well before round 40."""
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text(
+        "snr_db = 120\ndsnr_db = inf\nrounds = 40\nlooseness = 0\n"
+        "rate_bits = 0\n"
+    )
+    code, out, err = run_main(
+        ["simulate", "--config", str(cfg), "--trials", "10"], capsys
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("error: round ") and "has no finite gain" in err
 
 
 def test_simulate_dimension_conflict(tmp_path, capsys):

@@ -28,7 +28,7 @@ from awgn_feedback import (
     region_boundaries,
 )
 from awgn_feedback.exponents import _decode_exponent
-from awgn_feedback.feedback import _region_anchor
+from awgn_feedback.feedback import _eta, _region_anchor
 
 P20_30 = ChannelParams.from_snrs(100.0, 1000.0)
 
@@ -571,6 +571,15 @@ def test_high_snr_bound_frozen():
     assert high_snr_bound(P20_30, 0.0, 5) == pytest.approx(
         L / (16.0 * 5), rel=1e-14
     )
+
+
+def test_closed_form_past_eta_underflow_names_the_rate():
+    """eta(R K) is 0 in floats beyond R K ~ 1075 bits; the rate is valid."""
+    p = ChannelParams.from_snrs(1e300, 10.0)
+    assert _eta(20.0 * 64) == 0.0 and 20.0 < capacity(p.snr)
+    for f in (balance_looseness, high_snr_bound):
+        with pytest.raises(ValueError, match="^rate 20.0 over 64 rounds"):
+            f(p, 20.0, 64)
 
 
 def test_high_snr_bound_needs_multiple_rounds():

@@ -26,13 +26,7 @@ from awgn_feedback import (
     wz_receive,
 )
 from awgn_feedback import sim
-from awgn_feedback.sim import (
-    _decode_index,
-    _run_block,
-    alpha_coefficient,
-    gamma_coefficient,
-    wiener_update,
-)
+from awgn_feedback.sim import _decode_index, _run_block
 
 P = ChannelParams.from_snrs(100.0, 1000.0)
 NOISELESS_FB = ChannelParams(p=1.0, p_tilde=1.0, sigma2=0.01, sigma2_tilde=0.0)
@@ -52,14 +46,15 @@ def make_config(**kw):
 
 
 # -----------------------------------------------------------------------------
-# coefficients and the variance recursion
+# the gamma/beta/variance schedule
 # -----------------------------------------------------------------------------
 
 def test_gamma_sets_feedback_power_budget():
-    """gamma^2 sigma_k^2 + fb noise variance == P~ / L exactly."""
+    """gamma_k^2 sigma_k^2 + fb noise variance == P~ / L at every round."""
     for L in (1.0, 40.0, 5000.0):
-        for s in (1e-6, 0.01, 0.5):
-            g = gamma_coefficient(P, L, s)
+        cfg = make_config(rounds=6, looseness=L)
+        assert len(cfg.gains) == 5
+        for g, s in zip(cfg.gains, cfg.sigmas2):
             assert g * g * s + P.sigma2_tilde == pytest.approx(
                 P.p_tilde / L, rel=1e-12
             )
@@ -67,32 +62,142 @@ def test_gamma_sets_feedback_power_budget():
 
 def test_alpha_restores_forward_power():
     for L in (1.0, 40.0, 5000.0):
-        a = alpha_coefficient(P, L)
+        a = make_config(looseness=L).alpha
         # alpha^2 * (P~/L) == P
         assert a * a * P.p_tilde / L == pytest.approx(P.p, rel=1e-12)
 
 
 def test_gamma_domain():
-    with pytest.raises(ValueError):
-        gamma_coefficient(P, P.bsnr, 0.01)  # budget fully eaten by noise
-    with pytest.raises(ValueError):
-        gamma_coefficient(P, 40.0, 0.0)
+    """No feedback power left (num <= 0) fails only if a round needs gamma."""
+    params = ChannelParams.from_snrs(10.0, 100.0)
+    L = math.nextafter(params.bsnr, 0.0)  # P~/L - fb noise var rounds to 0
+    assert params.p_tilde / L - params.sigma2_tilde <= 0.0
+    cfg = make_config(params=params, rounds=1, looseness=L)
+    assert cfg.gains == cfg.betas == ()
+    with pytest.raises(ValueError, match="no signal power"):
+        make_config(params=params, rounds=2, looseness=L)
+
+
+@pytest.mark.parametrize("looseness", [0.0, 2.0])
+def test_schedule_underflow_names_the_round(looseness):
+    """A variance that underflows to 0 stops construction at its round."""
+    params = ChannelParams(1.0, 1.0, 1e-12, 1e-16 if looseness else 0.0)
+    with pytest.raises(ValueError, match=r"^round (\d+) has no finite gain") as e:
+        make_config(params=params, rounds=100, looseness=looseness,
+                    rate_bits=0.0)
+    k = int(e.value.args[0].split()[1])
+    # the schedule of k - 1 rounds builds, and its last variance is 0
+    cfg = make_config(params=params, rounds=k - 1, looseness=looseness,
+                      rate_bits=0.0)
+    assert cfg.sigmas2[-1] == 0.0 < cfg.sigmas2[-2]
 
 
 def test_wiener_update_contraction():
-    s = P.sigma2
+    """sigma_{k+1}^2 / sigma_k^2 == (1 + L/dsnr) / (1 + snr) every round."""
     for L in (1.0, 40.0, 2e4):
-        _, s_next = wiener_update(s, P, L)
-        assert s_next == pytest.approx(
-            s * (1.0 + L / P.dsnr) / (1.0 + P.snr), rel=1e-12
-        )
+        cfg = make_config(rounds=4, looseness=L)
+        for s, s_next in zip(cfg.sigmas2, cfg.sigmas2[1:]):
+            assert s_next == pytest.approx(
+                s * (1.0 + L / P.dsnr) / (1.0 + P.snr), rel=1e-12
+            )
 
 
 def test_wiener_update_exact_feedback_limit():
-    _, s_next = wiener_update(0.01, NOISELESS_FB, 0.0)
-    assert s_next == pytest.approx(0.01 / (1.0 + 100.0), rel=1e-12)
+    cfg = make_config(params=NOISELESS_FB, rounds=4, looseness=0.0)
+    for s, s_next in zip(cfg.sigmas2, cfg.sigmas2[1:]):
+        assert s_next == pytest.approx(s / (1.0 + 100.0), rel=1e-12)
     with pytest.raises(ValueError):
-        wiener_update(0.01, P, 0.0)  # noisy link cannot use looseness 0
+        make_config(looseness=0.0)  # noisy link cannot use looseness 0
+
+
+# float.hex of (alpha, gains, betas, sigmas2), recorded before the schedule
+# was folded into one loop: a reordered floating-point operation moves them
+SCHEDULE_BITS = {
+    "noisy K=3 L=40": (
+        (P, 3, 40.0),
+        "0x1.94c583ada5b53p+2",
+        ("0x1.94b0c9b9e3616p+0", "0x1.f28383c623cfap+3"),
+        ("0x1.9576a3d5e65b6p-4", "0x1.4927238dc4e77p-7"),
+        ("0x1.47ae147ae147bp-7", "0x1.afe383b994cc2p-14",
+         "0x1.1c9e73661fc08p-20"),
+    ),
+    "noisy K=5 L=200": (
+        (P, 5, 200.0),
+        "0x1.c48c6001f0ac0p+3",
+        ("0x1.69ad2bf6e92d3p-1", "0x1.9ec366f7e30a2p+2",
+         "0x1.dba467d161517p+5", "0x1.10ba7cb4ff9fbp+9"),
+        ("0x1.952388d9c6488p-4", "0x1.6148a981f1c4cp-7",
+         "0x1.3410e1b95d7d8p-10", "0x1.0ca2b8a7c0752p-13"),
+        ("0x1.47ae147ae147bp-7", "0x1.f255493897ff8p-14",
+         "0x1.7aee38b0dd052p-20", "0x1.2023258801ca2p-26",
+         "0x1.b63268ba8fa5ep-33"),
+    ),
+    "noisy K=2 L=1": (
+        (P, 2, 1.0),
+        "0x1.0000000000000p+0",
+        ("0x1.3fff972463258p+3",),
+        ("0x1.958ae3081843cp-4",),
+        ("0x1.47ae147ae147bp-7", "0x1.9fb161fc38d16p-14"),
+    ),
+    "noisy K=8 L=2.5": (
+        (ChannelParams.from_snrs(1000.0, 31.6), 8, 2.5),
+        "0x1.94c583ada5b53p+0",
+        ("0x1.3ffcc269fa08dp+4", "0x1.308e2a6277259p+9",
+         "0x1.21de18c2636f4p+14", "0x1.13e35d4c5bbd0p+19",
+         "0x1.06953933f644dp+24", "0x1.f3d6b34a68035p+28",
+         "0x1.dbbba51efb03dp+33"),
+        ("0x1.02c8e59c627dfp-5", "0x1.0fe5c4ffc2a3fp-10",
+         "0x1.1dacbca8c9e1cp-15", "0x1.2c266b01c3e28p-20",
+         "0x1.3b5bde41e4f2cp-25", "0x1.4b569a178739ep-30",
+         "0x1.5c209d9be3fd2p-35"),
+        ("0x1.0624dd2f1a9fcp-10", "0x1.21620fe838743p-20",
+         "0x1.3f73d6299f494p-30", "0x1.60a57a24c27f2p-40",
+         "0x1.854a18ccf479ep-50", "0x1.adbd71f206dd3p-60",
+         "0x1.da64cdfa9dec2p-70", "0x1.05d7fdbeb61a2p-79"),
+    ),
+    "noisy K=3 L=nextafter(bsnr)": (
+        (P, 3, math.nextafter(P.bsnr, 0.0)),
+        "0x1.3c3a4edfa9758p+8",
+        ("0x1.c48c6001f0ac0p-32", "0x1.c48c6001f0ac0p-32"),
+        ("0x1.623a84e81c456p-30", "0x1.623a84e81c455p-30"),
+        ("0x1.47ae147ae147bp-7", "0x1.47ae147ae147ap-7",
+         "0x1.47ae147ae1479p-7"),
+    ),
+    "exact K=4": (
+        (NOISELESS_FB, 4, 0.0),
+        "0x0.0p+0",
+        ("0x1.4000000000000p+3", "0x1.91feb9f2bf46cp+6",
+         "0x1.f900000000000p+9"),
+        ("0x1.958b67ebb907ap-4", "0x1.42d35602dbceep-7",
+         "0x1.00fa8de3f171dp-10"),
+        ("0x1.47ae147ae147bp-7", "0x1.9f471259d3ffap-14",
+         "0x1.07256e7ad2601p-20", "0x1.4d7e032486cfep-27"),
+    ),
+    "noiseless forward K=3 L=40": (
+        (ChannelParams(1.0, 1.0, 0.0, 1e-3), 3, 40.0),
+        "0x1.94c583ada5b53p+2",
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    ),
+    "K=1 L=nextafter(bsnr)": (
+        (ChannelParams.from_snrs(10.0, 100.0), 1, math.nextafter(1000.0, 0.0)),
+        "0x1.f9f6e4990f227p+4",
+        (),
+        (),
+        ("0x1.999999999999ap-4",),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SCHEDULE_BITS))
+def test_schedule_bits_pinned(case):
+    (params, rounds, L), alpha, gains, betas, sigmas2 = SCHEDULE_BITS[case]
+    cfg = make_config(params=params, rounds=rounds, looseness=L)
+    assert cfg.alpha.hex() == alpha
+    assert tuple(g.hex() for g in cfg.gains) == gains
+    assert tuple(b.hex() for b in cfg.betas) == betas
+    assert tuple(s.hex() for s in cfg.sigmas2) == sigmas2
 
 
 # -----------------------------------------------------------------------------
