@@ -71,7 +71,11 @@ def _g17(x: float) -> str:
 
 
 def _db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    # inf dB is inf; a finite value past the float range is a domain error
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ValueError(f"{db} dB is beyond the float range") from None
 
 
 def _params_from_db(snr_db: float, dsnr_db: float) -> ChannelParams:

@@ -10,9 +10,9 @@ Lattice points and modulo residues are plain float ndarrays.
 point per row of the last axis, with one vectorized quantizer per family
 (Conway & Sloane, "Fast quantizing and decoding algorithms for lattice
 quantizers and codes", IEEE T-IT 28(2), 1982): rounding for cZ^n, rounding
-plus one parity-fixing flip for D_n, and the nearer of the D8 and D8 + 1/2
-candidates for E8.  A residue r returned by :func:`modulo` satisfies
-quantize_nn(r) = 0.
+plus one parity-fixing flip for D_n, and for E8 the nearer of the D8 and
+D8 + 1/2 candidates, both found in one D8 pass over the two cosets.  A
+residue r returned by :func:`modulo` satisfies quantize_nn(r) = 0.
 
 The table's second moments are exact closed forms (Conway & Sloane, *Sphere
 Packings, Lattices and Groups*, ch. 21): normalized second moments 1/12 for
@@ -74,9 +74,12 @@ def _quantize_dn(y: np.ndarray) -> np.ndarray:
     """
     f = np.ceil(y - 0.5)
     rows = f.reshape(-1, f.shape[-1])
-    odd = np.flatnonzero(rows.sum(axis=-1) % 2)
+    n = rows.shape[-1]
+    # integer partial sums below 2**53 are exact in any order, so the
+    # parity of this product is the parity of the coordinate sum
+    total = rows @ np.ones(n)
+    odd = np.flatnonzero(total - 2.0 * np.floor(0.5 * total))
     e = y.reshape(rows.shape)[odd] - rows[odd]
-    n = e.shape[-1]
     pen = np.concatenate((1.0 + 2.0 * e, (1.0 - 2.0 * e)[:, ::-1]), axis=-1)
     j = pen.argmin(axis=-1)
     down = j < n
@@ -87,15 +90,16 @@ def _quantize_dn(y: np.ndarray) -> np.ndarray:
 def _quantize_e8(y: np.ndarray) -> np.ndarray:
     """Nearest points of E8 = D8 union (D8 + half), lex tie-break across cosets.
 
-    The two candidates differ in every coordinate, so on a distance tie the
-    lex-smaller one is the one with the smaller first coordinate.
+    One D8 pass quantizes y and y - 1/2 together, one sum gives both
+    cosets' distances.  The two candidates differ in every coordinate, so
+    on a distance tie the lex-smaller one is the one with the smaller first
+    coordinate.
     """
-    q0 = _quantize_dn(y)
-    q1 = 0.5 + _quantize_dn(y - 0.5)
-    d0 = ((y - q0) ** 2).sum(axis=-1)
-    d1 = ((y - q1) ** 2).sum(axis=-1)
-    first = (d0 < d1) | ((d0 == d1) & (q0[..., 0] < q1[..., 0]))
-    return np.where(first[..., None], q0, q1)
+    q = _quantize_dn(np.stack((y, y - 0.5)))
+    q[1] += 0.5
+    d = ((y - q) ** 2).sum(axis=-1)
+    first = (d[0] < d[1]) | ((d[0] == d[1]) & (q[0, ..., 0] < q[1, ..., 0]))
+    return np.where(first[..., None], q[0], q[1])
 
 
 # integer 4-vectors with even coordinate sum

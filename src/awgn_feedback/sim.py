@@ -29,9 +29,12 @@ the systems on every trial, not merely with high probability.
 One engine runs a range of consecutive trials in two steps: :func:`_draw`
 draws the variates of a keyed block, and :func:`_propagate` advances both
 systems of both copies together through the rounds as arrays of shape
-(system, trial, copy, dimension), each modulo map folding its whole array
-in one :func:`~.lattices.modulo` call.  Campaigns reduce block after block
-in trial order; :func:`run_trial` and :func:`run_coupled_trial` run ranges
+(system, trial, copy, dimension).  Each correction round makes one
+:func:`~.lattices.modulo` call, folding the real feedback and both
+systems' residues together, and the final decode runs once per distinct
+estimate: a coupled estimate equal to its real twin (one that never
+aliased) takes the real decode.  Campaigns reduce block after block in
+trial order; :func:`run_trial` and :func:`run_coupled_trial` run ranges
 of one trial.
 
 Randomness: trials are keyed in blocks of B = max(1, 4096 // (2 K n)), a
@@ -402,7 +405,12 @@ def _draw(cfg: SchemeConfig, block: int) -> _Draws:
 
 
 def _propagate(cfg: SchemeConfig, draws: _Draws) -> _Block:
-    """Run real and coupled systems of both copies on the given draws."""
+    """Run real and coupled systems of both copies on the given draws.
+
+    Each correction round folds the real system's feedback and both
+    systems' receiver residues in one modulo call; the decode runs once per
+    distinct final estimate (see :func:`_decode_twins`).
+    """
     lat = cfg.lattice
     steps = cfg.rounds - 1
     msgs, z_fwd, z_fb, dither = draws
@@ -423,10 +431,11 @@ def _propagate(cfg: SchemeConfig, draws: _Draws) -> _Block:
             x = g * eps
         else:
             fb = g * th_hat + dither[:, :, k]
-            fb[_REAL] = modulo(lat, fb[_REAL])
             # dither-cancelled receiver residue: equals the modulo chain
             w = g * eps + z_fb[:, :, k]
-            residue = modulo(lat, w)
+            folded = modulo(lat, np.concatenate((fb[:1], w)))
+            fb[_REAL] = folded[0]
+            residue = folded[1:]
             alias[..., k] = np.any(residue != w, axis=-1)
             live &= ~alias[_REAL, ..., k]
             x = cfg.alpha * np.stack((residue[_REAL], w[_COUPLED]))
@@ -436,8 +445,25 @@ def _propagate(cfg: SchemeConfig, draws: _Draws) -> _Block:
         eps = th_hat - theta
         gap = np.abs(eps[_REAL] - eps[_COUPLED]).max(axis=-1)
         agree &= ~(live & (gap > _AGREEMENT_ATOL))
-    return _Block(msgs, alias, _decode_index(cfg, th_hat), eps, ff_sq, fb_sq,
+    return _Block(msgs, alias, _decode_twins(cfg, th_hat), eps, ff_sq, fb_sq,
                   agree)
+
+
+def _decode_twins(cfg: SchemeConfig, th_hat: np.ndarray) -> np.ndarray:
+    """Decoded index of each (system, trial, copy) estimate.
+
+    A Gaussian decode runs on every real estimate, then only on the coupled
+    estimates that differ from their real twin (those past an aliasing
+    event); the others copy the real decode.  PAM slices the whole array.
+    """
+    if cfg.codebook == "pam":
+        return _decode_index(cfg, th_hat)
+    tr, tc = (t.reshape(-1, cfg.dimension) for t in th_hat)
+    dec = np.empty((2, len(tr)), dtype=np.intp)
+    dec[_REAL] = dec[_COUPLED] = _decode_index(cfg, tr)
+    apart = np.flatnonzero((tr != tc).any(-1))
+    dec[_COUPLED, apart] = _decode_index(cfg, tc[apart])
+    return dec.reshape(th_hat.shape[:-1])
 
 
 def _run_block(cfg: SchemeConfig, start: int, stop: int) -> _Block:

@@ -405,6 +405,32 @@ def test_simulate_zero_snr_is_a_domain_error(tmp_path, capsys):
     assert "snr must be positive" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["exponents", "--snr-db", "4000", "--grid", "3"],
+    ["optimize", "--snr-db", "4000", "--rate", "1"],
+    ["bound", "--snr-db", "4000", "--dsnr-db", "10", "--rate", "1",
+     "--rounds", "4"],
+], ids=lambda argv: argv[0])
+def test_decibels_past_the_float_range_are_a_domain_error(argv, capsys):
+    code, out, err = run_main(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: 4000.0 dB")
+
+
+def test_simulate_decibels_past_the_float_range_are_a_domain_error(
+        tmp_path, capsys):
+    cfg = tmp_path / "loud.cfg"
+    cfg.write_text(
+        "snr_db = 4000\ndsnr_db = 30\nrounds = 3\nlooseness = 4\n"
+        "rate_bits = 1\n"
+    )
+    code, out, err = run_main(
+        ["simulate", "--config", str(cfg), "--trials", "10"], capsys
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("error: 4000.0 dB")
+
+
 def test_simulate_underflowing_schedule_is_a_domain_error(tmp_path, capsys):
     """Exact feedback at 120 dB drives sigma_k^2 to 0 well before round 40."""
     cfg = tmp_path / "deep.cfg"

@@ -19,6 +19,7 @@ from awgn_feedback import (
     region_boundaries,
     sphere_packing_exp,
 )
+from awgn_feedback.exponents import _decode_exponent
 
 SNR = 100.0
 LN2 = math.log(2.0)
@@ -243,3 +244,33 @@ def test_gallager_nonnegative_and_bounded(snr, frac):
     gal, reg = gallager_exp(snr, rate)
     assert 0.0 <= gal <= snr / 4.0 + 1e-12
     assert isinstance(reg, ExponentRegion)
+
+
+@pytest.mark.parametrize("snr_db", [60, 100, 140])
+def test_gallager_meets_poltyrev_at_high_snr(snr_db):
+    """At rate C - delta and high snr, the power-constrained exponent
+    approaches the unconstrained lattice exponent at normalized VNR
+    2**(2 delta) (Poltyrev, IEEE T-IT 40(2), 1994; Erez & Zamir, IEEE T-IT
+    50(10), 2004): over delta in (0, 2] the relative gap shrinks like 1/snr
+    (3.0/snr at 60 and 100 dB), down to rounding (1.4e-12 at 140 dB)."""
+    snr = 10.0 ** (snr_db / 10.0)
+    cap = capacity(snr)
+    gaps = []
+    for i in range(1, 201):
+        delta = i / 100.0
+        ref = poltyrev_exponent(2.0 ** (2.0 * delta))
+        gaps.append(abs(gallager_exp(snr, cap - delta)[0] - ref) / ref)
+    assert max(gaps) <= 3.1 / snr + 2e-12
+
+
+def test_decode_exponent_clamps_at_capacity_and_grows_to_inf():
+    """The decoder exponent e_fb runs on: gallager_exp's value below
+    capacity, 0 at and above it, inf at snr = inf."""
+    for snr in (0.5, 100.0, 1e30):
+        cap = capacity(snr)
+        for rate in (cap, 1.5 * cap, cap + 1.0):
+            assert _decode_exponent(snr, rate) == 0.0
+        for rate in (0.0, 0.01 * cap, 0.5 * cap, 0.99 * cap):
+            assert _decode_exponent(snr, rate) == gallager_exp(snr, rate)[0]
+    for rate in (0.0, 1.0, 1e6):
+        assert _decode_exponent(math.inf, rate) == math.inf

@@ -1,5 +1,6 @@
 """Tests for lattice constructions, quantizers, and dither machinery."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -264,6 +265,54 @@ def test_ties_go_to_lexicographic_minimum(lat):
         ties += len(nearest_points(lat, y)[0]) > 1
     # the tie rule decides a good share of these points
     assert ties > len(pts) // 4
+
+
+# SHA-256 of the quantize_nn then modulo output bytes of 4000 seeded points:
+# normal batches at coordinate spreads 0.5, 3, 1e3 and 1e9 on each lattice at
+# scale 1.3, then a quarter-integer grid (full of facet ties) on the same
+# family at unit scale
+QUANTIZER_DIGESTS = {
+    "cubic": [
+        "48b2b9ca079dae0d9bf50fc648ca410827d7563a70f88696104a6e51c43d679c",
+        "a33ca07864e6e15c39f541545ed286b934b95dc3d0ec0305c48ee1ac1a78baa7",
+        "745272f3318451e6ce9cf37d65eb0db5ec83ee175f417d8abeb4afe9e7a3decd",
+        "73d76fd4f0a6c4e1b8cafcf1c38b3f78a8bb0b8a47232b8205f5e3687f66bbe6",
+        "17ea5d9b288f3db08ae62e11d8ec62c9f823db091821bd93e6ef131a0c5277df",
+    ],
+    "d4": [
+        "348a92af12760882a79652f2bd1e46f5869c9f34205e3ed71c17b16e2640c91f",
+        "a9dc1b2bd86442c9562a9bfa0d4bfa79947b0fa7a7a409088dfcabcaa918f2b7",
+        "ede2edac83e7ee4b4991749cbbf29513797b4a331b59fa56b27b0896a7fb9ab3",
+        "331b795028b8a75a3b8b372825ca147872dcc0c749d4bd61cd4b6ab429668593",
+        "442d0c33a347f88163cde58f7d60b4c7a896eb325c4375f2bb5a0e865614b8ac",
+    ],
+    "e8": [
+        "f1131669c9e553ff257d2e1429e3c26e0edf2eaa189a3e0d9b73311fb5913e73",
+        "9477fac3aa2a43a275c7f39df576f354e408a708cb9e7039176c0f5c988049b5",
+        "95dc756df252e3d89bba5de688bf9d65f194da90e4b2cd3ae2811e316d2fc12f",
+        "5eafe0cc50a95e3ea6d0153be62b4a5fbd63b87ad8405281a1ee547bd4c2e4b7",
+        "f5c9fbca34ff18cc22be0a103d2f6ac64ef03518d3c3bfe28b3d583b0a1fffcf",
+    ],
+}
+
+
+@pytest.mark.parametrize("lat", [cubic_lattice(3, 1.3), d4_lattice(1.3),
+                                 e8_lattice(1.3)], ids=lambda lat: lat.family)
+def test_quantizer_bits_pinned(lat):
+    """quantize_nn and modulo keep their exact output bytes, signed zeros
+    and tie-breaks included."""
+    def digest(lattice, x):
+        h = hashlib.sha256(quantize_nn(lattice, x).tobytes())
+        h.update(modulo(lattice, x).tobytes())
+        return h.hexdigest()
+
+    rng = np.random.default_rng(17)
+    n = lat.dimension
+    got = [digest(lat, spread * rng.standard_normal((4000, n)))
+           for spread in (0.5, 3.0, 1e3, 1e9)]
+    got.append(digest(replace(lat, scale=1.0),
+                      rng.integers(-12, 13, size=(4000, n)) / 4.0))
+    assert got == QUANTIZER_DIGESTS[lat.family]
 
 
 # -----------------------------------------------------------------------------

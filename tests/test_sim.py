@@ -576,6 +576,50 @@ def test_campaign_independent_of_block_size(monkeypatch, kw, trials):
         assert estimate_error_prob(cfg, trials) == ref
 
 
+# the SPLIT_CASES configs and an E8, K = 3 config whose real system
+# misdecodes its 256-word Gaussian codebook after aliasing, with the repr of
+# their campaigns
+TWIN_CASES = [
+    (*SPLIT_CASES[0],
+     "SimulationSummary(trials=1500, rounds=3, alias_counts=((22, 29), (19, 20)),"
+     " dec_errors_coupled=0, dec_errors_real=1, ff_power=0.8555824190572083,"
+     " fb_power=0.9918124344760513, union_agreement=3000, coupled_agreement=3000,"
+     " sigma_k2_hat=1.004901897229691e-06, no_alias_dims=2911,"
+     " realized_rate_bits=0.5283208335737187)"),
+    (*SPLIT_CASES[1],
+     "SimulationSummary(trials=600, rounds=2, alias_counts=((82,), (92,)),"
+     " dec_errors_coupled=0, dec_errors_real=0, ff_power=0.7475773602929521,"
+     " fb_power=1.003216927835773, union_agreement=1200, coupled_agreement=1200,"
+     " sigma_k2_hat=0.00010384778171382737, no_alias_dims=4104,"
+     " realized_rate_bits=0.25)"),
+    (*SPLIT_CASES[2],
+     "SimulationSummary(trials=300, rounds=3, alias_counts=((50, 56), (56, 53)),"
+     " dec_errors_coupled=0, dec_errors_real=0, ff_power=0.9028764617681072,"
+     " fb_power=1.0016773709365592, union_agreement=600, coupled_agreement=600,"
+     " sigma_k2_hat=9.879779073521577e-07, no_alias_dims=3216,"
+     " realized_rate_bits=0.25)"),
+    (dict(params=ChannelParams.from_snrs(30.0, 300.0), lattice=e8_lattice(),
+          rounds=3, rate_bits=1 / 3, looseness=1.2, master_seed=5), 300,
+     "SimulationSummary(trials=300, rounds=3, alias_counts=((51, 58), (57, 52)),"
+     " dec_errors_coupled=0, dec_errors_real=6, ff_power=0.8845383743501196,"
+     " fb_power=1.010162814206324, union_agreement=600, coupled_agreement=600,"
+     " sigma_k2_hat=3.5779402460965715e-05, no_alias_dims=3208,"
+     " realized_rate_bits=0.3333333333333333)"),
+]
+
+
+@pytest.mark.parametrize("kw, trials, pinned", TWIN_CASES,
+                         ids=["z1-pam", "d4-k2", "e8-k3", "e8-k3-256"])
+def test_campaign_bits_pinned_where_the_twins_diverge(kw, trials, pinned):
+    """Campaigns whose real and coupled estimates part after aliasing keep
+    every count and float sum; the parted rows are really there, so their
+    separate decodes run."""
+    cfg = make_config(**kw)
+    block = _run_block(cfg, 0, trials)
+    assert (block.eps[0] != block.eps[1]).any()
+    assert repr(estimate_error_prob(cfg, trials)) == pinned
+
+
 def test_campaign_counts_do_not_depend_on_its_length():
     """The first N trials of a longer campaign are the N-trial campaign."""
     cfg = make_config(looseness=2.0, master_seed=(1 << 63) + 5)
