@@ -24,13 +24,15 @@ through the checked functions would.
 The search over round counts first runs to the end the K that maximizes the
 closed form L*(K)/(16K) of :func:`high_snr_bound`, and takes its value as
 the incumbent.  It then scans K = 1..k_max upward and drops a K as soon as
-an upper bound on its value cannot beat the incumbent: bsnr/(16K) before
-its looseness bisection starts, and the modulo exponent at the bracket's
-upper end b, over 2K, after each bisection step that lowers b.  A K's
-bisection path does not depend on the incumbent, so the result is bit for
-bit that of the full scan (the argument is in :func:`e_fb`).  The factors
-of the decode exponent that depend only on K (through the rate K*R) are
-computed once per K and passed to the decode kernel.
+an upper bound on its value cannot beat the incumbent: bsnr/(16K) before its
+looseness search starts, the modulo exponent over 2K at a probe looseness
+just below 16K times the incumbent's value, when the two exponents have
+crossed there, and the modulo exponent at the bracket's upper end b, over
+2K, after each bisection step that lowers b.  A K's bisection path does not
+depend on the incumbent, so the result is bit for bit that of the full scan
+(the argument is in :func:`e_fb`).  The factors of the decode exponent that
+depend only on K (through the rate K*R) are computed once per K and passed
+to the decode kernel.
 """
 
 from __future__ import annotations
@@ -68,6 +70,13 @@ __all__ = [
 # Inner search interval margins and stopping width (relative, in L).
 _L_EDGE = 1e-9
 _L_TOL = 1e-10
+
+# The pruning probe of _inner_optimum sits this far (relative) below the
+# looseness 16*K*best at which L/8 over 2K would tie the incumbent's value
+# best, so its bound stays below best even if the float decode exponent
+# rose with L by a few ulp between the probe and the looseness the
+# bisection ends on.
+_PROBE_MARGIN = 1e-9
 
 # Two exponents within this relative window count as jointly binding.
 _BALANCE_RTOL = 1e-6
@@ -216,12 +225,21 @@ def _inner_optimum(
     exponent rises with L (coarser lattice, rarer wraps), so the min peaks
     where they cross, found by bisection on their gap, or at an end of
     (1, bsnr).  Returns (value, looseness, evaluations), counting the
-    looseness values at which both exponents were computed.  Each step that
+    looseness values at which both exponents were computed.
+
+    Against an incumbent best_val (from another K), two upper bounds on the
+    value can end the search early; once one is below best_val, or equal to
+    it at a larger K, the search returns (bound, None, evaluations).  First
+    a probe at L1 = 16 K best_val (1 - _PROBE_MARGIN), if it lies inside
+    the interval: modulo(L1)/(2K) <= L1/(16K) is below best_val, and a
+    non-positive gap at L1 puts the crossing at or below L1, where the value
+    is at most modulo(L1)/(2K).  A probe that stops the search is its one
+    evaluation; one that does not counts as one more and leaves the
+    bisection as it would be without it.  Then each bisection step that
     lowers the bracket's upper end b bounds the value by modulo(b)/(2K), as
     the looseness returned never exceeds b and the modulo exponent is
-    non-decreasing; once that bound is below best_val, or equal to it at a
-    larger K, the search returns (bound, None, evaluations).  Unchecked:
-    the caller has validated the link SNRs, the rate and the interval ends.
+    non-decreasing.  Unchecked: the caller has validated the link SNRs, the
+    rate and the interval ends.
     """
     lo = 1.0 + _L_EDGE
     hi = bsnr * (1.0 - _L_EDGE)
@@ -233,7 +251,19 @@ def _inner_optimum(
         snr_k = _effective_snr(snr, bsnr, dsnr, L, rounds)
         return _decode_exponent_hoisted(snr_k, rate_k, u, den)
 
+    def loses(bound: float) -> bool:
+        return bound < best_val or (bound == best_val and rounds > best_k)
+
     evals = 1
+    # -inf, 0 or a value too small for the interval never probes
+    probe = 16.0 * rounds * best_val * (1.0 - _PROBE_MARGIN)
+    if lo < probe < hi:
+        mod = _poltyrev(probe)
+        bound = mod / two_k
+        if loses(bound):
+            if decode(probe) - mod <= 0.0:
+                return bound, None, evals
+            evals += 1
     if decode(hi) - _poltyrev(hi) >= 0.0:
         l_opt = hi
     else:
@@ -247,7 +277,7 @@ def _inner_optimum(
                 continue
             b = mid
             bound = mod / two_k
-            if bound < best_val or (bound == best_val and rounds > best_k):
+            if loses(bound):
                 return bound, None, evals
         l_opt = 0.5 * (a + b)
     if decode(lo) - _poltyrev(lo) <= 0.0:
@@ -290,18 +320,31 @@ def e_fb(
     The K with the largest closed form L*(K)/(16K) runs first, to the end,
     and sets the incumbent (best value, K).  The scan of K = 1..k_max then
     ends at the first K whose bound bsnr/(16K) (the modulo exponent is at
-    most L/8 < bsnr/8) cannot beat the incumbent, and ends a K's bisection
-    at the first bound modulo(b)/(2K) that cannot.  The result is bit for
-    bit that of the full scan:
+    most L/8 < bsnr/8) cannot beat the incumbent.  A K's search ends after
+    one evaluation when the gap decode - modulo is not positive at the
+    probe L1 = 16K best (1 - _PROBE_MARGIN), with bound modulo(L1)/(2K),
+    and otherwise at the first bisection bound modulo(b)/(2K) that cannot
+    beat the incumbent.  The result is bit for bit that of the full scan:
 
-    1. A K's bisection path depends only on K, not on the incumbent.
-    2. Both bounds hold in floating point: value/(2K) <= bsnr/(16K), and
+    1. A K's bisection path depends only on K, not on the incumbent; the
+       probe either ends the search or leaves the path as it was.
+    2. The bounds hold in floating point: value/(2K) <= bsnr/(16K), and
        value/(2K) <= modulo(b)/(2K), because the final L is at most b, the
        modulo exponent is non-decreasing, and dividing by the same 2K keeps
        the order under rounding.  bsnr/(16K) does not rise with K.
     3. The incumbent only improves, so a K dropped could not have replaced
        the final best value under the strict ``>`` test, nor tied it at a
        smaller K, whatever order the round counts ran in.
+    4. The probe's bound holds as well.  The gap falls with L (the decode
+       exponent is non-increasing, the modulo exponent non-decreasing), so
+       a gap <= 0 at L1 puts every bisection step that raises the lower end
+       below L1.  The final L is then either at most L1, where the min is at
+       most modulo(L1), or above it, where the min is at most
+       decode(L) <= decode(L1) <= modulo(L1).  Since modulo(L1) <= L1/8,
+       the bound modulo(L1)/(2K) is at most best (1 - _PROBE_MARGIN) up to
+       rounding; the margin keeps a float decode exponent that rose by a
+       few ulp from lifting the value to the incumbent's, and the stop
+       also needs the bound itself to pass the incumbent test.
 
     A result with ``k_at_boundary`` set means the argmax sat at k_max and a
     larger search range might still improve the value; a warning is emitted.

@@ -142,7 +142,8 @@ def test_criterion_1_curve_reproduction(tmp_path, capsys):
         "exponents", "--snr-db", "20", "--dsnr-db", "30", "--fig1",
         "--out", str(out),
     ]) == 0
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
     by_x = {float(r["rate_over_capacity"]): r for r in rows}
 
     def nearest(x_ref):

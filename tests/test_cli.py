@@ -225,7 +225,8 @@ def test_exponents_reject_noiseless_feedback(capsys):
 
 
 def test_fig1_grid_shape():
-    rows = list(csv.DictReader(GOLDEN.open()))
+    with GOLDEN.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 99
     fb = [r for r in rows if r["e_fb_norm"] != ""]
     assert len(fb) == 50
@@ -328,7 +329,8 @@ def test_simulate_end_to_end(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
     metrics = {r["metric"] for r in rows}
     assert {"trials", "p_mod", "p_dec", "p_e", "ff_power", "fb_power",
             "sigma_k2_hat", "union_agreement", "union_bound_ok"} <= metrics

@@ -257,40 +257,42 @@ def test_e_fb_pruning_is_lossless():
     assert a.e_fb == b.e_fb and a.k_star == b.k_star and a.l_star == b.l_star
 
 
+def checked_decode(p, rate, L, k):
+    """e_fb's decode exponent through the checked public functions."""
+    snr_k = effective_snr(p, L, k)
+    if snr_k == math.inf:
+        # the limit of the expurgation exponent as the snr grows
+        return math.inf
+    if k * rate >= capacity(snr_k):
+        return 0.0
+    return gallager_exp(snr_k, k * rate)[0]
+
+
+def checked_gap(p, rate, L, k):
+    return checked_decode(p, rate, L, k) - poltyrev_exponent(L)
+
+
 def checked_search(p, rate, k_max=64):
     """e_fb's K scan and L bisection through the checked public functions."""
-
-    def decode(L, k):
-        snr_k = effective_snr(p, L, k)
-        if snr_k == math.inf:
-            # the limit of the expurgation exponent as the snr grows
-            return math.inf
-        if k * rate >= capacity(snr_k):
-            return 0.0
-        return gallager_exp(snr_k, k * rate)[0]
-
-    def gap(L, k):
-        return decode(L, k) - poltyrev_exponent(L)
-
     best = (-math.inf, 1, 1.0)
     for k in range(1, k_max + 1):
         if p.bsnr / (16.0 * k) <= best[0]:
             break
         lo, hi = 1.0 + 1e-9, p.bsnr * (1.0 - 1e-9)
-        if gap(lo, k) <= 0.0:
+        if checked_gap(p, rate, lo, k) <= 0.0:
             L = lo
-        elif gap(hi, k) >= 0.0:
+        elif checked_gap(p, rate, hi, k) >= 0.0:
             L = hi
         else:
             a, b = lo, hi
             while b - a > 1e-10 * a:
                 mid = 0.5 * (a + b)
-                if gap(mid, k) > 0.0:
+                if checked_gap(p, rate, mid, k) > 0.0:
                     a = mid
                 else:
                     b = mid
             L = 0.5 * (a + b)
-        val = min(decode(L, k), poltyrev_exponent(L)) / (2.0 * k)
+        val = min(checked_decode(p, rate, L, k), poltyrev_exponent(L)) / (2.0 * k)
         if val > best[0]:
             best = (val, k, L)
     return best
@@ -341,14 +343,19 @@ def test_poltyrev_non_decreasing():
     assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
+def _random_link(rng):
+    """Forward SNR -5..60 dB and feedback SNR at least 0.5 dB."""
+    snr_db = rng.uniform(-5.0, 60.0)
+    dsnr_db = max(rng.uniform(0.5, 60.0), 0.5 - snr_db)
+    return ChannelParams.from_snrs(10.0 ** (snr_db / 10.0), 10.0 ** (dsnr_db / 10.0))
+
+
 def test_e_fb_matches_checked_search_on_random_draws():
-    """Seeded random links, rates and k_max, forward SNR -5..60 dB and
-    feedback SNR at least 0.5 dB: the same bits as the checked scan."""
+    """Seeded random links, rates and k_max: the same bits as the checked
+    scan."""
     rng = random.Random(2015)
     for i in range(300):
-        snr_db = rng.uniform(-5.0, 60.0)
-        dsnr_db = max(rng.uniform(0.5, 60.0), 0.5 - snr_db)
-        p = ChannelParams.from_snrs(10.0 ** (snr_db / 10.0), 10.0 ** (dsnr_db / 10.0))
+        p = _random_link(rng)
         rate = (0.0 if i % 10 == 0 else rng.uniform(0.0, 0.999)) * capacity(p.snr)
         k_max = (1, 2, 5, 13, 64, 100)[i % 6]
         with warnings.catch_warnings():
@@ -356,7 +363,7 @@ def test_e_fb_matches_checked_search_on_random_draws():
             res = e_fb(p, rate, k_max)
         assert (res.e_fb, res.k_star, res.l_star) == checked_search(
             p, rate, k_max
-        ), (snr_db, dsnr_db, rate, k_max)
+        ), (p, rate, k_max)
 
 
 def _count_evals(monkeypatch):
@@ -379,44 +386,138 @@ def _count_evals(monkeypatch):
 
 
 def test_e_fb_prunes_losing_round_counts(monkeypatch):
-    """Round counts that cannot beat the best value stop their bisection."""
+    """Round counts that cannot beat the best value stop their search."""
     evals = _count_evals(monkeypatch)
     e_fb(P20_30, 1.0)
-    # 309 here; the ascending scan from K = 1 with the same two exits takes
-    # 490, and the full scan 2529
-    assert 0 < evals() <= 400
+    # 144 here; without the probe ahead of each bisection 309, the ascending
+    # scan from K = 1 with the two bisection exits 490, and the full scan 2529
+    assert 0 < evals() <= 158
 
 
-def test_fig1_sweep_evaluation_budget(monkeypatch, tmp_path):
-    """One ``exponents --fig1`` sweep at 20/30 dB stays within 10 % of the
-    24300 evaluations it makes."""
+@pytest.mark.parametrize(
+    "snr_db, dsnr_db, budget",
+    # 10 % above the 12 210, 12 775 and 9 142 evaluations each sweep makes
+    [("20", "30", 13_431), ("10", "20", 14_052), ("30", "30", 10_056)],
+    ids=["20-30", "10-20", "30-30"],
+)
+def test_fig1_sweep_evaluation_budget(monkeypatch, tmp_path, snr_db, dsnr_db, budget):
+    """One ``exponents --fig1`` sweep at each golden link stays within its
+    evaluation budget."""
     from awgn_feedback.cli import main
 
     evals = _count_evals(monkeypatch)
-    argv = ["exponents", "--fig1", "--snr-db", "20", "--dsnr-db", "30",
+    argv = ["exponents", "--fig1", "--snr-db", snr_db, "--dsnr-db", dsnr_db,
             "--out", str(tmp_path / "fig1.csv")]
     assert main(argv) == 0
-    assert 0 < evals() <= 26_730
+    assert 0 < evals() <= budget
+
+
+def _bracket_tops(p, rate, k):
+    """Each upper end that the looseness bisection of _inner_optimum sets,
+    after the search's first test at the top of the interval, with the
+    number of midpoints tried up to it; through the checked functions."""
+    a, b = 1.0 + 1e-9, p.bsnr * (1.0 - 1e-9)
+    tops, n = [], 0
+    while b - a > 1e-10 * a:
+        mid = 0.5 * (a + b)
+        n += 1
+        if checked_gap(p, rate, mid, k) > 0.0:
+            a = mid
+        else:
+            b = mid
+            tops.append((n, b))
+    return tops
 
 
 def test_inner_optimum_stops_only_where_it_cannot_win():
-    """A bisection stops at the first bound below the incumbent's value, or
-    equal to it at a smaller incumbent K; at a larger incumbent K an equal
-    bound goes on, since K could still take the tie."""
-    from awgn_feedback.feedback import _L_EDGE, _inner_optimum
+    """Both exits stop a search only at a bound below the incumbent's value,
+    or equal to it at a smaller incumbent K; at a larger incumbent K an equal
+    bound goes on, since K could still take the tie.  The probe's bound sits
+    below the incumbent by the probe margin, so it stops at either order."""
+    from awgn_feedback.feedback import _L_EDGE, _PROBE_MARGIN, _inner_optimum
 
     p, rate, k = P20_30, 1.0, 8
     args = (p.snr, p.bsnr, p.dsnr, rate, k)
     value, l_opt, evals = _inner_optimum(*args)
-    # the first midpoint lowers the bracket's upper end, so its modulo
-    # exponent over 2K is the first bound
+    # the bisection's first bound, at the first midpoint, is above K's value,
+    # so a probe at 16 K times it lies past K's crossing and stops the search
+    # in one evaluation
     mid = 0.5 * ((1.0 + _L_EDGE) + p.bsnr * (1.0 - _L_EDGE))
     assert _decode_exponent(effective_snr(p, mid, k), k * rate) < poltyrev_exponent(mid)
     first = poltyrev_exponent(mid) / (2.0 * k)
-    assert _inner_optimum(*args, first, k - 1) == (first, None, 2)
-    bound, none, steps = _inner_optimum(*args, first, k + 1)
-    assert none is None and value <= bound < first and 2 < steps < evals
-    assert _inner_optimum(*args, value, k + 1) == (value, l_opt, evals)
+    probe = 16.0 * k * first * (1.0 - _PROBE_MARGIN)
+    stop = (poltyrev_exponent(probe) / (2.0 * k), None, 1)
+    assert value <= stop[0] < first
+    assert _inner_optimum(*args, first, k - 1) == stop
+    assert _inner_optimum(*args, first, k + 1) == stop
+    # an incumbent equal to K's value at a larger K: K runs to the end, and
+    # the probe, which did not stop it, is counted
+    assert _inner_optimum(*args, value, k + 1) == (value, l_opt, evals + 1)
+
+    # near capacity K's crossing lies below L = 4, where poltyrev(L) < L/8:
+    # a probe at 16 K times a bisection bound can sit below the crossing and
+    # go on, and the bisection's own bound decides
+    rate, k = 0.95 * capacity(p.snr), 3
+    args = (p.snr, p.bsnr, p.dsnr, rate, k)
+    value, l_opt, evals = _inner_optimum(*args)
+    for n, top in _bracket_tops(p, rate, k):
+        bound = poltyrev_exponent(top) / (2.0 * k)
+        if 16.0 * k * bound * (1.0 - _PROBE_MARGIN) < l_opt:
+            break
+    assert 1.0 + _L_EDGE < 16.0 * k * bound < l_opt < top < 4.0
+    # evaluations at the top of the interval, the probe and n midpoints
+    assert _inner_optimum(*args, bound, k - 1) == (bound, None, n + 2)
+    later, none, steps = _inner_optimum(*args, bound, k + 1)
+    assert none is None and value <= later < bound and n + 2 < steps < evals + 1
+    assert _inner_optimum(*args, value, k + 1) == (value, l_opt, evals + 1)
+
+
+def test_probe_stops_only_round_counts_that_cannot_win():
+    """Seeded links, rates and round counts, with another K's value, or K's
+    own, as the incumbent at either tie order: whenever the search stops in
+    one evaluation, K's unpruned value is at most the bound returned and is
+    below the incumbent, or equal to it with K the larger round count."""
+    from awgn_feedback.feedback import _inner_optimum
+
+    rng = random.Random(18)
+    stops = 0
+    for _ in range(1000):
+        p = _random_link(rng)
+        rate = rng.uniform(0.0, 0.999) * capacity(p.snr)
+        k, other = rng.sample(range(1, 65), 2)
+        args = (p.snr, p.bsnr, p.dsnr, rate, k)
+        value = _inner_optimum(*args)[0]
+        other_value = _inner_optimum(p.snr, p.bsnr, p.dsnr, rate, other)[0]
+        for best in (other_value, value):
+            for best_k in (k - 1, k + 1):
+                bound, l_opt, evals = _inner_optimum(*args, best, best_k)
+                if l_opt is None and evals == 1:
+                    stops += 1
+                    assert value <= bound
+                    assert value < best or (value == best and k > best_k)
+    assert stops >= 500
+
+
+def test_decode_exponent_does_not_rise_with_looseness():
+    """The probe's stop (point 4 of e_fb's proof) needs the float decode
+    exponent to be non-increasing in L.  Seeded links, rates and round
+    counts, on a geometric grid over the search interval and on runs of
+    adjacent floats."""
+    rng = random.Random(1959)
+    for _ in range(150):
+        p = _random_link(rng)
+        rate = rng.uniform(0.0, 0.999) * capacity(p.snr)
+        k = rng.randint(1, 128)
+        lo, hi = 1.0 + 1e-9, p.bsnr * (1.0 - 1e-9)
+        grid = [lo * (hi / lo) ** (i / 400) for i in range(401)]
+        for _ in range(8):
+            L = lo * (hi / lo) ** rng.random()
+            for _ in range(40):
+                grid.append(L)
+                L = math.nextafter(L, math.inf)
+        grid = sorted(L for L in grid if lo <= L <= hi)
+        vals = [_decode_exponent(effective_snr(p, L, k), k * rate) for L in grid]
+        assert all(a >= b for a, b in zip(vals, vals[1:])), (p, rate, k)
 
 
 def test_e_fb_tie_goes_to_the_smaller_round_count(monkeypatch):
