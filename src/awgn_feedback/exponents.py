@@ -297,6 +297,9 @@ def _decode_exponent_hoisted(
         return math.inf
     if rate_bits >= _capacity(snr):
         return 0.0
+    # not routed through _gallager, which would recompute u, den and build a
+    # tuple on each evaluation below R_ex: an in-process A/B of the three
+    # fig-1 sweeps read that slower in 9 of 11 pairs (Intel Xeon)
     if rate_bits <= _expurgation_rate(snr):
         return _expurgation(snr, u, den)
     return _gallager(snr, rate_bits)[0]

@@ -23,16 +23,14 @@ through the checked functions would.
 
 The search over round counts first runs to the end the K that maximizes the
 closed form L*(K)/(16K) of :func:`high_snr_bound`, and takes its value as
-the incumbent.  It then scans K = 1..k_max upward and drops a K as soon as
-an upper bound on its value cannot beat the incumbent: bsnr/(16K) before its
-looseness search starts, the modulo exponent over 2K at a probe looseness
-just below 16K times the incumbent's value, when the two exponents have
-crossed there, and the modulo exponent at the bracket's upper end b, over
-2K, after each bisection step that lowers b.  A K's bisection path does not
-depend on the incumbent, so the result is bit for bit that of the full scan
-(the argument is in :func:`e_fb`).  The factors of the decode exponent that
-depend only on K (through the rate K*R) are computed once per K and passed
-to the decode kernel.
+the incumbent.  It then scans K = 1..k_max upward, ends at the first K whose
+bound bsnr/(16K) cannot beat the incumbent, and drops a K after one
+evaluation when the two exponents have crossed at a probe looseness just
+below 16K times the incumbent's value.  Every other K runs its full
+bisection, so the result is bit for bit that of the full scan (the argument
+is in :func:`e_fb`).  The factors of the decode exponent that depend only on
+K (through the rate K*R) are computed once per K and passed to the decode
+kernel.
 """
 
 from __future__ import annotations
@@ -217,7 +215,7 @@ def _check_looseness(looseness: float, bsnr: float) -> float:
 
 def _inner_optimum(
     snr: float, bsnr: float, dsnr: float, rate_bits: float, rounds: int,
-    best_val: float = -math.inf, best_k: int = 0,
+    best_val: float = -math.inf,
 ) -> tuple[float, float | None, int]:
     """Best min(decode, modulo) / (2K) over looseness for a fixed round count.
 
@@ -227,19 +225,15 @@ def _inner_optimum(
     (1, bsnr).  Returns (value, looseness, evaluations), counting the
     looseness values at which both exponents were computed.
 
-    Against an incumbent best_val (from another K), two upper bounds on the
-    value can end the search early; once one is below best_val, or equal to
-    it at a larger K, the search returns (bound, None, evaluations).  First
-    a probe at L1 = 16 K best_val (1 - _PROBE_MARGIN), if it lies inside
-    the interval: modulo(L1)/(2K) <= L1/(16K) is below best_val, and a
-    non-positive gap at L1 puts the crossing at or below L1, where the value
-    is at most modulo(L1)/(2K).  A probe that stops the search is its one
-    evaluation; one that does not counts as one more and leaves the
-    bisection as it would be without it.  Then each bisection step that
-    lowers the bracket's upper end b bounds the value by modulo(b)/(2K), as
-    the looseness returned never exceeds b and the modulo exponent is
-    non-decreasing.  Unchecked: the caller has validated the link SNRs, the
-    rate and the interval ends.
+    Against an incumbent best_val (from another K), a probe at
+    L1 = 16 K best_val (1 - _PROBE_MARGIN), if it lies inside the interval,
+    can end the search early: modulo(L1)/(2K) <= L1/(16K) is below
+    best_val, and a non-positive gap at L1 puts the crossing at or below
+    L1, where the value is at most modulo(L1)/(2K).  The search then
+    returns (modulo(L1)/(2K), None, 1).  A probe that does not stop the
+    search counts as one more evaluation and leaves the bisection as it
+    would be without it.  Unchecked: the caller has validated the link
+    SNRs, the rate and the interval ends.
     """
     lo = 1.0 + _L_EDGE
     hi = bsnr * (1.0 - _L_EDGE)
@@ -251,16 +245,13 @@ def _inner_optimum(
         snr_k = _effective_snr(snr, bsnr, dsnr, L, rounds)
         return _decode_exponent_hoisted(snr_k, rate_k, u, den)
 
-    def loses(bound: float) -> bool:
-        return bound < best_val or (bound == best_val and rounds > best_k)
-
     evals = 1
     # -inf, 0 or a value too small for the interval never probes
     probe = 16.0 * rounds * best_val * (1.0 - _PROBE_MARGIN)
     if lo < probe < hi:
         mod = _poltyrev(probe)
         bound = mod / two_k
-        if loses(bound):
+        if bound < best_val:
             if decode(probe) - mod <= 0.0:
                 return bound, None, evals
             evals += 1
@@ -271,14 +262,10 @@ def _inner_optimum(
         while b - a > _L_TOL * a:
             mid = 0.5 * (a + b)
             evals += 1
-            mod = _poltyrev(mid)
-            if decode(mid) - mod > 0.0:
+            if decode(mid) - _poltyrev(mid) > 0.0:
                 a = mid
-                continue
-            b = mid
-            bound = mod / two_k
-            if loses(bound):
-                return bound, None, evals
+            else:
+                b = mid
         l_opt = 0.5 * (a + b)
     if decode(lo) - _poltyrev(lo) <= 0.0:
         l_opt = lo
@@ -323,15 +310,13 @@ def e_fb(
     most L/8 < bsnr/8) cannot beat the incumbent.  A K's search ends after
     one evaluation when the gap decode - modulo is not positive at the
     probe L1 = 16K best (1 - _PROBE_MARGIN), with bound modulo(L1)/(2K),
-    and otherwise at the first bisection bound modulo(b)/(2K) that cannot
-    beat the incumbent.  The result is bit for bit that of the full scan:
+    and otherwise runs its full bisection.  The result is bit for bit that
+    of the full scan:
 
     1. A K's bisection path depends only on K, not on the incumbent; the
        probe either ends the search or leaves the path as it was.
-    2. The bounds hold in floating point: value/(2K) <= bsnr/(16K), and
-       value/(2K) <= modulo(b)/(2K), because the final L is at most b, the
-       modulo exponent is non-decreasing, and dividing by the same 2K keeps
-       the order under rounding.  bsnr/(16K) does not rise with K.
+    2. The scan bound holds in floating point, value/(2K) <= bsnr/(16K),
+       and does not rise with K.
     3. The incumbent only improves, so a K dropped could not have replaced
        the final best value under the strict ``>`` test, nor tied it at a
        smaller K, whatever order the round counts ran in.
@@ -344,7 +329,7 @@ def e_fb(
        the bound modulo(L1)/(2K) is at most best (1 - _PROBE_MARGIN) up to
        rounding; the margin keeps a float decode exponent that rose by a
        few ulp from lifting the value to the incumbent's, and the stop
-       also needs the bound itself to pass the incumbent test.
+       also needs the bound itself to be below best.
 
     A result with ``k_at_boundary`` set means the argmax sat at k_max and a
     larger search range might still improve the value; a warning is emitted.
@@ -373,7 +358,7 @@ def e_fb(
         if k == k0:
             continue
         # a K stopped early returns a bound that fails the test below
-        val, l_opt, _ = _inner_optimum(snr, bsnr, dsnr, rate_bits, k, best_val, best_k)
+        val, l_opt, _ = _inner_optimum(snr, bsnr, dsnr, rate_bits, k, best_val)
         if val > best_val or (val == best_val and k < best_k):
             best_val, best_k, best_l = val, k, l_opt
 

@@ -208,6 +208,8 @@ def make_lattice(name: str, dimension: int | None = None) -> Lattice:
     ``dimension`` sizes the cubic family (default 1) and must be omitted or
     match for the fixed-dimension families.
     """
+    if not isinstance(name, str):
+        raise ValueError(f"name must be a str, got {name!r}")
     key = name.strip().lower()
     family = "cubic" if key in ("z", "cubic", "int") else key
     if family not in _FAMILIES:

@@ -513,8 +513,8 @@ def run_coupled_trial(config: SchemeConfig, trial_index: int) -> TrialRecord:
 
 def wilson_interval(successes: int, total: int) -> tuple[float, float]:
     """Wilson-score 95% interval for a binomial proportion."""
-    if total <= 0:
-        raise ValueError("total must be positive")
+    total = count("total", total)
+    successes = count("successes", successes, 0, total + 1)
     z2 = Z95 * Z95
     phat = successes / total
     denom = 1.0 + z2 / total

@@ -25,6 +25,7 @@ from awgn_feedback import (
     region_assumptions_hold,
     run_trial,
     scale_to_power,
+    wilson_interval,
 )
 
 P = ChannelParams.from_snrs(100.0, 1000.0)
@@ -73,6 +74,10 @@ CASES = {
                                    COUNT, 3, 0),
     "run_trial-trial_index": (lambda v: run_trial(CFG, v), "trial_index",
                               COUNT, 5, -1),
+    "wilson_interval-successes": (lambda v: wilson_interval(v, 10), "successes",
+                                  COUNT, 3, -1),
+    "wilson_interval-total": (lambda v: wilson_interval(3, v), "total",
+                              COUNT, 10, 0),
 }
 
 

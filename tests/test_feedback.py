@@ -329,8 +329,8 @@ def test_e_fb_matches_checked_search_bitwise(snr_db, dsnr_db):
 
 
 def test_poltyrev_non_decreasing():
-    """The bisection's early exit bounds the value by the modulo exponent at
-    the bracket's upper end, which needs exactly this monotonicity."""
+    """The probe's stop (point 4 of e_fb's proof) bounds the value by the
+    modulo exponent at the probe, which needs exactly this monotonicity."""
     xs = [1.0 + i / 1000.0 for i in range(-999, 100_000)]
     for edge in (1.0, 2.0, 4.0):
         below, above = [edge], [edge]
@@ -389,14 +389,14 @@ def test_e_fb_prunes_losing_round_counts(monkeypatch):
     """Round counts that cannot beat the best value stop their search."""
     evals = _count_evals(monkeypatch)
     e_fb(P20_30, 1.0)
-    # 144 here; without the probe ahead of each bisection 309, the ascending
-    # scan from K = 1 with the two bisection exits 490, and the full scan 2529
+    # 144 here; without the probe every K up to 64 runs its full bisection,
+    # 2529
     assert 0 < evals() <= 158
 
 
 @pytest.mark.parametrize(
     "snr_db, dsnr_db, budget",
-    # 10 % above the 12 210, 12 775 and 9 142 evaluations each sweep makes
+    # each sweep makes 12 210, 13 287 and 9 142 evaluations
     [("20", "30", 13_431), ("10", "20", 14_052), ("30", "30", 10_056)],
     ids=["20-30", "10-20", "30-30"],
 )
@@ -412,34 +412,15 @@ def test_fig1_sweep_evaluation_budget(monkeypatch, tmp_path, snr_db, dsnr_db, bu
     assert 0 < evals() <= budget
 
 
-def _bracket_tops(p, rate, k):
-    """Each upper end that the looseness bisection of _inner_optimum sets,
-    after the search's first test at the top of the interval, with the
-    number of midpoints tried up to it; through the checked functions."""
-    a, b = 1.0 + 1e-9, p.bsnr * (1.0 - 1e-9)
-    tops, n = [], 0
-    while b - a > 1e-10 * a:
-        mid = 0.5 * (a + b)
-        n += 1
-        if checked_gap(p, rate, mid, k) > 0.0:
-            a = mid
-        else:
-            b = mid
-            tops.append((n, b))
-    return tops
-
-
 def test_inner_optimum_stops_only_where_it_cannot_win():
-    """Both exits stop a search only at a bound below the incumbent's value,
-    or equal to it at a smaller incumbent K; at a larger incumbent K an equal
-    bound goes on, since K could still take the tie.  The probe's bound sits
-    below the incumbent by the probe margin, so it stops at either order."""
+    """The probe stops a search only at a bound below the incumbent's value;
+    every other search runs to the end and returns K's unpruned value."""
     from awgn_feedback.feedback import _L_EDGE, _PROBE_MARGIN, _inner_optimum
 
     p, rate, k = P20_30, 1.0, 8
     args = (p.snr, p.bsnr, p.dsnr, rate, k)
     value, l_opt, evals = _inner_optimum(*args)
-    # the bisection's first bound, at the first midpoint, is above K's value,
+    # the modulo exponent at the first midpoint, over 2K, is above K's value,
     # so a probe at 16 K times it lies past K's crossing and stops the search
     # in one evaluation
     mid = 0.5 * ((1.0 + _L_EDGE) + p.bsnr * (1.0 - _L_EDGE))
@@ -448,53 +429,48 @@ def test_inner_optimum_stops_only_where_it_cannot_win():
     probe = 16.0 * k * first * (1.0 - _PROBE_MARGIN)
     stop = (poltyrev_exponent(probe) / (2.0 * k), None, 1)
     assert value <= stop[0] < first
-    assert _inner_optimum(*args, first, k - 1) == stop
-    assert _inner_optimum(*args, first, k + 1) == stop
-    # an incumbent equal to K's value at a larger K: K runs to the end, and
-    # the probe, which did not stop it, is counted
-    assert _inner_optimum(*args, value, k + 1) == (value, l_opt, evals + 1)
+    assert _inner_optimum(*args, first) == stop
+    # an incumbent equal to K's value: K runs to the end, and the probe,
+    # which did not stop it, is counted
+    assert _inner_optimum(*args, value) == (value, l_opt, evals + 1)
 
     # near capacity K's crossing lies below L = 4, where poltyrev(L) < L/8:
-    # a probe at 16 K times a bisection bound can sit below the crossing and
-    # go on, and the bisection's own bound decides
+    # an incumbent above K's value can put the probe below the crossing, and
+    # then K, which cannot win, still runs to the end
     rate, k = 0.95 * capacity(p.snr), 3
     args = (p.snr, p.bsnr, p.dsnr, rate, k)
     value, l_opt, evals = _inner_optimum(*args)
-    for n, top in _bracket_tops(p, rate, k):
-        bound = poltyrev_exponent(top) / (2.0 * k)
-        if 16.0 * k * bound * (1.0 - _PROBE_MARGIN) < l_opt:
-            break
-    assert 1.0 + _L_EDGE < 16.0 * k * bound < l_opt < top < 4.0
-    # evaluations at the top of the interval, the probe and n midpoints
-    assert _inner_optimum(*args, bound, k - 1) == (bound, None, n + 2)
-    later, none, steps = _inner_optimum(*args, bound, k + 1)
-    assert none is None and value <= later < bound and n + 2 < steps < evals + 1
-    assert _inner_optimum(*args, value, k + 1) == (value, l_opt, evals + 1)
+    best = 0.5 * (value + l_opt / (16.0 * k))
+    assert value < best
+    assert 1.0 + _L_EDGE < 16.0 * k * best * (1.0 - _PROBE_MARGIN) < l_opt < 4.0
+    assert _inner_optimum(*args, best) == (value, l_opt, evals + 1)
 
 
 def test_probe_stops_only_round_counts_that_cannot_win():
     """Seeded links, rates and round counts, with another K's value, or K's
-    own, as the incumbent at either tie order: whenever the search stops in
-    one evaluation, K's unpruned value is at most the bound returned and is
-    below the incumbent, or equal to it with K the larger round count."""
+    own, as the incumbent: whenever the search stops, it stops in one
+    evaluation, and K's unpruned value is at most the bound returned and
+    below the incumbent; every other search returns the unpruned value and
+    looseness bit for bit."""
     from awgn_feedback.feedback import _inner_optimum
 
     rng = random.Random(18)
     stops = 0
-    for _ in range(1000):
+    for _ in range(1400):
         p = _random_link(rng)
         rate = rng.uniform(0.0, 0.999) * capacity(p.snr)
         k, other = rng.sample(range(1, 65), 2)
         args = (p.snr, p.bsnr, p.dsnr, rate, k)
-        value = _inner_optimum(*args)[0]
+        value, l_full, _ = _inner_optimum(*args)
         other_value = _inner_optimum(p.snr, p.bsnr, p.dsnr, rate, other)[0]
         for best in (other_value, value):
-            for best_k in (k - 1, k + 1):
-                bound, l_opt, evals = _inner_optimum(*args, best, best_k)
-                if l_opt is None and evals == 1:
-                    stops += 1
-                    assert value <= bound
-                    assert value < best or (value == best and k > best_k)
+            bound, l_opt, evals = _inner_optimum(*args, best)
+            if l_opt is None:
+                stops += 1
+                assert evals == 1
+                assert value <= bound < best
+            else:
+                assert (bound, l_opt) == (value, l_full)
     assert stops >= 500
 
 
@@ -526,7 +502,7 @@ def test_e_fb_tie_goes_to_the_smaller_round_count(monkeypatch):
     first."""
     from awgn_feedback import feedback
 
-    def inner(snr, bsnr, dsnr, rate_bits, rounds, best_val=-math.inf, best_k=0):
+    def inner(snr, bsnr, dsnr, rate_bits, rounds, best_val=-math.inf):
         return (1.0 if rounds in (2, 4) else 0.0), float(rounds), 1
 
     monkeypatch.setattr(feedback, "_first_guess", lambda *args: 4)

@@ -91,6 +91,9 @@ def test_make_lattice_names():
     assert make_lattice("e8").dimension == 8
     with pytest.raises(ValueError):
         make_lattice("leech")
+    for name in (None, 4):
+        with pytest.raises(ValueError, match="name must be a str"):
+            make_lattice(name)
     with pytest.raises(ValueError):
         make_lattice("d4", 5)
 

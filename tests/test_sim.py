@@ -1040,6 +1040,8 @@ def test_wilson_interval_edges():
     assert hi == 1.0 and 0.9 < lo < 1.0
     with pytest.raises(ValueError):
         wilson_interval(1, 0)
+    with pytest.raises(ValueError, match="successes"):
+        wilson_interval(51, 50)
 
 
 def test_estimate_rejects_bad_trial_count():
