@@ -8,103 +8,19 @@ half runs the scheme itself: modulo-lattice feedback transport over a noisy
 backward link, coupled against an idealized twin to isolate aliasing events.
 """
 
-from .exponents import (
-    ExponentRegion,
-    RegionBoundaries,
-    capacity,
-    critical_rate,
-    expurgation_exp,
-    expurgation_rate,
-    gallager_exp,
-    poltyrev_exponent,
-    random_coding_exp,
-    rate_nats,
-    region_boundaries,
-    sphere_packing_exp,
-)
-from .feedback import (
-    Binding,
-    ChannelParams,
-    FeedbackExponentResult,
-    balance_looseness,
-    e_fb,
-    effective_snr,
-    eta,
-    high_snr_bound,
-    kstar_zero_rate,
-    out_of_region_exponent,
-    region_assumptions_hold,
-)
-from .jscc import JsccParams, wz_encode, wz_receive
-from .lattices import (
-    Lattice,
-    cubic_lattice,
-    d4_lattice,
-    e8_lattice,
-    looseness_to_vnr,
-    make_lattice,
-    modulo,
-    quantize_nn,
-    sample_dither,
-    scale_to_power,
-    vnr,
-)
-from .sim import (
-    SchemeConfig,
-    SimulationSummary,
-    TrialRecord,
-    estimate_error_prob,
-    run_coupled_trial,
-    run_trial,
-    wilson_interval,
-)
+from . import exponents, feedback, jscc, lattices, sim
+from .exponents import *
+from .feedback import *
+from .jscc import *
+from .lattices import *
+from .sim import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Binding",
-    "ChannelParams",
-    "ExponentRegion",
-    "FeedbackExponentResult",
-    "JsccParams",
-    "Lattice",
-    "RegionBoundaries",
-    "SchemeConfig",
-    "SimulationSummary",
-    "TrialRecord",
-    "balance_looseness",
-    "capacity",
-    "critical_rate",
-    "cubic_lattice",
-    "d4_lattice",
-    "e8_lattice",
-    "e_fb",
-    "effective_snr",
-    "estimate_error_prob",
-    "eta",
-    "expurgation_exp",
-    "expurgation_rate",
-    "gallager_exp",
-    "high_snr_bound",
-    "kstar_zero_rate",
-    "looseness_to_vnr",
-    "make_lattice",
-    "modulo",
-    "out_of_region_exponent",
-    "poltyrev_exponent",
-    "quantize_nn",
-    "random_coding_exp",
-    "rate_nats",
-    "region_assumptions_hold",
-    "region_boundaries",
-    "run_coupled_trial",
-    "run_trial",
-    "sample_dither",
-    "scale_to_power",
-    "sphere_packing_exp",
-    "vnr",
-    "wilson_interval",
-    "wz_encode",
-    "wz_receive",
-    "__version__",
-]
+# each module's own __all__ is the one list of its public names
+__all__ = ["__version__"]
+__all__ += exponents.__all__
+__all__ += feedback.__all__
+__all__ += jscc.__all__
+__all__ += lattices.__all__
+__all__ += sim.__all__

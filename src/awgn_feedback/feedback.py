@@ -345,9 +345,13 @@ def e_fb(
         raise ValueError(
             f"rate {rate_bits} bits must be below the forward capacity {cap} bits"
         )
-    # the ends of the looseness search; every point tried lies between them
-    _check_looseness(1.0 + _L_EDGE, bsnr)
-    _check_looseness(bsnr * (1.0 - _L_EDGE), bsnr)
+    # the ends of the looseness search; every point tried lies between them.
+    # bsnr overflows to inf when p_tilde / sigma2_tilde leaves the float range
+    if not 1.0 + _L_EDGE < real("looseness", bsnr * (1.0 - _L_EDGE)):
+        raise ValueError(
+            f"bsnr {bsnr} leaves no looseness in (1, bsnr); "
+            f"e_fb needs a feedback SNR above 1"
+        )
 
     k0 = best_k = _first_guess(bsnr, dsnr, rate_bits, k_max)
     best_val, best_l, _ = _inner_optimum(snr, bsnr, dsnr, rate_bits, k0)

@@ -211,15 +211,10 @@ def make_lattice(name: str, dimension: int | None = None) -> Lattice:
     if not isinstance(name, str):
         raise ValueError(f"name must be a str, got {name!r}")
     key = name.strip().lower()
-    family = "cubic" if key in ("z", "cubic", "int") else key
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown lattice family {name!r}; expected z, d4, or e8")
-    fixed = _FAMILIES[family].dimension
-    if fixed is None:
-        return Lattice(family, 1 if dimension is None else dimension, 1.0)
-    if dimension is not None and dimension != fixed:
-        raise ValueError(f"lattice {key!r} has dimension {fixed}, not {dimension}")
-    return Lattice(family, fixed, 1.0)
+    family = "cubic" if key in ("z", "int") else key
+    if dimension is None:  # the family's fixed dimension, else 1
+        dimension = getattr(_FAMILIES.get(family), "dimension", None) or 1
+    return Lattice(family, dimension, 1.0)
 
 
 # =============================================================================

@@ -79,10 +79,6 @@ _MAX_TRIAL_INDEX = 1 << 63
 _MAX_PAM_ORDER = 1 << 20
 _MAX_CODEBOOK_BITS = 16
 
-# real and coupled estimation errors must agree at least this tightly up to
-# the first aliasing event (they agree exactly in the current pipeline)
-_AGREEMENT_ATOL = 1e-9
-
 # the engine's system axis
 _REAL, _COUPLED = 0, 1
 
@@ -116,6 +112,10 @@ class SchemeConfig:
     (scalar lattices only), 'gaussian' (dimension >= 2), or 'auto' to pick
     by dimension.  ``rounds``, ``rate_bits``, ``master_seed`` and
     ``looseness`` are stored as the int or float their check makes of them.
+    Either link may be noiseless (an infinite snr or dsnr in
+    ``ChannelParams.from_snrs``); ``looseness`` lies in [1, bsnr), or is 0
+    on a noiseless feedback link to select exact feedback, the
+    Schalkwijk-Kailath limit.
     """
 
     params: ChannelParams
@@ -276,7 +276,7 @@ class TrialRecord:
 
     ``aliasing_flags[i][k]`` marks scheme copy i wrapping at correction
     round k; ``coupled_agreement`` states that the real and coupled
-    estimation errors agreed up to the first aliasing event of each copy.
+    estimation errors were equal up to the first aliasing event of each copy.
     Powers are per dimension, averaged over the trial's transmissions.
     """
 
@@ -443,8 +443,7 @@ def _propagate(cfg: SchemeConfig, draws: _Draws) -> _Block:
         ff_sq += _sq(x)
         th_hat = th_hat - cfg.betas[k] * (x + z_fwd[:, :, k + 1])
         eps = th_hat - theta
-        gap = np.abs(eps[_REAL] - eps[_COUPLED]).max(axis=-1)
-        agree &= ~(live & (gap > _AGREEMENT_ATOL))
+        agree &= ~(live & np.any(eps[_REAL] != eps[_COUPLED], axis=-1))
     return _Block(msgs, alias, _decode_twins(cfg, th_hat), eps, ff_sq, fb_sq,
                   agree)
 
@@ -550,7 +549,7 @@ class SimulationSummary:
     ``union_agreement`` and ``coupled_agreement`` count copies, out of
     ``2 * trials``: the first counts matching union-of-aliasing indicators
     between the real and coupled runs, the second counts estimate paths
-    that coincide numerically up to the first aliasing event.
+    that coincide bit for bit up to the first aliasing event.
     """
 
     trials: int

@@ -106,6 +106,16 @@ def test_domain_error_exits_3(capsys):
     assert "capacity" in err
 
 
+@pytest.mark.parametrize("command", ["optimize", "exponents"])
+def test_feedback_snr_below_one_exits_3_naming_bsnr(command, capsys):
+    """-10 dB forward plus 7 dB advantage puts bsnr near 0.5."""
+    argv = [command, "--snr-db", "-10", "--dsnr-db", "7"]
+    argv += ["--rate", "0.01"] if command == "optimize" else ["--grid", "3"]
+    code, out, err = run_main(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: bsnr 0.50118") and "looseness 1.0" not in err
+
+
 def test_missing_config_exits_4(capsys):
     code, _, err = run_main(
         ["simulate", "--config", "/no/such/file.cfg"], capsys

@@ -239,6 +239,15 @@ def test_e_fb_rejects_infinite_bsnr():
         e_fb(params, 0.5)
 
 
+@pytest.mark.parametrize("bsnr", [0.5, 1.0 + 1e-10])
+def test_e_fb_rejects_bsnr_without_a_looseness_interval(bsnr):
+    """No L in (1, bsnr): the error names bsnr, not an interval end."""
+    params = ChannelParams(p=1.0, p_tilde=bsnr, sigma2=10.0, sigma2_tilde=1.0)
+    assert params.bsnr == bsnr and params.dsnr > 1.0
+    with pytest.raises(ValueError, match=f"^bsnr {bsnr} .*feedback SNR above 1"):
+        e_fb(params, 0.01)
+
+
 def test_e_fb_k_max_boundary_warning():
     with pytest.warns(RuntimeWarning):
         res = e_fb(P20_30, 0.0, k_max=3)
