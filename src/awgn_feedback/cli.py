@@ -103,6 +103,8 @@ def _sweep_rows(snr_db: float, dsnr_db: float, grid: int, fig1: bool):
         points = [(i / grid, None) for i in range(grid)]
 
     rows = []
+    # K* rises slowly with the rate: the previous rate's optimum runs first
+    k_first = None
     for x, want_fb in points:
         rate = x * cap
         sp = sphere_packing_exp(snr, min(rate, cap))
@@ -121,7 +123,8 @@ def _sweep_rows(snr_db: float, dsnr_db: float, grid: int, fig1: bool):
         if want_fb is None:
             want_fb = x <= _FB_DEFAULT_TOP + 1e-12
         if want_fb and rate < cap:
-            res = e_fb(params, rate)
+            res = e_fb(params, rate, k_first=k_first)
+            k_first = res.k_star
             row["e_fb_norm"] = _g17(res.e_fb / snr)
             row["k_star"] = str(res.k_star)
             row["l_star"] = _g17(res.l_star)

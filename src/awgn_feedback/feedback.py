@@ -21,16 +21,19 @@ and the ends of the looseness interval once, reads the link SNRs once, and
 runs its search on the kernels alone, so it returns the bits a search
 through the checked functions would.
 
-The search over round counts first runs to the end the K that maximizes the
-closed form L*(K)/(16K) of :func:`high_snr_bound`, and takes its value as
-the incumbent.  It then scans K = 1..k_max upward, ends at the first K whose
-bound bsnr/(16K) cannot beat the incumbent, and drops a K after one
-evaluation when the two exponents have crossed at a probe looseness just
-below 16K times the incumbent's value.  Every other K runs its full
-bisection, so the result is bit for bit that of the full scan (the argument
-is in :func:`e_fb`).  The factors of the decode exponent that depend only on
-K (through the rate K*R) are computed once per K and passed to the decode
-kernel.
+The search over round counts first runs one K to the end and takes its
+value as the incumbent: the caller's ``k_first`` when given (a sweep passes
+the optimum of its previous rate, which is mostly the optimum here or a
+little below it), else the K that maximizes the closed form L*(K)/(16K) of
+:func:`high_snr_bound`.  It then scans K = 1..k_max upward, ends at the
+first K whose bound bsnr/(16K) cannot beat the incumbent, and drops a K
+after one evaluation when the two exponents have crossed at a probe
+looseness just below 16K times the incumbent's value.  Every other K runs
+its full bisection, so the result is bit for bit that of the full scan,
+whichever K ran first (the argument is in :func:`e_fb`); the first K only
+sets how many round counts the probe can drop.  The factors of the decode
+exponent that depend only on K (through the rate K*R) are computed once per
+K and passed to the decode kernel.
 """
 
 from __future__ import annotations
@@ -295,7 +298,8 @@ def _first_guess(bsnr: float, dsnr: float, rate_bits: float, k_max: int) -> int:
 
 
 def e_fb(
-    params: ChannelParams, rate_bits: float, k_max: int = 64
+    params: ChannelParams, rate_bits: float, k_max: int = 64, *,
+    k_first: int | None = None,
 ) -> FeedbackExponentResult:
     """Best achievable exponent of the interactive scheme at ``rate_bits``.
 
@@ -304,8 +308,12 @@ def e_fb(
     largest value with the smallest K that reaches it, as an ascending scan
     of K with a strict ``>`` test would.
 
-    The K with the largest closed form L*(K)/(16K) runs first, to the end,
-    and sets the incumbent (best value, K).  The scan of K = 1..k_max then
+    The round count ``k_first`` in [1, k_max], or when it is None the K with
+    the largest closed form L*(K)/(16K), runs first, to the end, and sets
+    the incumbent (best value, K).  ``k_first`` only orders the search and
+    never changes the result; a first K at or near the optimum lets the
+    probe drop more of the others, so a sweep over rates passes the
+    previous rate's ``k_star``.  The scan of K = 1..k_max then
     ends at the first K whose bound bsnr/(16K) (the modulo exponent is at
     most L/8 < bsnr/8) cannot beat the incumbent.  A K's search ends after
     one evaluation when the gap decode - modulo is not positive at the
@@ -347,13 +355,18 @@ def e_fb(
         )
     # the ends of the looseness search; every point tried lies between them.
     # bsnr overflows to inf when p_tilde / sigma2_tilde leaves the float range
-    if not 1.0 + _L_EDGE < real("looseness", bsnr * (1.0 - _L_EDGE)):
+    bsnr = real("bsnr", bsnr)
+    if not 1.0 + _L_EDGE < bsnr * (1.0 - _L_EDGE):
         raise ValueError(
             f"bsnr {bsnr} leaves no looseness in (1, bsnr); "
             f"e_fb needs a feedback SNR above 1"
         )
 
-    k0 = best_k = _first_guess(bsnr, dsnr, rate_bits, k_max)
+    if k_first is None:
+        k0 = _first_guess(bsnr, dsnr, rate_bits, k_max)
+    else:
+        k0 = count("k_first", k_first, 1, k_max + 1)
+    best_k = k0
     best_val, best_l, _ = _inner_optimum(snr, bsnr, dsnr, rate_bits, k0)
     for k in range(1, k_max + 1):
         bound = bsnr / (16.0 * k)

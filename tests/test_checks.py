@@ -54,6 +54,7 @@ CASES = {
                              COUNT, 3, 0),
     "e_fb-rate": (lambda v: e_fb(P, v), "rate", REAL, 0.5, -0.5),
     "e_fb-k_max": (lambda v: e_fb(P, 0.5, v), "k_max", COUNT, 8, 0),
+    "e_fb-k_first": (lambda v: e_fb(P, 0.5, 8, k_first=v), "k_first", COUNT, 3, 0),
     "ChannelParams-p": (lambda v: ChannelParams(v, 1.0, 0.25, 0.5), "p",
                         REAL, 2.0, 0.0),
     "ChannelParams-sigma2_tilde": (lambda v: ChannelParams(1.0, 1.0, 0.25, v),
@@ -85,7 +86,12 @@ CASES = {
 def test_bad_argument_raises_value_error_naming_it(case):
     call, name, _, good, out_of_range = case
     call(good)
-    for bad in (None, "1", True, math.nan, math.inf, out_of_range):
+    bad_values = (None, "1", True, math.nan, math.inf, out_of_range)
+    if name == "k_first":
+        # None asks e_fb for its own first round count, with the same result
+        assert repr(call(None)) == repr(call(good))
+        bad_values = bad_values[1:]
+    for bad in bad_values:
         with pytest.raises(ValueError, match=name):
             call(bad)
 

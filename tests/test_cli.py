@@ -3,11 +3,21 @@
 import csv
 import io
 import math
+import warnings
 from pathlib import Path
 
 import pytest
 
-from awgn_feedback.cli import ConfigError, main, parse_config
+from awgn_feedback import e_fb
+from awgn_feedback.cli import (
+    ConfigError,
+    _db_to_linear,
+    _g17,
+    _params_from_db,
+    _sweep_rows,
+    main,
+    parse_config,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = GOLDEN_DIR / "fig1_20_30.csv"
@@ -223,6 +233,26 @@ def test_exponents_fig1_beyond_float_range(snr_db, dsnr_db, capsys):
     fb = [float(r["e_fb_norm"]) for r in rows if r["e_fb_norm"] != ""]
     assert len(fb) == 50
     assert all(math.isfinite(v) and v > 0.0 for v in fb)
+
+
+def test_fig1_sweep_rows_match_one_rate_calls():
+    """Each rate's search starts at the previous rate's K*; the rows keep the
+    bits of one e_fb call per rate without that start, also where the
+    argmax hits k_max = 64 and warns."""
+    with pytest.warns(RuntimeWarning, match="e_fb argmax hit k_max=64"):
+        rows = _sweep_rows(3.0, 33.0, 0, True)
+    snr, params = _db_to_linear(3.0), _params_from_db(3.0, 33.0)
+    fb_rows = [row for row in rows if row["e_fb_norm"] != ""]
+    assert len(fb_rows) == 50
+    assert "64" in {row["k_star"] for row in fb_rows}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for row in fb_rows:
+            res = e_fb(params, float(row["rate_bits"]))
+            assert (row["e_fb_norm"], row["k_star"], row["l_star"],
+                    row["fb_binding"]) == (
+                _g17(res.e_fb / snr), str(res.k_star), _g17(res.l_star),
+                res.binding.value), row["rate_over_capacity"]
 
 
 def test_exponents_reject_noiseless_feedback(capsys):

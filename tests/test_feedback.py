@@ -235,7 +235,7 @@ def test_e_fb_rejects_infinite_bsnr():
     # p_tilde / sigma2_tilde overflows: the search interval has no top
     params = ChannelParams(p=1.0, p_tilde=10.0, sigma2=0.01, sigma2_tilde=1e-308)
     assert params.bsnr == math.inf
-    with pytest.raises(ValueError, match="looseness must be finite"):
+    with pytest.raises(ValueError, match="^bsnr must be finite, got inf"):
         e_fb(params, 0.5)
 
 
@@ -246,6 +246,12 @@ def test_e_fb_rejects_bsnr_without_a_looseness_interval(bsnr):
     assert params.bsnr == bsnr and params.dsnr > 1.0
     with pytest.raises(ValueError, match=f"^bsnr {bsnr} .*feedback SNR above 1"):
         e_fb(params, 0.01)
+
+
+def test_e_fb_rejects_a_first_round_count_above_k_max():
+    e_fb(P20_30, 0.5, k_max=8, k_first=8)
+    with pytest.raises(ValueError, match=r"^k_first must be in \[1, 9\), got 9"):
+        e_fb(P20_30, 0.5, k_max=8, k_first=9)
 
 
 def test_e_fb_k_max_boundary_warning():
@@ -405,8 +411,9 @@ def test_e_fb_prunes_losing_round_counts(monkeypatch):
 
 @pytest.mark.parametrize(
     "snr_db, dsnr_db, budget",
-    # each sweep makes 12 210, 13 287 and 9 142 evaluations
-    [("20", "30", 13_431), ("10", "20", 14_052), ("30", "30", 10_056)],
+    # each sweep makes 5 551, 5 043 and 5 542 evaluations, with each rate's
+    # search started at the previous rate's K*; budgets allow 10 % more
+    [("20", "30", 6_106), ("10", "20", 5_547), ("30", "30", 6_096)],
     ids=["20-30", "10-20", "30-30"],
 )
 def test_fig1_sweep_evaluation_budget(monkeypatch, tmp_path, snr_db, dsnr_db, budget):
@@ -507,25 +514,22 @@ def test_decode_exponent_does_not_rise_with_looseness():
 
 def test_e_fb_tie_goes_to_the_smaller_round_count(monkeypatch):
     """When two round counts reach a bit-equal value, the smaller K wins, as
-    in the ascending scan of checked_search, even when the larger K finishes
+    in the ascending scan of checked_search, even when the larger K runs
     first."""
     from awgn_feedback import feedback
 
     def inner(snr, bsnr, dsnr, rate_bits, rounds, best_val=-math.inf):
         return (1.0 if rounds in (2, 4) else 0.0), float(rounds), 1
 
-    monkeypatch.setattr(feedback, "_first_guess", lambda *args: 4)
     monkeypatch.setattr(feedback, "_inner_optimum", inner)
-    res = e_fb(P20_30, 1.0, k_max=8)
+    res = e_fb(P20_30, 1.0, k_max=8, k_first=4)
     assert (res.e_fb, res.k_star, res.l_star) == (1.0, 2, 2.0)
 
 
 @pytest.mark.parametrize("snr_db, dsnr_db", [(20.0, 30.0), (3.0, 33.0), (40.0, 40.0)])
-def test_e_fb_does_not_depend_on_the_first_round_count(monkeypatch, snr_db, dsnr_db):
+def test_e_fb_does_not_depend_on_the_first_round_count(snr_db, dsnr_db):
     """Whichever K runs first and sets the incumbent, every field of the
     result keeps its bits."""
-    from awgn_feedback import feedback
-
     p = ChannelParams.from_snrs(10.0 ** (snr_db / 10.0), 10.0 ** (dsnr_db / 10.0))
     for x in (0.0, 0.5, 0.9):
         rate = x * capacity(p.snr)
@@ -534,8 +538,7 @@ def test_e_fb_does_not_depend_on_the_first_round_count(monkeypatch, snr_db, dsnr
             warnings.simplefilter("ignore", RuntimeWarning)
             expected = repr(e_fb(p, rate))
             for k0 in range(1, 65):
-                monkeypatch.setattr(feedback, "_first_guess", lambda *args: k0)
-                assert repr(e_fb(p, rate)) == expected, (x, k0)
+                assert repr(e_fb(p, rate, k_first=k0)) == expected, (x, k0)
 
 
 def _bits(f, *args):
