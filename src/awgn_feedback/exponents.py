@@ -5,7 +5,7 @@ Unit convention
 ---------------
 Rates cross the public API in bits per channel use.  Exponent values are in
 nats, matching the e^{-N E} convention.  Every bits-to-nats conversion goes
-through :func:`rate_nats` so the convention lives in exactly one place.
+through the kernel ``_rate_nats``, so the convention lives in one place.
 
 The random-coding exponent over [R_ex, R_cr] is the straight line of slope -1
 (in nats) that is tangent to the expurgation curve at R_ex and to the
@@ -32,13 +32,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from ._checks import real
 
 __all__ = [
     "ExponentRegion",
-    "RegionBoundaries",
     "capacity",
     "critical_rate",
     "expurgation_rate",
@@ -46,8 +44,6 @@ __all__ = [
     "gallager_exp",
     "poltyrev_exponent",
     "random_coding_exp",
-    "rate_nats",
-    "region_boundaries",
     "sphere_packing_exp",
 ]
 
@@ -63,8 +59,7 @@ ZERO_RATE_BITS = 1e-6
 _CAP_SLACK = 1e-12
 
 
-def rate_nats(rate_bits: float) -> float:
-    """Convert a rate in bits per use to nats per use."""
+def _rate_nats(rate_bits: float) -> float:
     return rate_bits * LN2
 
 
@@ -80,18 +75,6 @@ class ExponentRegion(enum.Enum):
     SPHERE_PACKING = "sphere_packing"
 
 
-@dataclass(frozen=True)
-class RegionBoundaries:
-    """Rate boundaries (bits per use) between the exponent regions.
-
-    Satisfies 0 <= expurgation_rate <= critical_rate <= capacity.
-    """
-
-    capacity: float
-    critical_rate: float
-    expurgation_rate: float
-
-
 def capacity(snr: float) -> float:
     """Shannon capacity of the AWGN channel, 0.5*log2(1 + snr), in bits."""
     return _capacity(real("snr", snr, above=0.0))
@@ -105,15 +88,6 @@ def critical_rate(snr: float) -> float:
 def expurgation_rate(snr: float) -> float:
     """Rate (bits) below which expurgation improves on random coding."""
     return _expurgation_rate(real("snr", snr, above=0.0))
-
-
-def region_boundaries(snr: float) -> RegionBoundaries:
-    snr = real("snr", snr, above=0.0)
-    return RegionBoundaries(
-        capacity=_capacity(snr),
-        critical_rate=_critical_rate(snr),
-        expurgation_rate=_expurgation_rate(snr),
-    )
 
 
 def _capacity(snr: float) -> float:
@@ -178,7 +152,7 @@ def sphere_packing_exp(snr: float, rate_bits: float) -> float:
     ZERO_RATE_BITS return the analytic limit snr/2.
     """
     snr = real("snr", snr, above=0.0)
-    rate_bits = real("rate", rate_bits)
+    rate_bits = real("rate", rate_bits, at_least=0.0)
     if rate_bits >= ZERO_RATE_BITS:
         _check_below_capacity(snr, rate_bits)
     return _sphere_packing(snr, rate_bits)
@@ -186,11 +160,11 @@ def sphere_packing_exp(snr: float, rate_bits: float) -> float:
 
 def _sphere_packing(snr: float, rate_bits: float) -> float:
     if rate_bits < ZERO_RATE_BITS:
-        # covers R <= 0 as well: return the zero-rate limit
+        # covers R = 0 as well: return the zero-rate limit
         return 0.5 * snr
     # rates within the capacity slack are evaluated at capacity
     rate_bits = min(rate_bits, _capacity(snr))
-    beta = math.exp(2.0 * rate_nats(rate_bits))
+    beta = math.exp(2.0 * _rate_nats(rate_bits))
     # snr*(beta - 1) overflows past snr ~1.3e154, so it is split only where
     # it does; 0.5*snr/beta is snr/(2*beta) bit for bit without overflowing
     # 2*beta past snr ~9e307
@@ -232,7 +206,7 @@ def random_coding_exp(snr: float, rate_bits: float) -> float:
 
 
 def _random_coding(snr: float, rate_bits: float) -> float:
-    return _straight_line_intercept(snr) - rate_nats(rate_bits)
+    return _straight_line_intercept(snr) - _rate_nats(rate_bits)
 
 
 def expurgation_exp(snr: float, rate_bits: float) -> float:
@@ -249,7 +223,7 @@ def expurgation_exp(snr: float, rate_bits: float) -> float:
 def _expurgation_terms(rate_bits: float) -> tuple[float, float]:
     # the factors of the expurgation exponent that depend on the rate alone:
     # u = 2^{-2R} and 1 + sqrt(1 - u)
-    u = math.exp(-2.0 * rate_nats(rate_bits))
+    u = math.exp(-2.0 * _rate_nats(rate_bits))
     return u, 1.0 + math.sqrt(1.0 - u)
 
 

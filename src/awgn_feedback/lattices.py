@@ -38,16 +38,12 @@ __all__ = [
     "cubic_lattice",
     "d4_lattice",
     "e8_lattice",
-    "looseness_to_vnr",
     "make_lattice",
     "modulo",
     "quantize_nn",
     "sample_dither",
     "scale_to_power",
-    "vnr",
 ]
-
-TWO_PI_E = 2.0 * math.pi * math.e
 
 
 # =============================================================================
@@ -256,13 +252,14 @@ def sample_dither(
     points into the Voronoi cell in one :func:`modulo` call; the fold is
     volume-preserving, so uniformity is exact.
     """
-    size = (size,) if np.ndim(size) == 0 else tuple(size)
+    size = (size,) if np.ndim(size) == 0 else size
+    size = tuple(count("size", s, 0) for s in size)
     u = rng.random((*size, lattice.dimension))
     return modulo(lattice, u @ lattice.generator)
 
 
 # =============================================================================
-# POWER AND VNR ACCOUNTING
+# POWER
 # =============================================================================
 
 def scale_to_power(lattice: Lattice, target_power: float) -> Lattice:
@@ -270,18 +267,3 @@ def scale_to_power(lattice: Lattice, target_power: float) -> Lattice:
     target_power = real("target_power", target_power, above=0.0)
     s = math.sqrt(target_power / lattice.second_moment)
     return replace(lattice, scale=lattice.scale * s)
-
-
-def vnr(lattice: Lattice, noise_variance: float) -> float:
-    """Volume-to-noise ratio cell_volume**(2/n) / noise_variance."""
-    noise_variance = real("noise_variance", noise_variance, above=0.0)
-    return lattice.cell_volume ** (2.0 / lattice.dimension) / noise_variance
-
-
-def looseness_to_vnr(looseness: float, lattice: Lattice | None = None) -> float:
-    """VNR mu realizing looseness L: 2*pi*e*L for the asymptotically best
-    shaping, or L / nsm for a concrete lattice (L = mu * nsm)."""
-    looseness = real("looseness", looseness, above=0.0)
-    if lattice is None:
-        return TWO_PI_E * looseness
-    return looseness / lattice.nsm

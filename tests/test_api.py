@@ -14,16 +14,15 @@ MODULES = (exponents, feedback, jscc, lattices, sim)
 # the package's public names; adding or removing one is an API change
 PUBLIC = [
     "Binding", "ChannelParams", "ExponentRegion", "FeedbackExponentResult",
-    "JsccParams", "Lattice", "RegionBoundaries", "SchemeConfig",
-    "SimulationSummary", "TrialRecord", "__version__", "balance_looseness",
-    "capacity", "critical_rate", "cubic_lattice", "d4_lattice", "e8_lattice",
-    "e_fb", "effective_snr", "estimate_error_prob", "eta", "expurgation_exp",
+    "JsccParams", "Lattice", "SchemeConfig", "SimulationSummary",
+    "TrialRecord", "__version__", "balance_looseness", "capacity",
+    "critical_rate", "cubic_lattice", "d4_lattice", "e8_lattice", "e_fb",
+    "effective_snr", "estimate_error_prob", "eta", "expurgation_exp",
     "expurgation_rate", "gallager_exp", "high_snr_bound", "kstar_zero_rate",
-    "looseness_to_vnr", "make_lattice", "modulo", "out_of_region_exponent",
-    "poltyrev_exponent", "quantize_nn", "random_coding_exp", "rate_nats",
-    "region_assumptions_hold", "region_boundaries", "run_coupled_trial",
-    "run_trial", "sample_dither", "scale_to_power", "sphere_packing_exp",
-    "vnr", "wilson_interval", "wz_encode", "wz_receive",
+    "make_lattice", "modulo", "out_of_region_exponent", "poltyrev_exponent",
+    "quantize_nn", "random_coding_exp", "region_assumptions_hold",
+    "run_coupled_trial", "run_trial", "sample_dither", "scale_to_power",
+    "sphere_packing_exp", "wilson_interval", "wz_encode", "wz_receive",
 ]
 
 

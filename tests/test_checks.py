@@ -24,7 +24,9 @@ from awgn_feedback import (
     poltyrev_exponent,
     region_assumptions_hold,
     run_trial,
+    sample_dither,
     scale_to_power,
+    sphere_packing_exp,
     wilson_interval,
 )
 
@@ -46,6 +48,8 @@ CASES = {
     "capacity-snr": (capacity, "snr", REAL, 100.0, 0.0),
     "gallager_exp-snr": (lambda v: gallager_exp(v, 0.5), "snr", REAL, 100.0, -1.0),
     "gallager_exp-rate": (lambda v: gallager_exp(100.0, v), "rate", REAL, 0.5, -0.5),
+    "sphere_packing_exp-rate": (lambda v: sphere_packing_exp(100.0, v), "rate",
+                                REAL, 0.5, -0.5),
     "poltyrev_exponent-x": (poltyrev_exponent, "normalized VNR x", REAL, 3.0, 0.0),
     "eta-x": (eta, "x", REAL, 1.5, -0.5),
     "effective_snr-looseness": (lambda v: effective_snr(P, v, 3), "looseness",
@@ -64,6 +68,9 @@ CASES = {
     "Lattice-scale": (lambda v: Lattice("d4", 4, v), "scale", REAL, 0.5, 0.0),
     "scale_to_power-target_power": (lambda v: scale_to_power(cubic_lattice(2), v),
                                     "target_power", REAL, 2.0, 0.0),
+    "sample_dither-size": (
+        lambda v: sample_dither(cubic_lattice(2), np.random.default_rng(0), v),
+        "size", COUNT, 3, -1),
     "SchemeConfig-rounds": (lambda v: _config(rounds=v), "rounds", COUNT, 2, 0),
     "SchemeConfig-looseness": (lambda v: _config(looseness=v), "looseness",
                                REAL, 40.0, 0.5),

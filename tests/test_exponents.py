@@ -15,11 +15,9 @@ from awgn_feedback import (
     gallager_exp,
     poltyrev_exponent,
     random_coding_exp,
-    rate_nats,
-    region_boundaries,
     sphere_packing_exp,
 )
-from awgn_feedback.exponents import _decode_exponent
+from awgn_feedback.exponents import _decode_exponent, _rate_nats
 
 SNR = 100.0
 LN2 = math.log(2.0)
@@ -31,8 +29,8 @@ def test_capacity_value():
 
 
 def test_rate_nats_conversion():
-    assert rate_nats(1.0) == pytest.approx(LN2, rel=1e-15)
-    assert rate_nats(0.0) == 0.0
+    assert _rate_nats(1.0) == pytest.approx(LN2, rel=1e-15)
+    assert _rate_nats(0.0) == 0.0
 
 
 def test_critical_and_expurgation_rates_frozen():
@@ -43,8 +41,7 @@ def test_critical_and_expurgation_rates_frozen():
 
 def test_rate_ordering():
     for snr in (0.1, 1.0, 10.0, 100.0, 1e4):
-        b = region_boundaries(snr)
-        assert 0.0 < b.expurgation_rate < b.critical_rate < b.capacity
+        assert 0.0 < expurgation_rate(snr) < critical_rate(snr) < capacity(snr)
 
 
 # -----------------------------------------------------------------------------
@@ -169,10 +166,9 @@ def test_expurgation_meets_random_coding_at_expurgation_rate():
 def test_region_boundaries_finite_and_ordered_at_high_snr():
     # sqrt(1 + snr^2/4) overflowed past snr ~ 1.3e154 before hypot
     for snr in (1e2, 1e16, 1e154, 1e160, 1e300):
-        b = region_boundaries(snr)
-        assert all(math.isfinite(r) for r in
-                   (b.expurgation_rate, b.critical_rate, b.capacity))
-        assert b.expurgation_rate <= b.critical_rate <= b.capacity
+        r_ex, r_cr, cap = expurgation_rate(snr), critical_rate(snr), capacity(snr)
+        assert all(math.isfinite(r) for r in (r_ex, r_cr, cap))
+        assert r_ex <= r_cr <= cap
 
 
 def test_random_coding_intercept_stable_at_high_snr():

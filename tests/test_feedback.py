@@ -19,13 +19,13 @@ from awgn_feedback import (
     e_fb,
     effective_snr,
     eta,
+    expurgation_rate,
     gallager_exp,
     high_snr_bound,
     kstar_zero_rate,
     out_of_region_exponent,
     poltyrev_exponent,
     region_assumptions_hold,
-    region_boundaries,
 )
 from awgn_feedback.exponents import _decode_exponent
 from awgn_feedback.feedback import _eta, _region_anchor
@@ -561,19 +561,19 @@ def test_decode_path_matches_gallager_exp_bitwise(snr):
     from snr ~1e154 on, where snr*(beta - 1) in the sphere-packing form
     overflows; at capacity both paths return 0.
     """
-    b = region_boundaries(snr)
+    r_cr, cap = critical_rate(snr), capacity(snr)
     rates = [
         0.0,
-        b.expurgation_rate,
-        b.critical_rate,
-        0.5 * (b.critical_rate + b.capacity),
-        math.nextafter(b.capacity, 0.0),
+        expurgation_rate(snr),
+        r_cr,
+        0.5 * (r_cr + cap),
+        math.nextafter(cap, 0.0),
     ]
     for rate in rates:
         assert _bits(_decode_exponent, snr, rate) == _bits(_gallager_value, snr, rate)
         assert math.isfinite(_gallager_value(snr, rate))
-    assert _bits(_decode_exponent, snr, b.capacity) == float.hex(0.0)
-    assert _bits(_gallager_value, snr, b.capacity) == float.hex(0.0)
+    assert _bits(_decode_exponent, snr, cap) == float.hex(0.0)
+    assert _bits(_gallager_value, snr, cap) == float.hex(0.0)
 
 
 def test_decode_path_overflowed_snr_is_inf():

@@ -19,13 +19,11 @@ from awgn_feedback import (
     cubic_lattice,
     d4_lattice,
     e8_lattice,
-    looseness_to_vnr,
     make_lattice,
     modulo,
     quantize_nn,
     sample_dither,
     scale_to_power,
-    vnr,
 )
 
 TWO_PI_E = 2.0 * math.pi * math.e
@@ -445,7 +443,7 @@ def test_crypto_lemma_shift_invariance():
 
 
 # -----------------------------------------------------------------------------
-# moments, powers, VNR
+# moments and powers
 # -----------------------------------------------------------------------------
 
 def test_normalized_second_moments():
@@ -502,36 +500,13 @@ def test_scale_to_power_cubic_spacing():
     assert zn.scale == pytest.approx(math.sqrt(12.0), rel=1e-12)
 
 
-def test_vnr_definition():
-    lat = d4_lattice()
-    sigma2 = 0.03
-    assert vnr(lat, sigma2) == pytest.approx(
-        lat.cell_volume ** (2.0 / 4.0) / sigma2, rel=1e-12
-    )
-    # vnr is linear in the normalized cell volume
-    grown = scale_to_power(lat, 2.0 * lat.second_moment)
-    assert vnr(grown, sigma2) == pytest.approx(2.0 * vnr(lat, sigma2),
-                                               rel=1e-12)
-    with pytest.raises(ValueError):
-        vnr(lat, 0.0)
-
-
-def test_looseness_to_vnr():
-    L = 64.0
-    assert looseness_to_vnr(L) == pytest.approx(TWO_PI_E * L, rel=1e-12)
-    lat = e8_lattice()
-    assert looseness_to_vnr(L, lat) == pytest.approx(L / lat.nsm, rel=1e-12)
-    # the shaped conversion never exceeds the Gaussian one
-    assert looseness_to_vnr(L, lat) < looseness_to_vnr(L)
-    with pytest.raises(ValueError):
-        looseness_to_vnr(0.0)
-
-
 def test_looseness_identity_on_cubic():
-    # L = mu * G for the scaled-integer lattice, whose G is exactly 1/12
+    # L = mu * G for the scaled-integer lattice, whose G is exactly 1/12: a
+    # noise of variance second_moment / L gives mu = V^(2/n) / sigma2 = 12 L
     lat = cubic_lattice(1, spacing=0.4)
     for L in (1.0, 5.0, 80.0):
-        mu = looseness_to_vnr(L, lat)
+        sigma2 = lat.second_moment / L
+        mu = lat.cell_volume ** (2.0 / lat.dimension) / sigma2
         assert mu * lat.nsm == pytest.approx(L, rel=1e-12)
         assert mu == pytest.approx(12.0 * L, rel=1e-12)
 
