@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 
 from ._checks import real
 
@@ -257,8 +258,10 @@ def _gallager(snr: float, rate_bits: float) -> tuple[float, ExponentRegion]:
 def _decode_exponent(snr: float, rate_bits: float) -> float:
     """Reliability exponent of a decoder at a positive snr and a nonnegative
     rate: :func:`gallager_exp`'s value below capacity, 0 at or above it (no
-    reliable decoding, so clamp instead of raising), and inf at snr = inf,
-    the limit of the expurgation exponent as the snr grows."""
+    reliable decoding, so clamp instead of raising).  An snr of inf, a
+    boosted SNR past the float range, is read as the largest float: the
+    exponent does not fall with the snr, so that value is a lower bound, 0
+    at rates of 512 bits and more (the capacity there) and finite below."""
     return _decode_exponent_hoisted(snr, rate_bits, *_expurgation_terms(rate_bits))
 
 
@@ -268,7 +271,7 @@ def _decode_exponent_hoisted(
     # _decode_exponent with u, den = _expurgation_terms(rate_bits) passed in,
     # so a caller that holds the rate fixed across many snrs computes them once
     if snr == math.inf:
-        return math.inf
+        snr = sys.float_info.max
     if rate_bits >= _capacity(snr):
         return 0.0
     # not routed through _gallager, which would recompute u, den and build a

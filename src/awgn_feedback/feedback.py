@@ -41,6 +41,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -392,7 +393,7 @@ def e_fb(
     )
     mod = _poltyrev(best_l)
     scale = max(dec, mod, 1e-300)
-    if dec < math.inf and abs(dec - mod) <= _BALANCE_RTOL * scale:
+    if abs(dec - mod) <= _BALANCE_RTOL * scale:
         binding = Binding.BALANCED
     elif dec < mod:
         binding = Binding.DECODE
@@ -490,8 +491,8 @@ def region_assumptions_hold(
     Requires the modulo exponent to sit on its linear branch (L > 4) and
     the total rate K*R to fall strictly below the critical rate of the
     boosted channel, so the decode exponent is in its expurgation form; a
-    boosted SNR beyond the float range passes, since the critical rate grows
-    without bound with the SNR.  A looseness outside the closed-form domain
+    boosted SNR beyond the float range is read as the largest float, as in
+    the decode exponent.  A looseness outside the closed-form domain
     (not finite, at most 4, or not in [1, bsnr)) returns False.  Like
     :func:`e_fb`, it raises ValueError on an invalid link (noiseless, or
     dsnr <= 1), rate (negative or not finite), round count (not an int, or
@@ -513,8 +514,11 @@ def _region_holds(
     # 4 < L < bsnr also rules out a looseness that is nan or inf
     if not 4.0 < looseness < bsnr:
         return False
+    # a boosted SNR past the float range reads as the largest float, as in
+    # the decode exponent
     snr_eff = _effective_snr(snr, bsnr, dsnr, looseness, rounds)
-    return snr_eff == math.inf or rounds * rate_bits < _critical_rate(snr_eff)
+    snr_eff = min(snr_eff, sys.float_info.max)
+    return rounds * rate_bits < _critical_rate(snr_eff)
 
 
 @functools.lru_cache(maxsize=64)

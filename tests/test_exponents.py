@@ -1,6 +1,7 @@
 """Unit tests for the no-feedback exponent curves."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -259,14 +260,22 @@ def test_gallager_meets_poltyrev_at_high_snr(snr_db):
     assert max(gaps) <= 3.1 / snr + 2e-12
 
 
-def test_decode_exponent_clamps_at_capacity_and_grows_to_inf():
+def test_decode_exponent_clamps_at_capacity_and_reads_inf_as_the_largest_float():
     """The decoder exponent e_fb runs on: gallager_exp's value below
-    capacity, 0 at and above it, inf at snr = inf."""
+    capacity, 0 at and above it.  An snr of inf, a boosted SNR past the
+    float range, decodes as the largest float: 0 from 512 bits on, the
+    capacity there, and finite and positive below."""
     for snr in (0.5, 100.0, 1e30):
         cap = capacity(snr)
         for rate in (cap, 1.5 * cap, cap + 1.0):
             assert _decode_exponent(snr, rate) == 0.0
         for rate in (0.0, 0.01 * cap, 0.5 * cap, 0.99 * cap):
             assert _decode_exponent(snr, rate) == gallager_exp(snr, rate)[0]
-    for rate in (0.0, 1.0, 1e6):
-        assert _decode_exponent(math.inf, rate) == math.inf
+    top = sys.float_info.max
+    assert capacity(top) == 512.0
+    for rate in (0.0, 1.0, 300.0, 511.0, 511.99):
+        value = _decode_exponent(math.inf, rate)
+        assert value == gallager_exp(top, rate)[0]
+        assert 0.0 < value < math.inf
+    for rate in (512.0, 550.0, 1e6):
+        assert _decode_exponent(math.inf, rate) == 0.0

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import warnings
 from decimal import Decimal, getcontext
 
@@ -28,7 +29,7 @@ from awgn_feedback import (
     region_assumptions_hold,
 )
 from awgn_feedback.exponents import _decode_exponent
-from awgn_feedback.feedback import _eta, _region_anchor
+from awgn_feedback.feedback import _eta, _inner_optimum, _region_anchor
 
 P20_30 = ChannelParams.from_snrs(100.0, 1000.0)
 
@@ -274,10 +275,8 @@ def test_e_fb_pruning_is_lossless():
 
 def checked_decode(p, rate, L, k):
     """e_fb's decode exponent through the checked public functions."""
-    snr_k = effective_snr(p, L, k)
-    if snr_k == math.inf:
-        # the limit of the expurgation exponent as the snr grows
-        return math.inf
+    # a boosted SNR past the float range decodes as the largest float
+    snr_k = min(effective_snr(p, L, k), sys.float_info.max)
     if k * rate >= capacity(snr_k):
         return 0.0
     return gallager_exp(snr_k, k * rate)[0]
@@ -576,26 +575,33 @@ def test_decode_path_matches_gallager_exp_bitwise(snr):
     assert _bits(_gallager_value, snr, cap) == float.hex(0.0)
 
 
-def test_decode_path_overflowed_snr_is_inf():
-    """A boosted SNR beyond the float range decodes with exponent inf, the
-    limit of the expurgation exponent as the SNR grows; the public
-    gallager_exp still rejects an infinite SNR."""
-    for rate in (0.0, 1.0):
-        assert _decode_exponent(math.inf, rate) == math.inf
+def test_decode_path_reads_an_overflowed_snr_as_the_largest_float():
+    """A boosted SNR beyond the float range decodes as the largest float,
+    bit for bit gallager_exp's value there, and 0 from 512 bits on, the
+    capacity there; the public gallager_exp still rejects an infinite SNR."""
+    top = sys.float_info.max
+    for rate in (0.0, 1.0, 511.0):
+        assert _bits(_decode_exponent, math.inf, rate) == _bits(_gallager_value, top, rate)
         assert "finite" in _bits(_gallager_value, math.inf, rate)
+    assert _decode_exponent(math.inf, 512.0) == 0.0
 
 
-def test_e_fb_binds_on_modulo_when_decode_is_unbounded():
-    """At 60/40 dB and R/C ~ 0.863 the optimum's boosted SNR is beyond the
-    float range, so only the modulo exponent can bind."""
+def test_e_fb_does_not_rest_on_an_overflowed_snr():
+    """At 60/40 dB and R/C ~ 0.863, K*R reaches 512 bits, the capacity at the
+    largest float, from K = 60 on.  The boosted SNR of such a K overflows at
+    small L, where the decode exponent is 0, so the crossing of the two
+    exponents lies where the SNR is finite, and the optimum is the balanced
+    one at K = 12, not a crossing put on the overflow edge at k_max.  A K
+    with K*R >= 512 bits cannot decode at any float SNR: its value is 0."""
     params = ChannelParams.from_snrs(1e6, 1e4)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # K* sits at k_max
-        res = e_fb(params, 8.601253260169738)
-    assert effective_snr(params, res.l_star, res.k_star) == math.inf
-    assert res.binding is Binding.MODULO
-    assert res.region_valid
-    assert res.e_fb == poltyrev_exponent(res.l_star) / (2.0 * res.k_star)
+    rate = 8.601253260169738
+    res = e_fb(params, rate)
+    assert (res.k_star, res.binding, res.region_valid) == (12, Binding.BALANCED, True)
+    assert res.e_fb == pytest.approx(113.33378870367632, rel=1e-12)
+    assert res.l_star == pytest.approx(21760.087431785418, rel=1e-9)
+    for k in range(1, 65):
+        value, _, _ = _inner_optimum(params.snr, params.bsnr, params.dsnr, rate, k)
+        assert value == 0.0 if k * rate >= 512.0 else value > 0.0, k
 
 
 # -----------------------------------------------------------------------------
@@ -715,8 +721,10 @@ def test_region_assumptions_false_outside_domain():
     assert not region_assumptions_hold(P20_30, 0.0, 5, P20_30.bsnr + 1.0)
     for looseness in (math.inf, -math.inf, math.nan):
         assert not region_assumptions_hold(P20_30, 0.0, 5, looseness)
-    # a boosted SNR beyond the float range has an unbounded critical rate
+    # a boosted SNR beyond the float range reads as the largest float, whose
+    # critical rate is 511.5 bits
     assert region_assumptions_hold(P20_30, 1.0, 200, 5.0)
+    assert not region_assumptions_hold(P20_30, 511.5 / 200, 200, 5.0)
 
 
 def test_region_assumptions_raise_on_invalid_link_rate_or_rounds():
