@@ -27,13 +27,20 @@ the optimum of its previous rate, which is mostly the optimum here or a
 little below it), else the K that maximizes the closed form L*(K)/(16K) of
 :func:`high_snr_bound`.  It then scans K = 1..k_max upward, ends at the
 first K whose bound bsnr/(16K) cannot beat the incumbent, and drops a K
-after one evaluation when the two exponents have crossed at a probe
-looseness just below 16K times the incumbent's value.  Every other K runs
-its full bisection, so the result is bit for bit that of the full scan,
-whichever K ran first (the argument is in :func:`e_fb`); the first K only
-sets how many round counts the probe can drop.  The factors of the decode
+when the two exponents have crossed at a probe looseness just below 16K
+times the incumbent's value; the probe is one evaluation in the scan
+itself, before any set-up of K's search.  Every other K runs its full
+search, so the result is bit for bit that of the full scan, whichever K ran
+first (the argument is in :func:`e_fb`); the first K only sets how many
+round counts the probe can drop.
+
+A full search is the bisection on the gap of the two exponents, but it
+evaluates only the midpoints whose sign is not already certified: secant
+steps toward the crossing first find points on both sides of it where the
+gap's sign is beyond float error, and every midpoint outside those two
+points takes the step an evaluation would give.  The factors of the decode
 exponent that depend only on K (through the rate K*R) are computed once per
-K and passed to the decode kernel.
+search and passed to the decode kernel.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ import functools
 import math
 import sys
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from ._checks import count, number, real
@@ -73,12 +81,25 @@ __all__ = [
 _L_EDGE = 1e-9
 _L_TOL = 1e-10
 
-# The pruning probe of _inner_optimum sits this far (relative) below the
+# The pruning probe of e_fb's scan sits this far (relative) below the
 # looseness 16*K*best at which L/8 over 2K would tie the incumbent's value
 # best, so its bound stays below best even if the float decode exponent
 # rose with L by a few ulp between the probe and the looseness the
 # bisection ends on.
 _PROBE_MARGIN = 1e-9
+
+# A gap decode - modulo counts as certified positive or negative only beyond
+# this share of the larger exponent: far above the float error of the decode
+# exponent, which at K = 64 is pow's error times K - 1.
+_SIGN_GUARD = 1e-12
+
+# The secant search of _certified_bracket: its step budget, its first step
+# in ln L, the step in ln L at which it stops, and the relative offsets of
+# the two points it then evaluates around its target.
+_SECANT_STEPS = 16
+_SECANT_DX = 1e-3
+_SECANT_XTOL = 1e-11
+_SECANT_CERTIFY = 3e-11
 
 # Two exponents within this relative window count as jointly binding.
 _BALANCE_RTOL = 1e-6
@@ -218,63 +239,112 @@ def _check_looseness(looseness: float, bsnr: float) -> float:
 
 
 def _inner_optimum(
-    snr: float, bsnr: float, dsnr: float, rate_bits: float, rounds: int,
-    best_val: float = -math.inf,
-) -> tuple[float, float | None, int]:
+    snr: float, bsnr: float, dsnr: float, rate_bits: float, rounds: int
+) -> tuple[float, float]:
     """Best min(decode, modulo) / (2K) over looseness for a fixed round count.
 
     The decode exponent falls with L (less SNR growth) while the modulo
     exponent rises with L (coarser lattice, rarer wraps), so the min peaks
     where they cross, found by bisection on their gap, or at an end of
-    (1, bsnr).  Returns (value, looseness, evaluations), counting the
-    looseness values at which both exponents were computed.
+    (1, bsnr).  Returns (value, looseness).
 
-    Against an incumbent best_val (from another K), a probe at
-    L1 = 16 K best_val (1 - _PROBE_MARGIN), if it lies inside the interval,
-    can end the search early: modulo(L1)/(2K) <= L1/(16K) is below
-    best_val, and a non-positive gap at L1 puts the crossing at or below
-    L1, where the value is at most modulo(L1)/(2K).  The search then
-    returns (modulo(L1)/(2K), None, 1).  A probe that does not stop the
-    search counts as one more evaluation and leaves the bisection as it
-    would be without it.  Unchecked: the caller has validated the link
-    SNRs, the rate and the interval ends.
+    Before the bisection, :func:`_certified_bracket` takes secant steps
+    toward the crossing and returns the largest point where the gap is
+    certified positive and the smallest where it is certified negative.
+    The bisection then runs its steps unchanged but evaluates only the
+    midpoints between those two points: a midpoint at or below the first
+    raises the lower end, one at or above the second lowers the upper end,
+    as an evaluation there would (point 5 of :func:`e_fb`).  With no
+    certified point this is the plain bisection.  Unchecked: the caller has
+    validated the link SNRs, the rate and the interval ends.
     """
     lo = 1.0 + _L_EDGE
     hi = bsnr * (1.0 - _L_EDGE)
     rate_k = rounds * rate_bits
-    two_k = 2.0 * rounds
     u, den = _expurgation_terms(rate_k)
 
     def decode(L: float) -> float:
         snr_k = _effective_snr(snr, bsnr, dsnr, L, rounds)
         return _decode_exponent_hoisted(snr_k, rate_k, u, den)
 
-    evals = 1
-    # -inf, 0 or a value too small for the interval never probes
-    probe = 16.0 * rounds * best_val * (1.0 - _PROBE_MARGIN)
-    if lo < probe < hi:
-        mod = _poltyrev(probe)
-        bound = mod / two_k
-        if bound < best_val:
-            if decode(probe) - mod <= 0.0:
-                return bound, None, evals
-            evals += 1
-    if decode(hi) - _poltyrev(hi) >= 0.0:
+    if decode(lo) - _poltyrev(lo) <= 0.0:
+        l_opt = lo
+    elif decode(hi) - _poltyrev(hi) >= 0.0:
         l_opt = hi
     else:
+        try:
+            start = _balance_looseness(bsnr, dsnr, rate_bits, rounds)
+        except ZeroDivisionError:
+            start = lo
+        if not lo < start < hi:
+            start = math.sqrt(lo * hi)
+        pos, neg = _certified_bracket(decode, lo, hi, start)
         a, b = lo, hi
         while b - a > _L_TOL * a:
             mid = 0.5 * (a + b)
-            evals += 1
-            if decode(mid) - _poltyrev(mid) > 0.0:
+            if mid <= pos:
+                a = mid
+            elif mid >= neg:
+                b = mid
+            elif decode(mid) - _poltyrev(mid) > 0.0:
                 a = mid
             else:
                 b = mid
         l_opt = 0.5 * (a + b)
-    if decode(lo) - _poltyrev(lo) <= 0.0:
-        l_opt = lo
-    # evaluations at lo and l_opt
-    return min(decode(l_opt), _poltyrev(l_opt)) / two_k, l_opt, evals + 2
+    return min(decode(l_opt), _poltyrev(l_opt)) / (2.0 * rounds), l_opt
+
+
+def _certified_bracket(
+    decode: Callable[[float], float], lo: float, hi: float, start: float
+) -> tuple[float, float]:
+    """Points pos < neg of [lo, hi] around the crossing of decode and modulo.
+
+    The gap decode - modulo counts as positive at L, and L as a candidate
+    for pos, only when it exceeds _SIGN_GUARD times the larger exponent, and
+    as negative, a candidate for neg, only when it is below minus that;
+    pos and neg stay at lo and hi when no point qualifies.  The points come
+    from at most _SECANT_STEPS secant steps on phi = ln(decode) - ln(modulo)
+    against ln L from ``start`` (the first step moves ln L by _SECANT_DX
+    toward the crossing), each kept strictly inside (pos, neg) and replaced
+    by the midpoint in ln L where it would leave it or where phi is not
+    defined (a decode exponent of 0).  Once a step would move ln L by less
+    than _SECANT_XTOL, the points r (1 -+ _SECANT_CERTIFY) around its
+    target r are evaluated, so that the crossing gets certified from both
+    sides.  Only the evaluations matter to the caller, not where the steps
+    went, so the result is exact whatever the secant does.
+    """
+    pos, neg = lo, hi
+
+    def certify(L: float) -> float | None:
+        nonlocal pos, neg
+        d, m = decode(L), _poltyrev(L)
+        guard = _SIGN_GUARD * max(d, m)
+        if d - m > guard:
+            pos = max(pos, L)
+        elif d - m < -guard:
+            neg = min(neg, L)
+        return math.log(d) - math.log(m) if d > 0.0 and m > 0.0 else None
+
+    x, x_prev, f_prev = math.log(start), 0.0, None
+    for _ in range(_SECANT_STEPS):
+        f = certify(math.exp(x))
+        ln_pos, ln_neg = math.log(pos), math.log(neg)
+        if f is None:
+            step = 0.5 * (ln_pos + ln_neg) - x
+        elif f_prev is None or f == f_prev:
+            step = math.copysign(_SECANT_DX, f)
+        else:
+            step = -f * (x - x_prev) / (f - f_prev)
+        if abs(step) < _SECANT_XTOL:
+            r = math.exp(x + step)
+            certify(r * (1.0 - _SECANT_CERTIFY))
+            certify(r * (1.0 + _SECANT_CERTIFY))
+            break
+        x_prev, f_prev = x, f
+        x += step
+        if not ln_pos < x < ln_neg:
+            x = 0.5 * (ln_pos + ln_neg)
+    return pos, neg
 
 
 def _first_guess(bsnr: float, dsnr: float, rate_bits: float, k_max: int) -> int:
@@ -316,14 +386,14 @@ def e_fb(
     probe drop more of the others, so a sweep over rates passes the
     previous rate's ``k_star``.  The scan of K = 1..k_max then
     ends at the first K whose bound bsnr/(16K) (the modulo exponent is at
-    most L/8 < bsnr/8) cannot beat the incumbent.  A K's search ends after
-    one evaluation when the gap decode - modulo is not positive at the
-    probe L1 = 16K best (1 - _PROBE_MARGIN), with bound modulo(L1)/(2K),
-    and otherwise runs its full bisection.  The result is bit for bit that
-    of the full scan:
+    most L/8 < bsnr/8) cannot beat the incumbent.  The scan drops a K after
+    one evaluation, with no set-up of its search, when the gap decode -
+    modulo is not positive at the probe L1 = 16K best (1 - _PROBE_MARGIN)
+    and the bound modulo(L1)/(2K) is below best; every other K runs its full
+    search.  The result is bit for bit that of the full scan:
 
-    1. A K's bisection path depends only on K, not on the incumbent; the
-       probe either ends the search or leaves the path as it was.
+    1. A K's search depends only on K, not on the incumbent; the probe
+       either drops K or leaves its search as it was.
     2. The scan bound holds in floating point, value/(2K) <= bsnr/(16K),
        and does not rise with K.
     3. The incumbent only improves, so a K dropped could not have replaced
@@ -339,6 +409,13 @@ def e_fb(
        rounding; the margin keeps a float decode exponent that rose by a
        few ulp from lifting the value to the incumbent's, and the stop
        also needs the bound itself to be below best.
+    5. A search's bisection takes the steps of the plain one.  It skips a
+       midpoint only at or below a point where the gap exceeded
+       _SIGN_GUARD times the larger exponent, or at or above one where it
+       fell below minus that.  The gap falls with L, and a sign certified
+       beyond the guard, far above the float error of either exponent,
+       cannot flip between such a midpoint and the point that certified
+       it, so an evaluation there would have taken the same step.
 
     A result with ``k_at_boundary`` set means the argmax sat at k_max and a
     larger search range might still improve the value; a warning is emitted.
@@ -357,7 +434,9 @@ def e_fb(
     # the ends of the looseness search; every point tried lies between them.
     # bsnr overflows to inf when p_tilde / sigma2_tilde leaves the float range
     bsnr = real("bsnr", bsnr)
-    if not 1.0 + _L_EDGE < bsnr * (1.0 - _L_EDGE):
+    lo = 1.0 + _L_EDGE
+    hi = bsnr * (1.0 - _L_EDGE)
+    if not lo < hi:
         raise ValueError(
             f"bsnr {bsnr} leaves no looseness in (1, bsnr); "
             f"e_fb needs a feedback SNR above 1"
@@ -368,15 +447,23 @@ def e_fb(
     else:
         k0 = count("k_first", k_first, 1, k_max + 1)
     best_k = k0
-    best_val, best_l, _ = _inner_optimum(snr, bsnr, dsnr, rate_bits, k0)
+    best_val, best_l = _inner_optimum(snr, bsnr, dsnr, rate_bits, k0)
     for k in range(1, k_max + 1):
         bound = bsnr / (16.0 * k)
         if bound < best_val or (bound == best_val and k > best_k):
             break
         if k == k0:
             continue
-        # a K stopped early returns a bound that fails the test below
-        val, l_opt, _ = _inner_optimum(snr, bsnr, dsnr, rate_bits, k, best_val)
+        # the probe, point 4 of the proof above; a best value of 0, or one
+        # too small for the interval, never probes
+        probe = 16.0 * k * best_val * (1.0 - _PROBE_MARGIN)
+        if lo < probe < hi:
+            mod = _poltyrev(probe)
+            if mod / (2.0 * k) < best_val:
+                snr_k = _effective_snr(snr, bsnr, dsnr, probe, k)
+                if _decode_exponent(snr_k, k * rate_bits) - mod <= 0.0:
+                    continue
+        val, l_opt = _inner_optimum(snr, bsnr, dsnr, rate_bits, k)
         if val > best_val or (val == best_val and k < best_k):
             best_val, best_k, best_l = val, k, l_opt
 

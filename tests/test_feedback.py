@@ -29,7 +29,15 @@ from awgn_feedback import (
     region_assumptions_hold,
 )
 from awgn_feedback.exponents import _decode_exponent
-from awgn_feedback.feedback import _eta, _inner_optimum, _region_anchor
+from awgn_feedback.feedback import (
+    _L_EDGE,
+    _L_TOL,
+    _PROBE_MARGIN,
+    _effective_snr,
+    _eta,
+    _inner_optimum,
+    _region_anchor,
+)
 
 P20_30 = ChannelParams.from_snrs(100.0, 1000.0)
 
@@ -180,11 +188,9 @@ def test_e_fb_recompute_invariant():
 
 def test_e_fb_bisection_matches_grid_scan():
     """The inner bisection agrees with a brute-force 2000-point grid."""
-    from awgn_feedback.feedback import _inner_optimum
-
     p = P20_30
     for rate, k in [(0.0, 4), (0.0, 8), (0.8, 4), (0.8, 8), (2.0, 10)]:
-        _, l_bis, _ = _inner_optimum(p.snr, p.bsnr, p.dsnr, rate, k)
+        _, l_bis = _inner_optimum(p.snr, p.bsnr, p.dsnr, rate, k)
 
         lo, hi = 1.0 + 1e-9, p.bsnr * (1.0 - 1e-9)
         step = (hi - lo) / 1999.0
@@ -381,21 +387,23 @@ def test_e_fb_matches_checked_search_on_random_draws():
 
 
 def _count_evals(monkeypatch):
-    """Tally the evaluations that e_fb's looseness searches report: each
-    looseness at which both exponents were computed, the final one of a
-    finished search included."""
+    """Tally e_fb's decode evaluations at the decode kernels in feedback's
+    namespace: the probes and the binding check call ``_decode_exponent``,
+    the looseness searches ``_decode_exponent_hoisted``, at every looseness
+    they evaluate, the final one included."""
     from awgn_feedback import feedback
 
     total = 0
-    inner = feedback._inner_optimum
 
-    def counted(*args):
-        nonlocal total
-        result = inner(*args)
-        total += result[2]
-        return result
+    def counted(kernel):
+        def call(*args):
+            nonlocal total
+            total += 1
+            return kernel(*args)
+        return call
 
-    monkeypatch.setattr(feedback, "_inner_optimum", counted)
+    for name in ("_decode_exponent", "_decode_exponent_hoisted"):
+        monkeypatch.setattr(feedback, name, counted(getattr(feedback, name)))
     return lambda: total
 
 
@@ -403,16 +411,15 @@ def test_e_fb_prunes_losing_round_counts(monkeypatch):
     """Round counts that cannot beat the best value stop their search."""
     evals = _count_evals(monkeypatch)
     e_fb(P20_30, 1.0)
-    # 144 here; without the probe every K up to 64 runs its full bisection,
-    # 2529
-    assert 0 < evals() <= 158
+    # 88 here; without the probe every K up to 64 runs its full search, 913
+    assert 0 < evals() <= 96
 
 
 @pytest.mark.parametrize(
     "snr_db, dsnr_db, budget",
-    # each sweep makes 5 551, 5 043 and 5 542 evaluations, with each rate's
+    # each sweep makes 3 739, 3 269 and 3 759 evaluations, with each rate's
     # search started at the previous rate's K*; budgets allow 10 % more
-    [("20", "30", 6_106), ("10", "20", 5_547), ("30", "30", 6_096)],
+    [("20", "30", 4_112), ("10", "20", 3_595), ("30", "30", 4_134)],
     ids=["20-30", "10-20", "30-30"],
 )
 def test_fig1_sweep_evaluation_budget(monkeypatch, tmp_path, snr_db, dsnr_db, budget):
@@ -427,66 +434,160 @@ def test_fig1_sweep_evaluation_budget(monkeypatch, tmp_path, snr_db, dsnr_db, bu
     assert 0 < evals() <= budget
 
 
-def test_inner_optimum_stops_only_where_it_cannot_win():
-    """The probe stops a search only at a bound below the incumbent's value;
-    every other search runs to the end and returns K's unpruned value."""
-    from awgn_feedback.feedback import _L_EDGE, _PROBE_MARGIN, _inner_optimum
+def _plain_bisection(snr, bsnr, dsnr, rate, k):
+    """_inner_optimum's bisection with every midpoint evaluated, on the same
+    kernels."""
+    lo, hi = 1.0 + _L_EDGE, bsnr * (1.0 - _L_EDGE)
+
+    def decode(L):
+        return _decode_exponent(_effective_snr(snr, bsnr, dsnr, L, k), k * rate)
+
+    if decode(hi) - poltyrev_exponent(hi) >= 0.0:
+        L = hi
+    else:
+        a, b = lo, hi
+        while b - a > _L_TOL * a:
+            mid = 0.5 * (a + b)
+            if decode(mid) - poltyrev_exponent(mid) > 0.0:
+                a = mid
+            else:
+                b = mid
+        L = 0.5 * (a + b)
+    if decode(lo) - poltyrev_exponent(lo) <= 0.0:
+        L = lo
+    return min(decode(L), poltyrev_exponent(L)) / (2.0 * k), L
+
+
+def test_replay_is_the_bisection_for_every_round_count(monkeypatch):
+    """The certified replay returns the plain bisection's value and looseness
+    bit for bit, and so does a replay with no secant step, which certifies
+    nothing.  Seeded links (a third of them at forward SNRs of 48-60 dB,
+    where the boosted SNR overflows), rates of 0, near capacity and in
+    between, and K up to 100."""
+    from awgn_feedback import feedback
+
+    rng = random.Random(24)
+    overflowed = 0
+    for i in range(1200):
+        if i % 3 == 0:
+            snr = 10.0 ** (rng.uniform(48.0, 60.0) / 10.0)
+            p = ChannelParams.from_snrs(snr, 10.0 ** (rng.uniform(0.5, 60.0) / 10.0))
+        else:
+            p = _random_link(rng)
+        cap = capacity(p.snr)
+        rate = (0.0, cap * (1.0 - rng.uniform(0.0, 0.01)), rng.uniform(0.0, cap))[i % 3]
+        k = rng.choice((1, rng.randint(1, 100)))
+        args = (p.snr, p.bsnr, p.dsnr, rate, k)
+        expected = _plain_bisection(*args)
+        assert _inner_optimum(*args) == expected, args
+        with monkeypatch.context() as m:
+            m.setattr(feedback, "_SECANT_STEPS", 0)
+            assert _inner_optimum(*args) == expected, args
+        overflowed += effective_snr(p, 1.0 + _L_EDGE, k) == math.inf
+    assert overflowed >= 100
+
+
+def _record_full_searches(monkeypatch):
+    """The round counts whose looseness search e_fb runs to the end."""
+    from awgn_feedback import feedback
+
+    ran = []
+    inner = feedback._inner_optimum
+
+    def recorded(*args):
+        ran.append(args[4])
+        return inner(*args)
+
+    monkeypatch.setattr(feedback, "_inner_optimum", recorded)
+    return ran
+
+
+def test_probe_stops_only_where_it_cannot_win(monkeypatch):
+    """The probe drops a K only at a bound below the incumbent's value;
+    every other K runs its search to the end.  K = 1 runs first and scores
+    the incumbent's value, K = 2..k-1 score 0, and K = k is searched."""
+    from awgn_feedback import feedback
+
+    inner = feedback._inner_optimum
+    ran = []
+
+    def search_runs(rate, k, best):
+        def fake(*args):
+            ran.append(args[4])
+            if args[4] == k:
+                return inner(*args)
+            return (best if args[4] == 1 else 0.0), 1.0
+
+        ran.clear()
+        monkeypatch.setattr(feedback, "_inner_optimum", fake)
+        res = e_fb(P20_30, rate, k_max=k, k_first=1)
+        assert (res.e_fb, res.k_star) == (best, 1)
+        return k in ran
 
     p, rate, k = P20_30, 1.0, 8
-    args = (p.snr, p.bsnr, p.dsnr, rate, k)
-    value, l_opt, evals = _inner_optimum(*args)
+    value, _ = inner(p.snr, p.bsnr, p.dsnr, rate, k)
     # the modulo exponent at the first midpoint, over 2K, is above K's value,
-    # so a probe at 16 K times it lies past K's crossing and stops the search
-    # in one evaluation
+    # so a probe at 16 K times it lies past K's crossing and drops K
     mid = 0.5 * ((1.0 + _L_EDGE) + p.bsnr * (1.0 - _L_EDGE))
     assert _decode_exponent(effective_snr(p, mid, k), k * rate) < poltyrev_exponent(mid)
     first = poltyrev_exponent(mid) / (2.0 * k)
     probe = 16.0 * k * first * (1.0 - _PROBE_MARGIN)
-    stop = (poltyrev_exponent(probe) / (2.0 * k), None, 1)
-    assert value <= stop[0] < first
-    assert _inner_optimum(*args, first) == stop
-    # an incumbent equal to K's value: K runs to the end, and the probe,
-    # which did not stop it, is counted
-    assert _inner_optimum(*args, value) == (value, l_opt, evals + 1)
+    assert value <= poltyrev_exponent(probe) / (2.0 * k) < first
+    assert not search_runs(rate, k, first)
+    # an incumbent equal to K's value: K runs to the end
+    assert search_runs(rate, k, value)
 
     # near capacity K's crossing lies below L = 4, where poltyrev(L) < L/8:
     # an incumbent above K's value can put the probe below the crossing, and
     # then K, which cannot win, still runs to the end
     rate, k = 0.95 * capacity(p.snr), 3
-    args = (p.snr, p.bsnr, p.dsnr, rate, k)
-    value, l_opt, evals = _inner_optimum(*args)
+    value, l_opt = inner(p.snr, p.bsnr, p.dsnr, rate, k)
     best = 0.5 * (value + l_opt / (16.0 * k))
     assert value < best
     assert 1.0 + _L_EDGE < 16.0 * k * best * (1.0 - _PROBE_MARGIN) < l_opt < 4.0
-    assert _inner_optimum(*args, best) == (value, l_opt, evals + 1)
+    assert search_runs(rate, k, best)
 
 
-def test_probe_stops_only_round_counts_that_cannot_win():
-    """Seeded links, rates and round counts, with another K's value, or K's
-    own, as the incumbent: whenever the search stops, it stops in one
-    evaluation, and K's unpruned value is at most the bound returned and
-    below the incumbent; every other search returns the unpruned value and
-    looseness bit for bit."""
-    from awgn_feedback.feedback import _inner_optimum
+def test_probe_stops_only_round_counts_that_cannot_win(monkeypatch):
+    """Seeded links, rates and k_max, with a random first K on every other
+    call: each K whose search e_fb did not run to the end scores below the
+    result, or, past the scan's end, no higher than it; each probe costs one
+    decode evaluation and nothing else."""
+    from awgn_feedback import feedback
 
+    ran = _record_full_searches(monkeypatch)
+    probes = 0
+
+    def counted(*args):
+        nonlocal probes
+        probes += 1
+        return _decode_exponent(*args)
+
+    monkeypatch.setattr(feedback, "_decode_exponent", counted)
     rng = random.Random(18)
     stops = 0
-    for _ in range(1400):
+    for i in range(400):
         p = _random_link(rng)
         rate = rng.uniform(0.0, 0.999) * capacity(p.snr)
-        k, other = rng.sample(range(1, 65), 2)
-        args = (p.snr, p.bsnr, p.dsnr, rate, k)
-        value, l_full, _ = _inner_optimum(*args)
-        other_value = _inner_optimum(p.snr, p.bsnr, p.dsnr, rate, other)[0]
-        for best in (other_value, value):
-            bound, l_opt, evals = _inner_optimum(*args, best)
-            if l_opt is None:
-                stops += 1
-                assert evals == 1
-                assert value <= bound < best
+        k_max = rng.choice((5, 13, 64))
+        k_first = rng.randint(1, k_max) if i % 2 else None
+        ran.clear()
+        probes = -1  # the binding check's evaluation
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            res = e_fb(p, rate, k_max, k_first=k_first)
+        dropped = 0
+        for k in set(range(1, k_max + 1)) - set(ran):
+            value = _inner_optimum(p.snr, p.bsnr, p.dsnr, rate, k)[0]
+            if p.bsnr / (16.0 * k) > res.e_fb:
+                # within the scan: the probe dropped K
+                dropped += 1
+                assert value < res.e_fb, (p, rate, k)
             else:
-                assert (bound, l_opt) == (value, l_full)
-    assert stops >= 500
+                assert value < res.e_fb or (value == res.e_fb and k > res.k_star)
+        assert dropped <= probes <= dropped + len(ran) - 1
+        stops += dropped
+    assert stops >= 1000
 
 
 def test_decode_exponent_does_not_rise_with_looseness():
@@ -517,8 +618,8 @@ def test_e_fb_tie_goes_to_the_smaller_round_count(monkeypatch):
     first."""
     from awgn_feedback import feedback
 
-    def inner(snr, bsnr, dsnr, rate_bits, rounds, best_val=-math.inf):
-        return (1.0 if rounds in (2, 4) else 0.0), float(rounds), 1
+    def inner(snr, bsnr, dsnr, rate_bits, rounds):
+        return (1.0 if rounds in (2, 4) else 0.0), float(rounds)
 
     monkeypatch.setattr(feedback, "_inner_optimum", inner)
     res = e_fb(P20_30, 1.0, k_max=8, k_first=4)
@@ -581,7 +682,8 @@ def test_decode_path_reads_an_overflowed_snr_as_the_largest_float():
     capacity there; the public gallager_exp still rejects an infinite SNR."""
     top = sys.float_info.max
     for rate in (0.0, 1.0, 511.0):
-        assert _bits(_decode_exponent, math.inf, rate) == _bits(_gallager_value, top, rate)
+        value = _bits(_decode_exponent, math.inf, rate)
+        assert value == _bits(_gallager_value, top, rate)
         assert "finite" in _bits(_gallager_value, math.inf, rate)
     assert _decode_exponent(math.inf, 512.0) == 0.0
 
@@ -600,7 +702,7 @@ def test_e_fb_does_not_rest_on_an_overflowed_snr():
     assert res.e_fb == pytest.approx(113.33378870367632, rel=1e-12)
     assert res.l_star == pytest.approx(21760.087431785418, rel=1e-9)
     for k in range(1, 65):
-        value, _, _ = _inner_optimum(params.snr, params.bsnr, params.dsnr, rate, k)
+        value, _ = _inner_optimum(params.snr, params.bsnr, params.dsnr, rate, k)
         assert value == 0.0 if k * rate >= 512.0 else value > 0.0, k
 
 
