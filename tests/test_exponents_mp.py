@@ -21,10 +21,15 @@ A = snr, rates R in bits and beta = 2^{2R}:
 Near R_cr at high SNR the E_sp form cancels to relative order (4/A)^2, and
 A(snr) cancels to order 1/A^2, so at A up to 1e300 the reference needs more
 than 600 digits; 400 read relative errors near 1 there.
+
+The boosted SNR that ``e_fb`` feeds these kernels, snr g^{K-1} with
+g = 1 + snr (1 - L/bsnr) / (1 + L/dsnr), is checked the same way, up to and
+past the float range.
 """
 
 import math
 import random
+import sys
 
 import mpmath
 from mpmath import mpf
@@ -41,6 +46,7 @@ from awgn_feedback.exponents import (
     _sphere_packing,
     _straight_line_intercept,
 )
+from awgn_feedback.feedback import _effective_snr
 
 DPS = 700
 # exponent values are sums of terms of order one, so where E_sp nears 0 at
@@ -145,3 +151,51 @@ def test_sphere_packing_matches_textbook_form_at_every_rate():
                 reference = _mp_sphere_packing(mpf(snr), mpf(rate))
                 assert _close(_sphere_packing(snr, rate), reference), (snr, rate)
 
+
+
+def _snr_points(seed, n):
+    """n seeded (snr, bsnr, dsnr, L, K): snr log-uniform on [1e-1, 1e300],
+    dsnr on [1.1, 1e6], L on [1, bsnr) and K uniform on [1, 128].  Every
+    third point puts L where snr g^{K-1} lands within a relative 1e-11 to
+    1e-2 of the largest float, above or below it, so that the overflow edge
+    gets points too."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < n:
+        snr = 10.0 ** rng.uniform(-1.0, 300.0)
+        dsnr = 10.0 ** rng.uniform(math.log10(1.1), 6.0)
+        bsnr = snr * dsnr
+        k = rng.randint(1, 128)
+        if len(points) % 3 or k == 1:
+            looseness = 10.0 ** rng.uniform(0.0, math.log10(bsnr))
+        else:
+            eps = rng.choice((-1, 1)) * 10.0 ** rng.uniform(-11.0, -2.0)
+            with mpmath.workdps(40):
+                g = (mpf(sys.float_info.max) * (1 + eps) / snr) ** (mpf(1) / (k - 1))
+                looseness = float(dsnr * ((1 + mpf(snr)) / g - 1))
+        if 1.0 <= looseness < bsnr:
+            points.append((snr, bsnr, dsnr, looseness, k))
+    return points
+
+
+def test_effective_snr_matches_the_recursion_up_to_and_past_overflow():
+    """_effective_snr against snr g^{K-1} in 40-digit arithmetic: within a
+    relative 1e-13 K while the exact value stays below the largest float by
+    more than 1e-12 relative, and inf once it exceeds it by more than that.
+    e_fb's decode exponent reads inf as the largest float."""
+    top = mpf(sys.float_info.max)
+    finite = overflowed = 0
+    with mpmath.workdps(40):
+        for snr, bsnr, dsnr, looseness, k in _snr_points(9, 3000):
+            s, L = mpf(snr), mpf(looseness)
+            exact = s * (1 + s * (1 - L / bsnr) / (1 + L / dsnr)) ** (k - 1)
+            value = _effective_snr(snr, bsnr, dsnr, looseness, k)
+            point = (snr, bsnr, dsnr, looseness, k)
+            if exact < top * (1 - mpf(1e-12)):
+                finite += 1
+                assert value < math.inf, point
+                assert abs(mpf(value) - exact) <= 1e-13 * k * exact, point
+            elif exact > top * (1 + mpf(1e-12)):
+                overflowed += 1
+                assert value == math.inf, point
+    assert finite >= 500 and overflowed >= 500
