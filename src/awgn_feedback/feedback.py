@@ -275,6 +275,7 @@ def _inner_optimum(
         try:
             start = _balance_looseness(bsnr, dsnr, rate_bits, rounds)
         except ZeroDivisionError:
+            # eta(R*K) underflows to 0: no closed form, start in the middle
             start = lo
         if not lo < start < hi:
             start = math.sqrt(lo * hi)

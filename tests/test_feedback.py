@@ -475,7 +475,8 @@ def test_replay_is_the_bisection_for_every_round_count(monkeypatch):
         else:
             p = _random_link(rng)
         cap = capacity(p.snr)
-        rate = (0.0, cap * (1.0 - rng.uniform(0.0, 0.01)), rng.uniform(0.0, cap))[i % 3]
+        near_cap = cap * (1.0 - rng.uniform(0.0, 0.01))
+        rate = rng.choice((0.0, near_cap, rng.uniform(0.0, cap)))
         k = rng.choice((1, rng.randint(1, 100)))
         args = (p.snr, p.bsnr, p.dsnr, rate, k)
         expected = _plain_bisection(*args)
