@@ -100,15 +100,16 @@ def _sweep_rows(snr_db: float, dsnr_db: float, grid: int, fig1: bool):
     else:
         if grid < 2:
             raise ValueError(f"grid must have at least 2 points, got {grid}")
-        points = [(i / grid, None) for i in range(grid)]
+        points = [(i / grid, i / grid <= _FB_DEFAULT_TOP + 1e-12)
+                  for i in range(grid)]
 
     rows = []
     # K* rises slowly with the rate: the previous rate's optimum runs first
     k_first = None
     for x, want_fb in points:
         rate = x * cap
-        sp = sphere_packing_exp(snr, min(rate, cap))
-        gal, region = gallager_exp(snr, min(rate, cap))
+        sp = sphere_packing_exp(snr, rate)
+        gal, region = gallager_exp(snr, rate)
         row = {
             "rate_bits": _g17(rate),
             "rate_over_capacity": _g17(x),
@@ -120,8 +121,6 @@ def _sweep_rows(snr_db: float, dsnr_db: float, grid: int, fig1: bool):
             "r_region": region.value,
             "fb_binding": "",
         }
-        if want_fb is None:
-            want_fb = x <= _FB_DEFAULT_TOP + 1e-12
         if want_fb and rate < cap:
             res = e_fb(params, rate, k_first=k_first)
             k_first = res.k_star

@@ -41,10 +41,8 @@ __all__ = [
     "capacity",
     "critical_rate",
     "expurgation_rate",
-    "expurgation_exp",
     "gallager_exp",
     "poltyrev_exponent",
-    "random_coding_exp",
     "sphere_packing_exp",
 ]
 
@@ -195,35 +193,16 @@ def _straight_line_intercept(snr: float) -> float:
     return 0.5 - 1.0 / (snr + r) + 0.5 * math.log((2.0 + r) / 4.0)
 
 
-def random_coding_exp(snr: float, rate_bits: float) -> float:
-    """Random-coding exponent (nats): the slope -1 line A(snr) - R.
-
-    Intended for rates in [R_ex, R_cr]; accepts any R >= 0 and is not
-    clamped, so values above the line's zero crossing come out negative.
-    The region dispatch in :func:`gallager_exp` never evaluates it there.
-    """
-    snr = real("snr", snr, above=0.0)
-    return _random_coding(snr, real("rate", rate_bits, at_least=0.0))
-
-
 def _random_coding(snr: float, rate_bits: float) -> float:
+    # meant for rates in [R_ex, R_cr] and not clamped: past the line's zero
+    # crossing it goes negative, and _gallager never evaluates it there
     return _straight_line_intercept(snr) - _rate_nats(rate_bits)
-
-
-def expurgation_exp(snr: float, rate_bits: float) -> float:
-    """Expurgation exponent (nats), (snr/4)*(1 - sqrt(1 - 2^{-2R})).
-
-    Evaluated as (snr/4)*u/(1 + sqrt(1-u)) with u = 2^{-2R}, which is exact
-    at R = 0 (returns snr/4) and loses nothing as u -> 0.
-    """
-    snr = real("snr", snr, above=0.0)
-    rate_bits = real("rate", rate_bits, at_least=0.0)
-    return _expurgation(snr, *_expurgation_terms(rate_bits))
 
 
 def _expurgation_terms(rate_bits: float) -> tuple[float, float]:
     # the factors of the expurgation exponent that depend on the rate alone:
-    # u = 2^{-2R} and 1 + sqrt(1 - u)
+    # u = 2^{-2R} and 1 + sqrt(1 - u); (snr/4)*(1 - sqrt(1 - u)) taken as
+    # (snr/4)*u/(1 + sqrt(1 - u)) is exact at R = 0 and loses nothing as u -> 0
     u = math.exp(-2.0 * _rate_nats(rate_bits))
     return u, 1.0 + math.sqrt(1.0 - u)
 

@@ -70,7 +70,6 @@ __all__ = [
     "balance_looseness",
     "e_fb",
     "effective_snr",
-    "eta",
     "high_snr_bound",
     "kstar_zero_rate",
     "out_of_region_exponent",
@@ -502,17 +501,9 @@ def e_fb(
 # HIGH-SNR CLOSED FORMS
 # =============================================================================
 
-def eta(x: float) -> float:
-    """The factor 1 - sqrt(1 - 2**-x), evaluated without cancellation.
-
-    Decreasing from eta(0) = 1 toward 0; ``x`` is a rate-times-rounds
-    product in bits.  Computed as u / (1 + sqrt(1 - u)) with u = 2**-x,
-    which stays accurate as u -> 0.
-    """
-    return _eta(real("x", x, at_least=0.0))
-
-
 def _eta(x: float) -> float:
+    # eta(x) = 1 - sqrt(1 - 2^-x) for x >= 0, taken as u/(1 + sqrt(1 - u))
+    # with u = 2^-x, which does not cancel as u -> 0
     u = 2.0 ** (-x)
     return u / (1.0 + math.sqrt(1.0 - u))
 
@@ -520,9 +511,10 @@ def _eta(x: float) -> float:
 def balance_looseness(params: ChannelParams, rate_bits: float, rounds: int) -> float:
     """Looseness equalizing the two high-SNR exponent approximations.
 
-    At high SNR the decode exponent is close to (1/4) * snr_eff * eta(RK)
-    with snr_eff ~ (bsnr - L)**K / (dsnr * L**(K-1)), and the modulo
-    exponent is close to L/8.  Setting them equal gives
+    At high SNR the decode exponent is close to (1/4) * snr_eff * eta(RK),
+    with eta(x) = 1 - sqrt(1 - 2**-x) and
+    snr_eff ~ (bsnr - L)**K / (dsnr * L**(K-1)), and the modulo exponent is
+    close to L/8.  Setting them equal gives
 
         L* = bsnr / (1 + (dsnr / (2 * eta(R*K)))**(1/K)),
 

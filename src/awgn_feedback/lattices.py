@@ -36,8 +36,6 @@ from ._checks import count, real
 __all__ = [
     "Lattice",
     "cubic_lattice",
-    "d4_lattice",
-    "e8_lattice",
     "make_lattice",
     "modulo",
     "quantize_nn",
@@ -186,16 +184,6 @@ class Lattice:
 def cubic_lattice(dimension: int, spacing: float = 1.0) -> Lattice:
     """The lattice spacing * Z^dimension."""
     return Lattice("cubic", dimension, spacing)
-
-
-def d4_lattice(scale: float = 1.0) -> Lattice:
-    """The checkerboard lattice: integer 4-vectors with even coordinate sum."""
-    return Lattice("d4", 4, scale)
-
-
-def e8_lattice(scale: float = 1.0) -> Lattice:
-    """The Gosset lattice: D8 together with its half-integer coset."""
-    return Lattice("e8", 8, scale)
 
 
 def make_lattice(name: str, dimension: int | None = None) -> Lattice:

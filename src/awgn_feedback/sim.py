@@ -242,10 +242,11 @@ class SchemeConfig:
         s = p.sigma2
         gains, betas, sigmas = [], [], [s]
         for k in range(2, self.rounds + 1):
-            if not 0.0 < s < math.inf:
+            # num / s overflows to inf once s is below num / 1.8e308
+            g = math.sqrt(num / s) if 0.0 < s < math.inf else math.inf
+            if g == math.inf:
                 raise ValueError(f"round {k} has no finite gain: the estimation-"
                                  f"error variance before it is {s!r}; use fewer rounds")
-            g = math.sqrt(num / s)
             ag = alpha * g
             denom = ag * ag * s + a2s + p.sigma2
             gains.append(g)
@@ -259,11 +260,6 @@ class SchemeConfig:
     @property
     def dimension(self) -> int:
         return self.lattice.dimension
-
-    @property
-    def blocklength(self) -> int:
-        """Total channel uses per trial and scheme copy, forward + feedback."""
-        return 2 * self.rounds * self.dimension
 
 
 # =============================================================================

@@ -16,13 +16,13 @@ PUBLIC = [
     "Binding", "ChannelParams", "ExponentRegion", "FeedbackExponentResult",
     "JsccParams", "Lattice", "SchemeConfig", "SimulationSummary",
     "TrialRecord", "__version__", "balance_looseness", "capacity",
-    "critical_rate", "cubic_lattice", "d4_lattice", "e8_lattice", "e_fb",
-    "effective_snr", "estimate_error_prob", "eta", "expurgation_exp",
-    "expurgation_rate", "gallager_exp", "high_snr_bound", "kstar_zero_rate",
-    "make_lattice", "modulo", "out_of_region_exponent", "poltyrev_exponent",
-    "quantize_nn", "random_coding_exp", "region_assumptions_hold",
-    "run_coupled_trial", "run_trial", "sample_dither", "scale_to_power",
-    "sphere_packing_exp", "wilson_interval", "wz_encode", "wz_receive",
+    "critical_rate", "cubic_lattice", "e_fb", "effective_snr",
+    "estimate_error_prob", "expurgation_rate", "gallager_exp",
+    "high_snr_bound", "kstar_zero_rate", "make_lattice", "modulo",
+    "out_of_region_exponent", "poltyrev_exponent", "quantize_nn",
+    "region_assumptions_hold", "run_coupled_trial", "run_trial",
+    "sample_dither", "scale_to_power", "sphere_packing_exp",
+    "wilson_interval", "wz_encode", "wz_receive",
 ]
 
 

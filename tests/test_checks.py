@@ -19,7 +19,6 @@ from awgn_feedback import (
     e_fb,
     effective_snr,
     estimate_error_prob,
-    eta,
     gallager_exp,
     poltyrev_exponent,
     region_assumptions_hold,
@@ -51,7 +50,6 @@ CASES = {
     "sphere_packing_exp-rate": (lambda v: sphere_packing_exp(100.0, v), "rate",
                                 REAL, 0.5, -0.5),
     "poltyrev_exponent-x": (poltyrev_exponent, "normalized VNR x", REAL, 3.0, 0.0),
-    "eta-x": (eta, "x", REAL, 1.5, -0.5),
     "effective_snr-looseness": (lambda v: effective_snr(P, v, 3), "looseness",
                                 REAL, 40.0, 0.5),
     "effective_snr-rounds": (lambda v: effective_snr(P, 40.0, v), "rounds",

@@ -487,6 +487,21 @@ def test_simulate_underflowing_schedule_is_a_domain_error(tmp_path, capsys):
     assert err.startswith("error: round ") and "has no finite gain" in err
 
 
+def test_simulate_overflowing_gain_is_a_domain_error(tmp_path, capsys):
+    """At 100 dB the variance before round 32 is subnormal and its gain
+    overflows; no trial runs on an inf gain and a nan correction."""
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(
+        "snr_db = 100\ndsnr_db = inf\nrounds = 32\nlooseness = 0\n"
+        "rate_bits = 0.05\nseed = 1\n"
+    )
+    code, out, err = run_main(
+        ["simulate", "--config", str(cfg), "--trials", "100"], capsys
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("error: round 32 has no finite gain")
+
+
 def test_simulate_dimension_conflict(tmp_path, capsys):
     cfg = tmp_path / "d4.cfg"
     cfg.write_text(

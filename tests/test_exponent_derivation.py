@@ -17,8 +17,8 @@ each maximized over r in [0, 1/(2A)), and
     E_sp = sup over rho >= 0 of E0 - rho R   (Shannon, BSTJ 38(3), 1959),
     E_ex = sup over rho >= 1 of Ex - rho R.
 
-``random_coding_exp`` is the rho = 1 line and goes negative past its zero
-crossing, so it is compared only on [R_ex, R_cr].  At low rates the
+The random-coding kernel is the rho = 1 line and goes negative past its
+zero crossing, so it is compared only on [R_ex, R_cr].  At low rates the
 sphere-packing sup sits at rho ~ 100 and beyond, so its range reaches 1e6.
 """
 
@@ -28,14 +28,14 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from awgn_feedback import (
+    ExponentRegion,
     capacity,
     critical_rate,
-    expurgation_exp,
     expurgation_rate,
     gallager_exp,
-    random_coding_exp,
     sphere_packing_exp,
 )
+from awgn_feedback.exponents import _random_coding
 
 SNRS = [0.5, 3.0, 100.0, 1000.0]
 FRACTIONS = [0.01, 0.02, 0.1, 0.3, 0.6, 0.9, 0.97]
@@ -101,7 +101,7 @@ def test_random_coding_line_is_gallagers_sup_on_its_range(snr):
     r_ex, r_cr = expurgation_rate(snr), critical_rate(snr)
     for i in range(6):
         rate = r_ex + (r_cr - r_ex) * i / 5
-        assert random_coding_exp(snr, rate) == pytest.approx(
+        assert _random_coding(snr, rate) == pytest.approx(
             derived_random_coding(snr, rate), rel=1e-10
         )
 
@@ -131,7 +131,9 @@ def test_expurgation_is_gallagers_sup_below_r_ex(snr):
     rates = [x * capacity(snr) for x in FRACTIONS if x * capacity(snr) < r_ex]
     for rate in rates + [r_ex]:
         value, rho = derived_expurgation(snr, rate)
-        assert expurgation_exp(snr, rate) == pytest.approx(value, rel=1e-10)
+        ex, region = gallager_exp(snr, rate)
+        assert region is ExponentRegion.EXPURGATION
+        assert ex == pytest.approx(value, rel=1e-10)
         assert rho < RHO_TOP / 10.0
 
 

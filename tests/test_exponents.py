@@ -11,14 +11,18 @@ from awgn_feedback import (
     ExponentRegion,
     capacity,
     critical_rate,
-    expurgation_exp,
     expurgation_rate,
     gallager_exp,
     poltyrev_exponent,
-    random_coding_exp,
     sphere_packing_exp,
 )
-from awgn_feedback.exponents import _decode_exponent, _rate_nats
+from awgn_feedback.exponents import (
+    _decode_exponent,
+    _expurgation,
+    _expurgation_terms,
+    _random_coding,
+    _rate_nats,
+)
 
 SNR = 100.0
 LN2 = math.log(2.0)
@@ -148,7 +152,9 @@ def test_poltyrev_nondecreasing(x):
 
 def test_random_coding_meets_sphere_packing_at_critical_rate():
     r_cr = critical_rate(SNR)
-    rc = random_coding_exp(SNR, r_cr)
+    # R_cr closes the random-coding region
+    rc, region = gallager_exp(SNR, r_cr)
+    assert region is ExponentRegion.RANDOM_CODING
     sp = sphere_packing_exp(SNR, r_cr)
     assert rc == pytest.approx(0.15340158009587324, rel=1e-12)
     assert sp == pytest.approx(0.15340158009587201, rel=1e-12)
@@ -157,8 +163,10 @@ def test_random_coding_meets_sphere_packing_at_critical_rate():
 
 def test_expurgation_meets_random_coding_at_expurgation_rate():
     r_ex = expurgation_rate(SNR)
-    ex = expurgation_exp(SNR, r_ex)
-    rc = random_coding_exp(SNR, r_ex)
+    # R_ex closes the expurgation region
+    ex, region = gallager_exp(SNR, r_ex)
+    assert region is ExponentRegion.EXPURGATION
+    rc = _random_coding(SNR, r_ex)
     assert ex == pytest.approx(0.49500049990002504, rel=1e-12)
     assert rc == pytest.approx(0.49500049990002637, rel=1e-12)
     assert abs(ex - rc) / rc < 1e-12
@@ -176,7 +184,7 @@ def test_random_coding_intercept_stable_at_high_snr():
     # the e_fb scan reaches effective SNRs of 1e43 and more; the intercept
     # must neither cancel (snr + 2 - sqrt(4 + snr^2)) nor overflow (snr^2)
     snrs = [1e8, 1e16, 1e43, 1e160, 1e300]
-    values = [random_coding_exp(s, 0.0) for s in snrs]
+    values = [_random_coding(s, 0.0) for s in snrs]
     assert all(math.isfinite(v) and v > 0.0 for v in values)
     assert all(a < b for a, b in zip(values, values[1:]))
     for s, v in zip(snrs, values):
@@ -185,8 +193,8 @@ def test_random_coding_intercept_stable_at_high_snr():
 
 
 def test_expurgation_zero_rate():
-    # u = 1 at R = 0, so the curve starts at s/4
-    assert expurgation_exp(SNR, 0.0) == pytest.approx(SNR / 4.0, rel=1e-14)
+    # u = 1 at R = 0, so the curve starts at exactly s/4
+    assert _expurgation(SNR, *_expurgation_terms(0.0)) == SNR / 4.0
 
 
 def test_gallager_dispatch_regions():
@@ -241,6 +249,18 @@ def test_gallager_nonnegative_and_bounded(snr, frac):
     gal, reg = gallager_exp(snr, rate)
     assert 0.0 <= gal <= snr / 4.0 + 1e-12
     assert isinstance(reg, ExponentRegion)
+
+
+@pytest.mark.xfail(strict=True, reason="E_sp is its zero-rate limit snr/2 below "
+                   "ZERO_RATE_BITS, which at snr <= 1.4e-6 is every rate")
+@pytest.mark.parametrize("snr", [1e-5, 1e-6, 1e-7])
+def test_low_snr_exponents_stay_below_their_zero_rate_values(snr):
+    """E_ex(0) = snr/4 bounds every no-feedback exponent, and E_sp falls
+    from snr/2 as soon as the rate is positive."""
+    for x in (0.1, 1.0 / 3.0, 2.0 / 3.0, 0.95):
+        rate = x * capacity(snr)
+        assert gallager_exp(snr, rate)[0] <= snr / 4.0
+        assert sphere_packing_exp(snr, rate) < snr / 2.0
 
 
 @pytest.mark.parametrize("snr_db", [60, 100, 140])

@@ -9,8 +9,7 @@ from scipy import stats
 from awgn_feedback import (
     JsccParams,
     cubic_lattice,
-    d4_lattice,
-    e8_lattice,
+    make_lattice,
     modulo,
     sample_dither,
     scale_to_power,
@@ -25,7 +24,7 @@ def test_alpha_c_pinned():
 
 
 def test_shape_validation():
-    params = JsccParams(beta=1.0, lattice=d4_lattice())
+    params = JsccParams(beta=1.0, lattice=make_lattice("d4"))
     with pytest.raises(ValueError):
         wz_encode(np.zeros(3), np.zeros(4), np.zeros(4), params)
     with pytest.raises(ValueError):
@@ -53,7 +52,7 @@ def test_side_information_cancels():
 
 def test_side_information_cancels_on_structured_lattices():
     rng = np.random.default_rng(22)
-    for lat in (d4_lattice(), e8_lattice()):
+    for lat in (make_lattice("d4"), make_lattice("e8")):
         params = JsccParams(beta=0.5, lattice=scale_to_power(lat, 2.0))
         n = lat.dimension
         q = rng.normal(size=n) * 0.1
@@ -70,7 +69,7 @@ def test_side_information_cancels_on_structured_lattices():
 
 
 def test_zero_inputs_pass_dither_through():
-    for lat in (cubic_lattice(1, spacing=3.0), d4_lattice()):
+    for lat in (cubic_lattice(1, spacing=3.0), make_lattice("d4")):
         params = JsccParams(beta=0.8, lattice=lat)
         rng = np.random.default_rng(27)
         zero = np.zeros(lat.dimension)
@@ -125,7 +124,7 @@ def test_residue_distribution_independent_of_dither():
 
 
 def test_encode_power_is_cell_uniform():
-    lat = scale_to_power(e8_lattice(), 1.0)
+    lat = scale_to_power(make_lattice("e8"), 1.0)
     params = JsccParams(beta=0.7, lattice=lat)
     rng = np.random.default_rng(25)
     q = rng.normal(size=8)

@@ -17,8 +17,6 @@ from scipy import stats
 from awgn_feedback import (
     Lattice,
     cubic_lattice,
-    d4_lattice,
-    e8_lattice,
     make_lattice,
     modulo,
     quantize_nn,
@@ -78,8 +76,8 @@ def brute_nearest(lat, y):
 def test_cell_volumes():
     assert cubic_lattice(1).cell_volume == 1.0
     assert cubic_lattice(3, spacing=2.0).cell_volume == pytest.approx(8.0)
-    assert d4_lattice().cell_volume == pytest.approx(2.0, rel=1e-12)
-    assert e8_lattice().cell_volume == pytest.approx(1.0, rel=1e-12)
+    assert make_lattice("d4").cell_volume == pytest.approx(2.0, rel=1e-12)
+    assert make_lattice("e8").cell_volume == pytest.approx(1.0, rel=1e-12)
 
 
 def test_make_lattice_names():
@@ -110,7 +108,7 @@ def test_direct_construction_validates():
 def test_derived_quantities_follow_the_scale():
     """Rescaling by replace or scale_to_power moves the generator, cell
     volume and second moment with the scale; the nsm is scale-free."""
-    for unit in (cubic_lattice(3), d4_lattice(), e8_lattice()):
+    for unit in (cubic_lattice(3), make_lattice("d4"), make_lattice("e8")):
         n = unit.dimension
         for lat in (replace(unit, scale=2.0),
                     scale_to_power(unit, 4.0 * unit.second_moment)):
@@ -127,7 +125,7 @@ def test_derived_quantities_follow_the_scale():
 def test_generators_produce_members():
     # integer combinations of rows land on quantizer fixed points
     rng = np.random.default_rng(11)
-    for lat in (cubic_lattice(3), d4_lattice(), e8_lattice()):
+    for lat in (cubic_lattice(3), make_lattice("d4"), make_lattice("e8")):
         for _ in range(50):
             coeff = rng.integers(-4, 5, size=lat.dimension)
             pt = coeff @ lat.generator
@@ -137,7 +135,7 @@ def test_generators_produce_members():
 
 def test_d4_points_have_even_coordinate_sum():
     rng = np.random.default_rng(12)
-    lat = d4_lattice()
+    lat = make_lattice("d4")
     for _ in range(200):
         q = quantize_nn(lat, rng.normal(size=4) * 2.0)
         assert int(round(q.sum())) % 2 == 0
@@ -146,7 +144,7 @@ def test_d4_points_have_even_coordinate_sum():
 
 def test_e8_points_are_integral_or_half_integral():
     rng = np.random.default_rng(13)
-    lat = e8_lattice()
+    lat = make_lattice("e8")
     for _ in range(200):
         q = quantize_nn(lat, rng.normal(size=8) * 1.5)
         doubled = 2.0 * q
@@ -197,14 +195,14 @@ def test_quantizer_worked_examples():
     assert np.array_equal(quantize_nn(z2, np.array([0.7, -1.2])),
                           np.array([1.0, -1.0]))
     # lattice members are fixed points for every family
-    for lat in (d4_lattice(), e8_lattice()):
+    for lat in (make_lattice("d4"), make_lattice("e8")):
         p = np.array([2, -1, 0, 1, 1, 0, -3, 2][: lat.dimension],
                      dtype=float) @ lat.generator
         assert np.array_equal(quantize_nn(lat, p), p)
 
 
 def test_d4_tie_prefers_lexicographic_minimum():
-    lat = d4_lattice()
+    lat = make_lattice("d4")
     # equidistant from (0,0,0,0) and (1,1,0,0)
     q = quantize_nn(lat, np.array([0.5, 0.5, 0.0, 0.0]))
     assert np.array_equal(q, np.zeros(4))
@@ -214,13 +212,13 @@ def test_d4_tie_prefers_lexicographic_minimum():
 
 
 def test_e8_tie_between_cosets():
-    lat = e8_lattice()
+    lat = make_lattice("e8")
     q = quantize_nn(lat, np.full(8, 0.25))
     assert np.array_equal(q, np.zeros(8))
 
 
 def test_quantizer_shape_checks():
-    lat = d4_lattice()
+    lat = make_lattice("d4")
     with pytest.raises(ValueError):
         quantize_nn(lat, np.zeros(3))
     with pytest.raises(ValueError):
@@ -240,8 +238,8 @@ def _tie_points(rng, n, count):
                            rng.integers(-12, 13, size=(count, n)) / 4.0])
 
 
-@pytest.mark.parametrize("lat", [cubic_lattice(3, spacing=0.7), d4_lattice(),
-                                 e8_lattice()], ids=lambda lat: lat.family)
+@pytest.mark.parametrize("lat", [cubic_lattice(3, spacing=0.7), make_lattice("d4"),
+                                 make_lattice("e8")], ids=lambda lat: lat.family)
 def test_batch_matches_row_by_row(lat):
     rng = np.random.default_rng(14)
     n = lat.dimension
@@ -253,7 +251,7 @@ def test_batch_matches_row_by_row(lat):
         assert np.array_equal(f(lat, batch), one_by_one)
 
 
-@pytest.mark.parametrize("lat", [d4_lattice(), e8_lattice()],
+@pytest.mark.parametrize("lat", [make_lattice("d4"), make_lattice("e8")],
                          ids=lambda lat: lat.family)
 def test_ties_go_to_lexicographic_minimum(lat):
     rng = np.random.default_rng(15)
@@ -297,8 +295,8 @@ QUANTIZER_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("lat", [cubic_lattice(3, 1.3), d4_lattice(1.3),
-                                 e8_lattice(1.3)], ids=lambda lat: lat.family)
+@pytest.mark.parametrize("lat", [cubic_lattice(3, 1.3), Lattice("d4", 4, 1.3),
+                                 Lattice("e8", 8, 1.3)], ids=lambda lat: lat.family)
 def test_quantizer_bits_pinned(lat):
     """quantize_nn and modulo keep their exact output bytes, signed zeros
     and tie-breaks included."""
@@ -322,7 +320,7 @@ def test_quantizer_bits_pinned(lat):
 
 def test_modulo_is_residual():
     rng = np.random.default_rng(5)
-    for lat in (cubic_lattice(2), d4_lattice(), e8_lattice()):
+    for lat in (cubic_lattice(2), make_lattice("d4"), make_lattice("e8")):
         for _ in range(100):
             x = rng.normal(size=lat.dimension) * 3.0
             assert np.array_equal(modulo(lat, x), x - quantize_nn(lat, x))
@@ -336,7 +334,7 @@ def test_modulo_worked_examples():
     assert modulo(lat, np.array([4.0 * c]))[0] == 0.0
     inside = np.array([0.31 * c])
     assert np.array_equal(modulo(lat, inside), inside)
-    lat4 = d4_lattice()
+    lat4 = make_lattice("d4")
     member = np.array([1.0, -2.0, 0.0, 3.0]) @ lat4.generator
     assert np.array_equal(modulo(lat4, member), np.zeros(4))
 
@@ -344,7 +342,8 @@ def test_modulo_worked_examples():
 def test_modulo_distributive_over_lattice_shifts():
     """[x + lambda] mod L == [x] mod L for lattice points lambda."""
     rng = np.random.default_rng(6)
-    for lat in (cubic_lattice(1), cubic_lattice(4), d4_lattice(), e8_lattice()):
+    for lat in (cubic_lattice(1), cubic_lattice(4), make_lattice("d4"),
+                make_lattice("e8")):
         for _ in range(300):
             x = rng.normal(size=lat.dimension) * 2.0
             lam = rng.integers(-3, 4, size=lat.dimension) @ lat.generator
@@ -356,8 +355,8 @@ def test_modulo_distributive_over_lattice_shifts():
 def test_modulo_distributes_over_addition():
     """Reducing one summand first never changes the reduced sum."""
     rng = np.random.default_rng(11)
-    for lat in (cubic_lattice(1), cubic_lattice(4), d4_lattice(),
-                e8_lattice()):
+    for lat in (cubic_lattice(1), cubic_lattice(4), make_lattice("d4"),
+                make_lattice("e8")):
         n = lat.dimension
         xs = rng.normal(size=(10_000, n)) * 4.0
         ys = rng.normal(size=(10_000, n)) * 4.0
@@ -368,7 +367,7 @@ def test_modulo_distributes_over_addition():
 
 def test_modulo_idempotent():
     rng = np.random.default_rng(7)
-    for lat in (cubic_lattice(3), d4_lattice(), e8_lattice()):
+    for lat in (cubic_lattice(3), make_lattice("d4"), make_lattice("e8")):
         for _ in range(100):
             w = modulo(lat, rng.normal(size=lat.dimension) * 3.0)
             assert np.array_equal(modulo(lat, w), w)
@@ -378,7 +377,7 @@ def test_modulo_idempotent():
 @given(hnp.arrays(np.float64, 4,
                   elements=st.floats(min_value=-50.0, max_value=50.0)))
 def test_modulo_output_in_cell(x):
-    lat = d4_lattice()
+    lat = make_lattice("d4")
     w = modulo(lat, x)
     # residual is no farther from 0 than from any nearby lattice point
     _, best_d = brute_nearest(lat, w)
@@ -390,7 +389,7 @@ def test_modulo_output_in_cell(x):
 # -----------------------------------------------------------------------------
 
 @pytest.mark.parametrize(
-    "lat", [cubic_lattice(1, spacing=2.0), d4_lattice(), e8_lattice()],
+    "lat", [cubic_lattice(1, spacing=2.0), make_lattice("d4"), make_lattice("e8")],
     ids=["z1", "d4", "e8"],
 )
 def test_sample_dither_is_a_folded_parallelepiped_draw(lat):
@@ -423,7 +422,7 @@ def test_dither_uniform_on_cubic_cell():
 
 def test_dither_moments():
     rng = np.random.default_rng(9)
-    for lat in (d4_lattice(), e8_lattice()):
+    for lat in (make_lattice("d4"), make_lattice("e8")):
         d = sample_dither(lat, rng, 12_000)
         per_dim = float(np.mean(d ** 2))
         assert per_dim == pytest.approx(lat.second_moment, rel=0.01)
@@ -434,7 +433,7 @@ def test_dither_moments():
 
 def test_crypto_lemma_shift_invariance():
     """[s + dither] mod L is distributed like the dither, for any fixed s."""
-    lat = scale_to_power(d4_lattice(), 1.0)
+    lat = scale_to_power(make_lattice("d4"), 1.0)
     rng = np.random.default_rng(10)
     s = np.array([0.37, -1.91, 0.22, 5.5])
     shifted = modulo(lat, s + sample_dither(lat, rng, 20_000))
@@ -449,16 +448,16 @@ def test_crypto_lemma_shift_invariance():
 def test_normalized_second_moments():
     assert cubic_lattice(1).nsm == pytest.approx(G_CUBIC, abs=0.0)
     assert cubic_lattice(5, spacing=3.0).nsm == pytest.approx(G_CUBIC, abs=0.0)
-    assert d4_lattice().nsm == pytest.approx(G_D4, rel=1e-12)
-    assert e8_lattice().nsm == pytest.approx(G_E8, rel=1e-12)
+    assert make_lattice("d4").nsm == pytest.approx(G_D4, rel=1e-12)
+    assert make_lattice("e8").nsm == pytest.approx(G_E8, rel=1e-12)
 
 
 _CONSTRUCTION_PEAK = """
 import tracemalloc
-from awgn_feedback import d4_lattice, e8_lattice
+from awgn_feedback import make_lattice
 tracemalloc.start()
-d4_lattice()
-e8_lattice()
+make_lattice("d4")
+make_lattice("e8")
 print(tracemalloc.get_traced_memory()[1])
 """
 
@@ -476,19 +475,19 @@ def test_family_construction_allocates_little():
 
 
 def test_moments_improve_toward_e8():
-    assert cubic_lattice(1).nsm > d4_lattice().nsm > e8_lattice().nsm
+    assert cubic_lattice(1).nsm > make_lattice("d4").nsm > make_lattice("e8").nsm
     # all above the sphere bound
-    assert e8_lattice().nsm > 1.0 / TWO_PI_E
+    assert make_lattice("e8").nsm > 1.0 / TWO_PI_E
 
 
 def test_scale_to_power():
     for target in (0.5, 1.0, 7.0):
-        lat = scale_to_power(e8_lattice(), target)
+        lat = scale_to_power(make_lattice("e8"), target)
         assert lat.second_moment == pytest.approx(target, rel=1e-12)
         # nsm is scale-free
-        assert lat.nsm == pytest.approx(e8_lattice().nsm, rel=1e-12)
+        assert lat.nsm == pytest.approx(make_lattice("e8").nsm, rel=1e-12)
     with pytest.raises(ValueError):
-        scale_to_power(e8_lattice(), 0.0)
+        scale_to_power(make_lattice("e8"), 0.0)
 
 
 def test_scale_to_power_cubic_spacing():
@@ -512,7 +511,7 @@ def test_looseness_identity_on_cubic():
 
 
 def test_second_moment_scaling_law():
-    base = d4_lattice()
+    base = make_lattice("d4")
     scaled = scale_to_power(base, 4.0 * base.second_moment)
     assert scaled.scale == pytest.approx(2.0 * base.scale, rel=1e-12)
     assert scaled.cell_volume == pytest.approx(

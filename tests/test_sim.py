@@ -12,8 +12,6 @@ from awgn_feedback import (
     JsccParams,
     SchemeConfig,
     cubic_lattice,
-    d4_lattice,
-    e8_lattice,
     effective_snr,
     estimate_error_prob,
     make_lattice,
@@ -80,16 +78,33 @@ def test_gamma_domain():
 
 @pytest.mark.parametrize("looseness", [0.0, 2.0])
 def test_schedule_underflow_names_the_round(looseness):
-    """A variance that underflows to 0 stops construction at its round."""
+    """A variance too small for a finite gain stops construction at the
+    round that needs the gain."""
     params = ChannelParams(1.0, 1.0, 1e-12, 1e-16 if looseness else 0.0)
     with pytest.raises(ValueError, match=r"^round (\d+) has no finite gain") as e:
         make_config(params=params, rounds=100, looseness=looseness,
                     rate_bits=0.0)
     k = int(e.value.args[0].split()[1])
-    # the schedule of k - 1 rounds builds, and its last variance is 0
+    # the schedule of k - 1 rounds builds with finite gains, and the error
+    # names its last variance
     cfg = make_config(params=params, rounds=k - 1, looseness=looseness,
                       rate_bits=0.0)
-    assert cfg.sigmas2[-1] == 0.0 < cfg.sigmas2[-2]
+    assert all(map(math.isfinite, cfg.gains + cfg.betas))
+    assert f"before it is {cfg.sigmas2[-1]!r};" in e.value.args[0]
+
+
+@pytest.mark.parametrize("dsnr, looseness", [(1e10, 4.0), (math.inf, 0.0)],
+                         ids=["noisy", "exact"])
+def test_schedule_rejects_a_gain_that_overflows(dsnr, looseness):
+    """At round 32 the variance is subnormal (~1e-310): the gain overflows
+    to inf and its correction to nan, so construction fails there."""
+    params = ChannelParams.from_snrs(1e10, dsnr)
+    cfg = make_config(params=params, rounds=31, looseness=looseness,
+                      rate_bits=0.05, master_seed=1)
+    assert all(map(math.isfinite, cfg.gains + cfg.betas))
+    with pytest.raises(ValueError, match="^round 32 has no finite gain"):
+        make_config(params=params, rounds=32, looseness=looseness,
+                    rate_bits=0.05, master_seed=1)
 
 
 def test_wiener_update_contraction():
@@ -283,13 +298,13 @@ def test_config_stores_the_normalized_fields():
 
 def test_codebook_dimension_rules():
     with pytest.raises(ValueError):
-        make_config(lattice=d4_lattice(), codebook="pam")
+        make_config(lattice=make_lattice("d4"), codebook="pam")
     with pytest.raises(ValueError):
         make_config(codebook="gaussian")  # needs dimension >= 2
     with pytest.raises(ValueError):
         make_config(rounds=1, rate_bits=21.0)  # PAM order beyond range
     with pytest.raises(ValueError):
-        make_config(lattice=d4_lattice(), rounds=3, rate_bits=1.5)  # 2**18 words
+        make_config(lattice=make_lattice("d4"), rounds=3, rate_bits=1.5)  # 2**18 words
 
 
 def test_pam_codebook_layout():
@@ -313,7 +328,7 @@ def test_codeword_count_rounds_up():
 
 def test_gaussian_codebook_power_clipped():
     cfg = make_config(
-        lattice=d4_lattice(), rounds=2, rate_bits=0.25, codebook="gaussian"
+        lattice=make_lattice("d4"), rounds=2, rate_bits=0.25, codebook="gaussian"
     )
     power = (cfg.codewords ** 2).sum(axis=1) / 4.0
     assert power.max() <= cfg.params.p * (1.0 + 1e-12)
@@ -323,7 +338,7 @@ def test_gaussian_codebook_power_clipped():
 def test_codebook_stream_key_holds_the_seed_exactly():
     """The codebook Philox key words are set as uint64, not via a float."""
     def gaussian(seed):
-        return make_config(lattice=d4_lattice(), rounds=2, rate_bits=0.25,
+        return make_config(lattice=make_lattice("d4"), rounds=2, rate_bits=0.25,
                            codebook="gaussian", master_seed=seed).codewords
 
     assert not np.array_equal(gaussian(1 << 60), gaussian((1 << 60) + 1))
@@ -336,12 +351,6 @@ def test_codebook_stream_key_holds_the_seed_exactly():
         hot = power > 1.0
         old[hot] *= np.sqrt(1.0 / power[hot])[:, None]
         assert np.array_equal(gaussian(seed), old)
-
-
-def test_blocklength_counts_both_directions():
-    assert make_config(rounds=3).blocklength == 6
-    assert make_config(lattice=d4_lattice(), rounds=2,
-                       rate_bits=0.25).blocklength == 16
 
 
 # -----------------------------------------------------------------------------
@@ -406,7 +415,7 @@ def test_union_indicator_exact_with_aliasing_present():
 
 def test_union_indicator_exact_on_vector_path():
     cfg = make_config(
-        lattice=d4_lattice(), rounds=2, rate_bits=0.25, looseness=1.2,
+        lattice=make_lattice("d4"), rounds=2, rate_bits=0.25, looseness=1.2,
         master_seed=11,
     )
     s = estimate_error_prob(cfg, 1500)
@@ -416,9 +425,9 @@ def test_union_indicator_exact_on_vector_path():
 
 SPLIT_CASES = [
     (dict(looseness=2.0, master_seed=13), 1500),
-    (dict(lattice=d4_lattice(), rounds=2, rate_bits=0.25, looseness=1.2,
+    (dict(lattice=make_lattice("d4"), rounds=2, rate_bits=0.25, looseness=1.2,
           master_seed=11), 600),
-    (dict(lattice=e8_lattice(), rounds=3, rate_bits=0.25, looseness=1.2,
+    (dict(lattice=make_lattice("e8"), rounds=3, rate_bits=0.25, looseness=1.2,
           master_seed=(1 << 64) - 1), 300),
 ]
 
@@ -598,7 +607,7 @@ TWIN_CASES = [
      " fb_power=1.0016773709365592, union_agreement=600, coupled_agreement=600,"
      " sigma_k2_hat=9.879779073521577e-07, no_alias_dims=3216,"
      " realized_rate_bits=0.25)"),
-    (dict(params=ChannelParams.from_snrs(30.0, 300.0), lattice=e8_lattice(),
+    (dict(params=ChannelParams.from_snrs(30.0, 300.0), lattice=make_lattice("e8"),
           rounds=3, rate_bits=1 / 3, looseness=1.2, master_seed=5), 300,
      "SimulationSummary(trials=300, rounds=3, alias_counts=((51, 58), (57, 52)),"
      " dec_errors_coupled=0, dec_errors_real=6, ff_power=0.8845383743501196,"
@@ -655,8 +664,8 @@ def test_block_keys_hold_seeds_past_2_63_exactly():
 ENGINE_CASES = [
     dict(),
     dict(rounds=2, looseness=4.0),
-    dict(lattice=d4_lattice(), rounds=2, rate_bits=0.25, looseness=1.2),
-    dict(lattice=e8_lattice(), rounds=3, rate_bits=0.25, looseness=1.2),
+    dict(lattice=make_lattice("d4"), rounds=2, rate_bits=0.25, looseness=1.2),
+    dict(lattice=make_lattice("e8"), rounds=3, rate_bits=0.25, looseness=1.2),
 ]
 
 
@@ -717,7 +726,7 @@ def test_summary_holds_plain_python_scalars():
         return type(v) in (int, float)
 
     for cfg in (make_config(looseness=4.0, master_seed=7),
-                make_config(lattice=d4_lattice(), rounds=2, rate_bits=0.25,
+                make_config(lattice=make_lattice("d4"), rounds=2, rate_bits=0.25,
                             looseness=1.2, master_seed=11)):
         s = estimate_error_prob(cfg, 300)
         for f in dataclasses.fields(s):
@@ -844,7 +853,7 @@ def test_pam_decode_slicing():
 
 def test_ml_decode_on_gaussian_codebook():
     cfg = make_config(
-        lattice=d4_lattice(), rounds=2, rate_bits=0.25, codebook="gaussian"
+        lattice=make_lattice("d4"), rounds=2, rate_bits=0.25, codebook="gaussian"
     )
     for i in range(cfg.m_codewords):
         assert decode_one(cfg, cfg.codewords[i]) == i
