@@ -201,11 +201,20 @@ def cmd_bound(args) -> int:
 # SIMULATION
 # =============================================================================
 
-_CONFIG_KEYS = {
-    "snr_db", "dsnr_db", "rounds", "looseness", "lattice", "dimension",
-    "rate_bits", "codebook", "seed",
+_REQUIRED = object()
+
+# key -> (conversion, default); a key whose default is _REQUIRED must be set
+_CONFIG_SCHEMA = {
+    "snr_db": (float, _REQUIRED),
+    "dsnr_db": (float, _REQUIRED),
+    "rounds": (int, _REQUIRED),
+    "looseness": (float, _REQUIRED),
+    "rate_bits": (float, _REQUIRED),
+    "dimension": (int, None),
+    "seed": (int, 0),
+    "lattice": (str, "z"),
+    "codebook": (str, "auto"),
 }
-_REQUIRED_KEYS = {"snr_db", "dsnr_db", "rounds", "looseness", "rate_bits"}
 
 
 def parse_config(text: str) -> dict:
@@ -222,7 +231,7 @@ def parse_config(text: str) -> dict:
         key, _, val = line.partition("=")
         key = key.strip().lower()
         val = val.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_SCHEMA:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"config line {lineno}: duplicate key {key!r} "
@@ -232,32 +241,19 @@ def parse_config(text: str) -> dict:
         values[key] = val
         lines[key] = lineno
 
-    missing = _REQUIRED_KEYS - values.keys()
+    missing = sorted(key for key, (_, default) in _CONFIG_SCHEMA.items()
+                     if default is _REQUIRED and key not in values)
     if missing:
-        raise ConfigError(f"config is missing required keys: "
-                          f"{', '.join(sorted(missing))}")
-
-    def num(key: str, conv, default=None):
-        if key not in values:
-            return default
+        raise ConfigError(f"config is missing required keys: {', '.join(missing)}")
+    cfg = {}
+    for key, (conv, default) in _CONFIG_SCHEMA.items():
         try:
-            return conv(values[key])
+            cfg[key] = conv(values[key]) if key in values else default
         except ValueError as exc:
             raise ConfigError(
                 f"config line {lines[key]}: bad value for {key!r}: {exc}"
             ) from None
-
-    return {
-        "snr_db": num("snr_db", float),
-        "dsnr_db": num("dsnr_db", float),
-        "rounds": num("rounds", int),
-        "looseness": num("looseness", float),
-        "rate_bits": num("rate_bits", float),
-        "dimension": num("dimension", int),
-        "seed": num("seed", int, 0),
-        "lattice": values.get("lattice", "z"),
-        "codebook": values.get("codebook", "auto"),
-    }
+    return cfg
 
 
 def config_to_scheme(cfg: dict, seed_override: int | None = None) -> SchemeConfig:

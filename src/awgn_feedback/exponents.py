@@ -147,13 +147,12 @@ def sphere_packing_exp(snr: float, rate_bits: float) -> float:
         E_sp = snr/(2 beta) - 1/(1 + sqrt(1+x)) + 0.5*ln(beta*x) - ln(1 + sqrt(1+x))
 
     which is algebraically identical to the textbook form but evaluates to
-    exactly 0 at capacity in floating point.  Rates at or below
-    ZERO_RATE_BITS return the analytic limit snr/2.
+    exactly 0 at capacity in floating point.  Rates below ZERO_RATE_BITS
+    return the analytic limit snr/2.  Every rate above capacity raises.
     """
     snr = real("snr", snr, above=0.0)
     rate_bits = real("rate", rate_bits, at_least=0.0)
-    if rate_bits >= ZERO_RATE_BITS:
-        _check_below_capacity(snr, rate_bits)
+    _check_below_capacity(snr, rate_bits)
     return _sphere_packing(snr, rate_bits)
 
 

@@ -108,9 +108,10 @@ class SchemeConfig:
     feedback power budget.  The gamma/beta/variance schedule is fixed by the
     parameters alone (it never adapts to data), so it is computed once here
     (see ``_build_schedule``); construction fails, rather than any trial, if
-    a correction round has no finite real gain.  ``codebook`` may be 'pam'
-    (scalar lattices only), 'gaussian' (dimension >= 2), or 'auto' to pick
-    by dimension.  ``rounds``, ``rate_bits``, ``master_seed`` and
+    a correction round has no finite real gain.  The lattice's dimension
+    fixes the codebook: PAM when it is 1, a random Gaussian codebook
+    otherwise; ``codebook`` is 'auto' or that name, and is stored as the
+    name.  ``rounds``, ``rate_bits``, ``master_seed`` and
     ``looseness`` are stored as the int or float their check makes of them.
     Either link may be noiseless (an infinite snr or dsnr in
     ``ChannelParams.from_snrs``); ``looseness`` lies in [1, bsnr), or is 0
@@ -167,12 +168,11 @@ class SchemeConfig:
     def _build_codebook(self) -> None:
         p = self.params
         n = self.lattice.dimension
-        mode = self.codebook.strip().lower()
-        if mode == "auto":
-            mode = "pam" if n == 1 else "gaussian"
+        mode = "pam" if n == 1 else "gaussian"
+        if self.codebook.strip().lower() not in ("auto", mode):
+            raise ValueError(f"codebook {self.codebook!r} does not fit dimension {n}; "
+                             f"expected auto or {mode}")
         if mode == "pam":
-            if n != 1:
-                raise ValueError("PAM signaling needs a one-dimensional lattice")
             m = max(1, math.ceil(2.0 ** (self.rounds * self.rate_bits)))
             if m > _MAX_PAM_ORDER:
                 raise ValueError(f"PAM order {m} is beyond the simulator's range")
@@ -181,9 +181,7 @@ class SchemeConfig:
             step = 2.0 * math.sqrt(p.p) / (m - 1) if m > 1 else 0.0
             levels = step * (np.arange(m) - 0.5 * (m - 1))
             codewords = levels[:, None]
-        elif mode == "gaussian":
-            if n < 2:
-                raise ValueError("the random codebook needs dimension >= 2")
+        else:
             bits = math.ceil(n * self.rounds * self.rate_bits)
             if bits > _MAX_CODEBOOK_BITS:
                 raise ValueError(
@@ -201,10 +199,6 @@ class SchemeConfig:
             if np.any(hot):
                 codewords[hot] *= np.sqrt(p.p / power[hot])[:, None]
             step = 0.0
-        else:
-            raise ValueError(
-                f"unknown codebook {self.codebook!r}; expected pam, gaussian, or auto"
-            )
         codewords = np.ascontiguousarray(codewords, dtype=float)
         codewords.setflags(write=False)
         object.__setattr__(self, "codebook", mode)
@@ -248,7 +242,11 @@ class SchemeConfig:
                 raise ValueError(f"round {k} has no finite gain: the estimation-"
                                  f"error variance before it is {s!r}; use fewer rounds")
             ag = alpha * g
-            denom = ag * ag * s + a2s + p.sigma2
+            # (ag)^2 s = alpha^2 num is finite even where (ag)^2 overflows
+            a2gs = ag * ag * s
+            if a2gs == math.inf:
+                a2gs = ag * (ag * s)
+            denom = a2gs + a2s + p.sigma2
             gains.append(g)
             betas.append(ag * s / denom)
             s = s * (p.sigma2 + a2s) / denom

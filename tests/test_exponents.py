@@ -76,6 +76,14 @@ def test_sphere_packing_rejects_rates_above_capacity():
         sphere_packing_exp(SNR, capacity(SNR) * 1.001)
 
 
+def test_sphere_packing_rejects_low_rates_above_a_low_capacity():
+    """Below ZERO_RATE_BITS the kernel returns snr/2 whatever the rate, so
+    at snr 1e-7 (capacity 7.2e-8 bits) the shell must check the rate."""
+    with pytest.raises(ValueError, match="exceeds capacity"):
+        sphere_packing_exp(1e-7, 5e-7)
+    assert sphere_packing_exp(1e-7, 0.0) == 5e-08
+
+
 def test_sphere_packing_decreasing_in_rate():
     cap = capacity(SNR)
     vals = [sphere_packing_exp(SNR, x * cap) for x in

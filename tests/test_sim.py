@@ -107,6 +107,21 @@ def test_schedule_rejects_a_gain_that_overflows(dsnr, looseness):
                     rate_bits=0.05, master_seed=1)
 
 
+def test_schedule_last_round_survives_an_overflowing_square():
+    """At snr 1058 the last of 103 rounds has a finite gain whose (alpha g)^2
+    overflows; its beta and variance stay positive and finite, not 0."""
+    params = ChannelParams.from_snrs(1058.0, 1e3)
+    cfg = make_config(params=params, rounds=103, looseness=4.0, rate_bits=0.0,
+                      master_seed=1)
+    ag = cfg.alpha * cfg.gains[-1]
+    assert ag * ag == math.inf
+    assert 0.0 < cfg.betas[-1] < math.inf
+    assert 0.0 < cfg.sigmas2[-1] < cfg.sigmas2[-2]
+    with pytest.raises(ValueError, match="^round 104 has no finite gain"):
+        make_config(params=params, rounds=104, looseness=4.0, rate_bits=0.0,
+                    master_seed=1)
+
+
 def test_wiener_update_contraction():
     """sigma_{k+1}^2 / sigma_k^2 == (1 + L/dsnr) / (1 + snr) every round."""
     for L in (1.0, 40.0, 2e4):
@@ -795,6 +810,26 @@ def test_power_accounting():
     s = estimate_error_prob(cfg, 20000)
     assert s.ff_power <= cfg.params.p * 1.01
     assert s.fb_power == pytest.approx(cfg.params.p_tilde, rel=0.02)
+
+
+_BELOW_RESOLUTION = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 17: the engine keeps theta + eps, so eps "
+    "is lost once sigma_K falls below the float resolution of the codewords")
+
+
+@pytest.mark.parametrize("lattice, rate_bits", [("z", 1.5), ("d4", 1.0)],
+                         ids=["z1-pam", "d4-16"])
+@pytest.mark.parametrize("rounds", [12, pytest.param(20, marks=_BELOW_RESOLUTION)])
+def test_powers_and_final_variance_hold_at_many_rounds(lattice, rate_bits, rounds):
+    """At 20/30 dB and L = 4, e_fb's optimal round counts reach 22; the
+    feedback power and the final error variance must still match their
+    design values there (sigma_K is 9.5e-21 at K = 20)."""
+    cfg = make_config(params=ChannelParams.from_snrs(100.0, 1000.0),
+                      rounds=rounds, looseness=4.0, lattice=make_lattice(lattice),
+                      rate_bits=rate_bits / rounds, master_seed=11)
+    s = estimate_error_prob(cfg, 2000)
+    assert abs(s.fb_power / cfg.params.p_tilde - 1.0) < 0.05
+    assert abs(s.sigma_k2_hat / cfg.sigmas2[-1] - 1.0) < 0.2
 
 
 # -----------------------------------------------------------------------------
