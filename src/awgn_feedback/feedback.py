@@ -25,14 +25,18 @@ The search over round counts first runs one K to the end and takes its
 value as the incumbent: the caller's ``k_first`` when given (a sweep passes
 the optimum of its previous rate, which is mostly the optimum here or a
 little below it), else the K that maximizes the closed form L*(K)/(16K) of
-:func:`high_snr_bound`.  It then scans K = 1..k_max upward, ends at the
-first K whose bound bsnr/(16K) cannot beat the incumbent, and drops a K
-when the two exponents have crossed at a probe looseness just below 16K
-times the incumbent's value; the probe is one evaluation in the scan
-itself, before any set-up of K's search.  Every other K runs its full
-search, so the result is bit for bit that of the full scan, whichever K ran
-first (the argument is in :func:`e_fb`); the first K only sets how many
-round counts the probe can drop.
+:func:`high_snr_bound`.  It then scans K = 1..k_max upward and ends at the
+first K whose bound cannot beat the incumbent.  Below K0 = max(first K, 2)
+that bound is bsnr/(16K).  From K0 on it is modulo(Lambda)/(2K), where
+Lambda is the looseness at and above which the boosted SNR of no K >= K0
+carries K R bits (``_capacity_looseness``, one closed form per call, no
+work per K); this ends the scan near the optimum instead of near K = 64.
+The scan drops a K when the two exponents have crossed at a probe
+looseness just below 16K times the incumbent's value; the probe is one
+evaluation in the scan itself, before any set-up of K's search.  Every
+other K runs its full search, so the result is bit for bit that of the full
+scan, whichever K ran first (the argument is in :func:`e_fb`); the first K
+only sets how many round counts the probe and the end can drop.
 
 A full search is the bisection on the gap of the two exponents, but it
 evaluates only the midpoints whose sign is not already certified: secant
@@ -60,6 +64,7 @@ from .exponents import (
     _decode_exponent_hoisted,
     _expurgation_terms,
     _poltyrev,
+    _rate_nats,
     capacity,
 )
 
@@ -86,6 +91,11 @@ _L_TOL = 1e-10
 # rose with L by a few ulp between the probe and the looseness the
 # bisection ends on.
 _PROBE_MARGIN = 1e-9
+
+# The capacity end of e_fb's scan lowers the growth factor it solves for by
+# this share, far above the float error of the boosted SNR (a few ulp of g
+# per round), so the float decode exponent is 0 at every looseness above it.
+_CAP_MARGIN = 1e-9
 
 # A gap decode - modulo counts as certified positive or negative only beyond
 # this share of the larger exponent: far above the float error of the decode
@@ -245,7 +255,8 @@ def _inner_optimum(
     The decode exponent falls with L (less SNR growth) while the modulo
     exponent rises with L (coarser lattice, rarer wraps), so the min peaks
     where they cross, found by bisection on their gap, or at an end of
-    (1, bsnr).  Returns (value, looseness).
+    (1, bsnr).  Returns (value, looseness, decode, modulo), the last two
+    the exponents at that looseness.
 
     Before the bisection, :func:`_certified_bracket` takes secant steps
     toward the crossing and returns the largest point where the gap is
@@ -291,7 +302,8 @@ def _inner_optimum(
             else:
                 b = mid
         l_opt = 0.5 * (a + b)
-    return min(decode(l_opt), _poltyrev(l_opt)) / (2.0 * rounds), l_opt
+    dec, mod = decode(l_opt), _poltyrev(l_opt)
+    return min(dec, mod) / (2.0 * rounds), l_opt, dec, mod
 
 
 def _certified_bracket(
@@ -347,6 +359,32 @@ def _certified_bracket(
     return pos, neg
 
 
+def _capacity_looseness(
+    snr: float, bsnr: float, dsnr: float, rate_bits: float, rounds: int
+) -> float:
+    """The looseness at and above which no round count from ``rounds`` >= 2
+    on decodes: min(max(L_cap, L_c), bsnr) of point 6 of :func:`e_fb`.
+
+    With c = 2^{2R}, the growth factor g(L) = (bsnr + dsnr)/(L + dsnr)
+    falls to gamma = ((c^K - 1)/snr)^{1/(K-1)} at L_cap, where the boosted
+    SNR snr g^{K-1} carries K R bits, and to c at L_c.  The smaller factor is
+    lowered by _CAP_MARGIN before L = dsnr (snr + 1 - g)/g is solved for, so
+    that the float kernels read a decode exponent of 0 from there on.  A
+    c^K - 1 past the float range leaves gamma = inf, no bound from L_cap; a
+    factor of 0 (a rate of 0) leaves bsnr.  Unchecked.
+    """
+    try:
+        t = math.expm1(2.0 * _rate_nats(rounds * rate_bits))
+    except OverflowError:
+        gamma = math.inf
+    else:
+        gamma = (t / snr) ** (1.0 / (rounds - 1))
+    g = min(gamma, 2.0 ** (2.0 * rate_bits)) * (1.0 - _CAP_MARGIN)
+    if g == 0.0:
+        return bsnr
+    return min(dsnr * (snr + 1.0 - g) / g, bsnr)
+
+
 def _first_guess(bsnr: float, dsnr: float, rate_bits: float, k_max: int) -> int:
     """The K in [1, k_max] with the largest closed form L*(K) / (16K).
 
@@ -383,19 +421,22 @@ def e_fb(
     the largest closed form L*(K)/(16K), runs first, to the end, and sets
     the incumbent (best value, K).  ``k_first`` only orders the search and
     never changes the result; a first K at or near the optimum lets the
-    probe drop more of the others, so a sweep over rates passes the
-    previous rate's ``k_star``.  The scan of K = 1..k_max then
-    ends at the first K whose bound bsnr/(16K) (the modulo exponent is at
-    most L/8 < bsnr/8) cannot beat the incumbent.  The scan drops a K after
-    one evaluation, with no set-up of its search, when the gap decode -
-    modulo is not positive at the probe L1 = 16K best (1 - _PROBE_MARGIN)
-    and the bound modulo(L1)/(2K) is below best; every other K runs its full
-    search.  The result is bit for bit that of the full scan:
+    probe and the scan's end drop more of the others, so a sweep over rates
+    passes the previous rate's ``k_star``.  The scan of K = 1..k_max then
+    ends at the first K whose bound cannot beat the incumbent: bsnr/(16K)
+    (the modulo exponent is at most L/8 < bsnr/8) below K0 = max(first K,
+    2) or while the incumbent is 0, else the capacity end
+    modulo(Lambda)/(2K) of point 6.  The scan drops a K after one
+    evaluation, with no set-up of its search, when the gap decode - modulo
+    is not positive at the probe L1 = 16K best (1 - _PROBE_MARGIN) and the
+    bound modulo(L1)/(2K) is below best; every other K runs its full search.
+    The result is bit for bit that of the full scan:
 
     1. A K's search depends only on K, not on the incumbent; the probe
        either drops K or leaves its search as it was.
     2. The scan bound holds in floating point, value/(2K) <= bsnr/(16K),
-       and does not rise with K.
+       and so does the capacity end (point 6); neither rises with K, nor
+       does the switch to the end, as modulo(Lambda) <= Lambda/8 <= bsnr/8.
     3. The incumbent only improves, so a K dropped could not have replaced
        the final best value under the strict ``>`` test, nor tied it at a
        smaller K, whatever order the round counts ran in.
@@ -416,6 +457,27 @@ def e_fb(
        beyond the guard, far above the float error of either exponent,
        cannot flip between such a midpoint and the point that certified
        it, so an evaluation there would have taken the same step.
+    6. The capacity end holds as well.  With c = 2^{2R} and the growth
+       factor g(L) = (bsnr + dsnr)/(L + dsnr), the decode exponent at K is
+       0 on S_K = {L : snr g(L)^{K-1} <= c^K - 1}, where the boosted SNR
+       does not carry K R bits.  S_K is an up-set in L, as g falls with L.
+       If L is in S_K and g(L) <= c, then L is in S_{K+1}, because
+       c^K (g - c) <= g - 1.  So every L >= Lambda = min(max(L_cap(K0),
+       L_c), bsnr) has decode exponent 0 at every K >= K0, where
+       L_cap(K0) = dsnr (snr + 1 - gamma)/gamma, with gamma =
+       ((c^K0 - 1)/snr)^{1/(K0-1)}, is the bottom of S_K0 and L_c is
+       where g = c.  A search's final L lies either below Lambda, where
+       the min is at most modulo(Lambda), or at or above it, where it is 0;
+       so K's value is at most modulo(Lambda)/(2K), which falls with K.
+       In floats, :func:`_capacity_looseness` lowers min(gamma, c)
+       by _CAP_MARGIN = 1e-9 before it solves for Lambda, so the boosted
+       SNR above Lambda sits a factor (1 - 1e-9)^{K-1} below c^K - 1,
+       against a float error of a few ulp of g per round and of the
+       closed form itself.  Past K0 R = 512 bits, where c^K0 - 1 overflows,
+       no float SNR decodes (the decode kernel reads an overflowed SNR as
+       the largest float, whose capacity is 512 bits), so gamma is inf
+       there.  The end applies only while the incumbent is positive: a
+       best value of 0 never ends the scan through this bound.
 
     A result with ``k_at_boundary`` set means the argmax sat at k_max and a
     larger search range might still improve the value; a warning is emitted.
@@ -446,26 +508,33 @@ def e_fb(
         k0 = _first_guess(bsnr, dsnr, rate_bits, k_max)
     else:
         k0 = count("k_first", k_first, 1, k_max + 1)
-    best_k = k0
-    best_val, best_l = _inner_optimum(snr, bsnr, dsnr, rate_bits, k0)
+    best_k, best = k0, _inner_optimum(snr, bsnr, dsnr, rate_bits, k0)
+    # the capacity end, point 6 of the proof above: for every K >= k_end,
+    # once the incumbent is positive
+    k_end = max(k0, 2)
+    mod_end = _poltyrev(_capacity_looseness(snr, bsnr, dsnr, rate_bits, k_end))
     for k in range(1, k_max + 1):
-        bound = bsnr / (16.0 * k)
-        if bound < best_val or (bound == best_val and k > best_k):
+        if k >= k_end and best[0] > 0.0:
+            bound = mod_end / (2.0 * k)
+        else:
+            bound = bsnr / (16.0 * k)
+        if bound < best[0] or (bound == best[0] and k > best_k):
             break
         if k == k0:
             continue
         # the probe, point 4 of the proof above; a best value of 0, or one
         # too small for the interval, never probes
-        probe = 16.0 * k * best_val * (1.0 - _PROBE_MARGIN)
+        probe = 16.0 * k * best[0] * (1.0 - _PROBE_MARGIN)
         if lo < probe < hi:
             mod = _poltyrev(probe)
-            if mod / (2.0 * k) < best_val:
+            if mod / (2.0 * k) < best[0]:
                 snr_k = _effective_snr(snr, bsnr, dsnr, probe, k)
                 if _decode_exponent(snr_k, k * rate_bits) - mod <= 0.0:
                     continue
-        val, l_opt = _inner_optimum(snr, bsnr, dsnr, rate_bits, k)
-        if val > best_val or (val == best_val and k < best_k):
-            best_val, best_k, best_l = val, k, l_opt
+        found = _inner_optimum(snr, bsnr, dsnr, rate_bits, k)
+        if found[0] > best[0] or (found[0] == best[0] and k < best_k):
+            best_k, best = k, found
+    best_val, best_l, dec, mod = best
 
     k_at_boundary = best_k == k_max
     if k_at_boundary:
@@ -475,10 +544,6 @@ def e_fb(
             stacklevel=2,
         )
 
-    dec = _decode_exponent(
-        _effective_snr(snr, bsnr, dsnr, best_l, best_k), best_k * rate_bits
-    )
-    mod = _poltyrev(best_l)
     scale = max(dec, mod, 1e-300)
     if abs(dec - mod) <= _BALANCE_RTOL * scale:
         binding = Binding.BALANCED

@@ -24,7 +24,8 @@ than 600 digits; 400 read relative errors near 1 there.
 
 The boosted SNR that ``e_fb`` feeds these kernels, snr g^{K-1} with
 g = 1 + snr (1 - L/bsnr) / (1 + L/dsnr), is checked the same way, up to and
-past the float range.
+past the float range, and so is the looseness that ends ``e_fb``'s scan of
+round counts, where that SNR stops carrying K R bits.
 """
 
 import math
@@ -46,7 +47,7 @@ from awgn_feedback.exponents import (
     _sphere_packing,
     _straight_line_intercept,
 )
-from awgn_feedback.feedback import _effective_snr
+from awgn_feedback.feedback import _CAP_MARGIN, _capacity_looseness, _effective_snr
 
 DPS = 700
 # exponent values are sums of terms of order one, so where E_sp nears 0 at
@@ -199,3 +200,52 @@ def test_effective_snr_matches_the_recursion_up_to_and_past_overflow():
                 overflowed += 1
                 assert value == math.inf, point
     assert finite >= 500 and overflowed >= 500
+
+
+def _capacity_points(seed, n):
+    """n seeded (snr, bsnr, dsnr, R, K0): forward SNR -5..60 dB, dsnr on
+    [1.1, 1e6], R from 0.3 C to within 1e-9 of C (its distance to C
+    log-uniform) and K0 in 2..64; every third point at 50-60 dB with
+    K0 >= 52, where K0 R can pass 512 bits."""
+    rng = random.Random(seed)
+    points = []
+    for i in range(n):
+        snr_db = rng.uniform(50.0, 60.0) if i % 3 == 0 else rng.uniform(-5.0, 60.0)
+        snr = 10.0 ** (snr_db / 10.0)
+        dsnr = 10.0 ** rng.uniform(math.log10(1.1), 6.0)
+        rate = (1.0 - 10.0 ** rng.uniform(-9.0, math.log10(0.7))) * _capacity(snr)
+        k0 = rng.randint(52, 64) if i % 3 == 0 else rng.randint(2, 64)
+        points.append((snr, snr * dsnr, dsnr, rate, k0))
+    return points
+
+
+def test_capacity_looseness_matches_the_exact_root():
+    """_capacity_looseness against its root in 40-digit arithmetic.  With
+    c = 2^{2R} and _effective_snr's growth factor g(L), the root is the L
+    where g falls to min(gamma, c), gamma = ((c^K0 - 1)/snr)^{1/(K0-1)},
+    capped at bsnr; from K0 R > 512 bits on no float SNR decodes and gamma
+    is inf.  The float value is the root for that factor lowered by
+    _CAP_MARGIN, within 1e-12 of L + dsnr, so it lies above the root
+    itself, or at bsnr."""
+    shifted_up = 0
+    with mpmath.workdps(40):
+        for snr, bsnr, dsnr, rate, k0 in _capacity_points(27, 2000):
+            s, b, d = mpf(snr), mpf(bsnr), mpf(dsnr)
+            c = mpmath.power(2, 2 * mpf(rate))
+            if k0 * rate > 512.0:
+                gamma = mpmath.inf
+            else:
+                gamma = ((c ** k0 - 1) / s) ** (mpf(1) / (k0 - 1))
+
+            def root(g):
+                # g = 1 + s (1 - L/b) / (1 + L/d) solved for L
+                return min((s + 1 - g) / (s / b + (g - 1) / d), b)
+
+            g = min(gamma, c)
+            exact, shifted = root(g), root(g * (1 - mpf(_CAP_MARGIN)))
+            value = _capacity_looseness(snr, bsnr, dsnr, rate, k0)
+            point = (snr, bsnr, dsnr, rate, k0)
+            assert abs(mpf(value) - shifted) <= 1e-12 * (shifted + d), point
+            assert value > exact or value == bsnr, point
+            shifted_up += value < bsnr
+    assert shifted_up >= 1000

@@ -32,6 +32,7 @@ from awgn_feedback.feedback import (
     _L_EDGE,
     _L_TOL,
     _PROBE_MARGIN,
+    _capacity_looseness,
     _effective_snr,
     _eta,
     _inner_optimum,
@@ -189,7 +190,7 @@ def test_e_fb_bisection_matches_grid_scan():
     """The inner bisection agrees with a brute-force 2000-point grid."""
     p = P20_30
     for rate, k in [(0.0, 4), (0.0, 8), (0.8, 4), (0.8, 8), (2.0, 10)]:
-        _, l_bis = _inner_optimum(p.snr, p.bsnr, p.dsnr, rate, k)
+        _, l_bis, _, _ = _inner_optimum(p.snr, p.bsnr, p.dsnr, rate, k)
 
         lo, hi = 1.0 + 1e-9, p.bsnr * (1.0 - 1e-9)
         step = (hi - lo) / 1999.0
@@ -387,9 +388,9 @@ def test_e_fb_matches_checked_search_on_random_draws():
 
 def _count_evals(monkeypatch):
     """Tally e_fb's decode evaluations at the decode kernels in feedback's
-    namespace: the probes and the binding check call ``_decode_exponent``,
-    the looseness searches ``_decode_exponent_hoisted``, at every looseness
-    they evaluate, the final one included."""
+    namespace: the probes call ``_decode_exponent``, the looseness searches
+    ``_decode_exponent_hoisted``, at every looseness they evaluate, the
+    final one included; the binding check reuses the final one's."""
     from awgn_feedback import feedback
 
     total = 0
@@ -410,15 +411,16 @@ def test_e_fb_prunes_losing_round_counts(monkeypatch):
     """Round counts that cannot beat the best value stop their search."""
     evals = _count_evals(monkeypatch)
     e_fb(P20_30, 1.0)
-    # 88 here; without the probe every K up to 64 runs its full search, 913
-    assert 0 < evals() <= 96
+    # 61 here; without the capacity end 88, and without the probe as well
+    # every K up to 64 runs its full search, 913
+    assert 0 < evals() <= 67
 
 
 @pytest.mark.parametrize(
     "snr_db, dsnr_db, budget",
-    # each sweep makes 3 739, 3 269 and 3 759 evaluations, with each rate's
+    # each sweep makes 2 524, 2 083 and 2 582 evaluations, with each rate's
     # search started at the previous rate's K*; budgets allow 10 % more
-    [("20", "30", 4_112), ("10", "20", 3_595), ("30", "30", 4_134)],
+    [("20", "30", 2_776), ("10", "20", 2_291), ("30", "30", 2_840)],
     ids=["20-30", "10-20", "30-30"],
 )
 def test_fig1_sweep_evaluation_budget(monkeypatch, tmp_path, snr_db, dsnr_db, budget):
@@ -454,7 +456,8 @@ def _plain_bisection(snr, bsnr, dsnr, rate, k):
         L = 0.5 * (a + b)
     if decode(lo) - poltyrev_exponent(lo) <= 0.0:
         L = lo
-    return min(decode(L), poltyrev_exponent(L)) / (2.0 * k), L
+    dec, mod = decode(L), poltyrev_exponent(L)
+    return min(dec, mod) / (2.0 * k), L, dec, mod
 
 
 def test_replay_is_the_bisection_for_every_round_count(monkeypatch):
@@ -516,7 +519,8 @@ def test_probe_stops_only_where_it_cannot_win(monkeypatch):
             ran.append(args[4])
             if args[4] == k:
                 return inner(*args)
-            return (best if args[4] == 1 else 0.0), 1.0
+            value = best if args[4] == 1 else 0.0
+            return value, 1.0, value, value
 
         ran.clear()
         monkeypatch.setattr(feedback, "_inner_optimum", fake)
@@ -525,7 +529,7 @@ def test_probe_stops_only_where_it_cannot_win(monkeypatch):
         return k in ran
 
     p, rate, k = P20_30, 1.0, 8
-    value, _ = inner(p.snr, p.bsnr, p.dsnr, rate, k)
+    value = inner(p.snr, p.bsnr, p.dsnr, rate, k)[0]
     # the modulo exponent at the first midpoint, over 2K, is above K's value,
     # so a probe at 16 K times it lies past K's crossing and drops K
     mid = 0.5 * ((1.0 + _L_EDGE) + p.bsnr * (1.0 - _L_EDGE))
@@ -541,7 +545,7 @@ def test_probe_stops_only_where_it_cannot_win(monkeypatch):
     # an incumbent above K's value can put the probe below the crossing, and
     # then K, which cannot win, still runs to the end
     rate, k = 0.95 * capacity(p.snr), 3
-    value, l_opt = inner(p.snr, p.bsnr, p.dsnr, rate, k)
+    value, l_opt, _, _ = inner(p.snr, p.bsnr, p.dsnr, rate, k)
     best = 0.5 * (value + l_opt / (16.0 * k))
     assert value < best
     assert 1.0 + _L_EDGE < 16.0 * k * best * (1.0 - _PROBE_MARGIN) < l_opt < 4.0
@@ -551,43 +555,127 @@ def test_probe_stops_only_where_it_cannot_win(monkeypatch):
 def test_probe_stops_only_round_counts_that_cannot_win(monkeypatch):
     """Seeded links, rates and k_max, with a random first K on every other
     call: each K whose search e_fb did not run to the end scores below the
-    result, or, past the scan's end, no higher than it; each probe costs one
-    decode evaluation and nothing else."""
+    result, or, past the scan bound bsnr/(16K), no higher than it.  A K the
+    probe dropped costs one decode evaluation and nothing else; a K past
+    the capacity end costs none.  That end stops the scan where the bound
+    bsnr/(16K) would not on a quarter of the calls, and leaves a thousand
+    round counts unscanned over them."""
     from awgn_feedback import feedback
 
     ran = _record_full_searches(monkeypatch)
-    probes = 0
+    probed = []
 
-    def counted(*args):
-        nonlocal probes
-        probes += 1
-        return _decode_exponent(*args)
+    def counted(snr_k, rate_k):
+        # the binding check reuses the winner's exponents, so every call
+        # here is a probe; its rate is K times the rate
+        probed.append(round(rate_k / rate))
+        return _decode_exponent(snr_k, rate_k)
 
     monkeypatch.setattr(feedback, "_decode_exponent", counted)
     rng = random.Random(18)
-    stops = 0
+    stops = capacity_ends = skipped = 0
     for i in range(400):
         p = _random_link(rng)
         rate = rng.uniform(0.0, 0.999) * capacity(p.snr)
         k_max = rng.choice((5, 13, 64))
         k_first = rng.randint(1, k_max) if i % 2 else None
         ran.clear()
-        probes = -1  # the binding check's evaluation
+        probed.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             res = e_fb(p, rate, k_max, k_first=k_first)
-        dropped = 0
+        dropped = past_end = 0
         for k in set(range(1, k_max + 1)) - set(ran):
             value = _inner_optimum(p.snr, p.bsnr, p.dsnr, rate, k)[0]
-            if p.bsnr / (16.0 * k) > res.e_fb:
-                # within the scan: the probe dropped K
+            if k in probed:
+                # the probe dropped K, at one evaluation
                 dropped += 1
+                assert probed.count(k) == 1, (p, rate, k)
+                assert value < res.e_fb, (p, rate, k)
+            elif p.bsnr / (16.0 * k) > res.e_fb:
+                # past the capacity end, where bsnr/(16K) still exceeds the result
+                past_end += 1
                 assert value < res.e_fb, (p, rate, k)
             else:
                 assert value < res.e_fb or (value == res.e_fb and k > res.k_star)
-        assert dropped <= probes <= dropped + len(ran) - 1
+        # every other probe led to a search; the first K ran with no probe
+        assert dropped <= len(probed) <= dropped + len(ran) - 1
         stops += dropped
+        capacity_ends += past_end > 0
+        skipped += past_end
     assert stops >= 1000
+    assert capacity_ends >= 50 and skipped >= 1000
+
+
+def _high_rate(rng, p):
+    """A rate from 0.3 C to within 1e-9 of C, its distance to C log-uniform."""
+    return (1.0 - 10.0 ** rng.uniform(-9.0, math.log10(0.7))) * capacity(p.snr)
+
+
+def test_capacity_end_leaves_no_decodable_looseness():
+    """Point 6 of e_fb's proof, in floats: where _capacity_looseness bounds
+    the looseness for K0, the float decode exponent is 0 at K0 and at larger
+    K on a geometric grid over [max(end, 1), bsnr) and on a run of adjacent
+    floats from its bottom.  Seeded links with forward SNR -5..60 dB and
+    dsnr 1.1..1e6, K0 in 2..64; a third of them at 50-60 dB and K0 >= 52,
+    where K0 R can pass 512 bits and c^K0 - 1 the float range."""
+    rng = random.Random(27)
+    bounded = overflowed = below_one = small = 0
+    for i in range(600):
+        snr_db = rng.uniform(50.0, 60.0) if i % 3 == 0 else rng.uniform(-5.0, 60.0)
+        dsnr = 10.0 ** rng.uniform(math.log10(1.1), 6.0)
+        p = ChannelParams.from_snrs(10.0 ** (snr_db / 10.0), dsnr)
+        rate = _high_rate(rng, p)
+        k0 = rng.randint(52, 64) if i % 3 == 0 else rng.randint(2, 64)
+        end = _capacity_looseness(p.snr, p.bsnr, p.dsnr, rate, k0)
+        if not end < p.bsnr:
+            continue
+        bounded += 1
+        # expm1 overflows exactly from K0 R > 512 bits on
+        overflowed += k0 * rate > 512.0
+        below_one += end < 1.0
+        small += 1.0 <= end < 1e-3 * p.dsnr
+        start = max(end, 1.0)
+        grid = [start * (p.bsnr / start) ** (j / 60) for j in range(60)]
+        L = start
+        for _ in range(20):
+            grid.append(L)
+            L = math.nextafter(L, math.inf)
+        for k in {k0, k0 + 1, rng.randint(k0, 100), 100}:
+            for L in grid:
+                if L < p.bsnr:
+                    snr_k = _effective_snr(p.snr, p.bsnr, p.dsnr, L, k)
+                    assert _decode_exponent(snr_k, k * rate) == 0.0, (p, rate, k0, k, L)
+    assert bounded >= 500
+    assert overflowed >= 50 and below_one >= 100 and small >= 20
+
+
+def test_e_fb_matches_checked_search_where_the_capacity_end_binds():
+    """Seeded links at rates from 0.3 C to within 1e-9 of C, a random first
+    K and k_max in {13, 64, 100}: the same bits as the checked scan, which
+    has no capacity end.  On many draws that end lies below the result at
+    a K where bsnr/(16K) does not."""
+    rng = random.Random(2027)
+    binds = 0
+    for i in range(150):
+        p = _random_link(rng)
+        rate = _high_rate(rng, p)
+        k_max = (13, 64, 100)[i % 3]
+        k_first = rng.randint(1, k_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            res = e_fb(p, rate, k_max, k_first=k_first)
+        assert (res.e_fb, res.k_star, res.l_star) == checked_search(
+            p, rate, k_max
+        ), (p, rate, k_max, k_first)
+        k_end = max(k_first, 2)
+        end = _capacity_looseness(p.snr, p.bsnr, p.dsnr, rate, k_end)
+        mod_end = poltyrev_exponent(max(end, 1.0))
+        binds += any(
+            mod_end / (2.0 * k) < res.e_fb < p.bsnr / (16.0 * k)
+            for k in range(k_end, k_max + 1)
+        )
+    assert binds >= 60
 
 
 def test_decode_exponent_does_not_rise_with_looseness():
@@ -619,7 +707,8 @@ def test_e_fb_tie_goes_to_the_smaller_round_count(monkeypatch):
     from awgn_feedback import feedback
 
     def inner(snr, bsnr, dsnr, rate_bits, rounds):
-        return (1.0 if rounds in (2, 4) else 0.0), float(rounds)
+        value = 1.0 if rounds in (2, 4) else 0.0
+        return value, float(rounds), value, value
 
     monkeypatch.setattr(feedback, "_inner_optimum", inner)
     res = e_fb(P20_30, 1.0, k_max=8, k_first=4)
@@ -702,7 +791,7 @@ def test_e_fb_does_not_rest_on_an_overflowed_snr():
     assert res.e_fb == pytest.approx(113.33378870367632, rel=1e-12)
     assert res.l_star == pytest.approx(21760.087431785418, rel=1e-9)
     for k in range(1, 65):
-        value, _ = _inner_optimum(params.snr, params.bsnr, params.dsnr, rate, k)
+        value = _inner_optimum(params.snr, params.bsnr, params.dsnr, rate, k)[0]
         assert value == 0.0 if k * rate >= 512.0 else value > 0.0, k
 
 
