@@ -24,13 +24,13 @@ through the checked functions would.
 The search over round counts first runs one K to the end and takes its
 value as the incumbent: the caller's ``k_first`` when given (a sweep passes
 the optimum of its previous rate, which is mostly the optimum here or a
-little below it), else the K that maximizes the closed form L*(K)/(16K) of
-:func:`high_snr_bound`.  It then scans K = 1..k_max upward and ends at the
-first K whose bound cannot beat the incumbent.  Below K0 = max(first K, 2)
-that bound is bsnr/(16K).  From K0 on it is modulo(Lambda)/(2K), where
-Lambda is the looseness at and above which the boosted SNR of no K >= K0
-carries K R bits (``_capacity_looseness``, one closed form per call, no
-work per K); this ends the scan near the optimum instead of near K = 64.
+little below it), else K = min(_FIRST_K, k_max).  It then scans
+K = 1..k_max upward and ends at the first K whose bound cannot beat the
+incumbent.  Below K0 = max(first K, 2) that bound is bsnr/(16K).  From K0
+on it is modulo(Lambda)/(2K), where Lambda is the looseness at and above
+which the boosted SNR of no K >= K0 carries K R bits
+(``_capacity_looseness``, one closed form per call, no work per K); this
+ends the scan near the optimum instead of near K = 64.
 The scan drops a K when the two exponents have crossed at a probe
 looseness just below 16K times the incumbent's value; the probe is one
 evaluation in the scan itself, before any set-up of K's search.  Every
@@ -96,6 +96,11 @@ _PROBE_MARGIN = 1e-9
 # this share, far above the float error of the boosted SNR (a few ulp of g
 # per round), so the float decode exponent is 0 at every looseness above it.
 _CAP_MARGIN = 1e-9
+
+# The round count e_fb runs first when the caller names none: near the
+# median optimum K* over seeded links of -5..60 dB (10) and of 10..25 dB
+# (8).  Only the order of the search depends on it, never its result.
+_FIRST_K = 10
 
 # A gap decode - modulo counts as certified positive or negative only beyond
 # this share of the larger exponent: far above the float error of the decode
@@ -385,27 +390,6 @@ def _capacity_looseness(
     return min(dsnr * (snr + 1.0 - g) / g, bsnr)
 
 
-def _first_guess(bsnr: float, dsnr: float, rate_bits: float, k_max: int) -> int:
-    """The K in [1, k_max] with the largest closed form L*(K) / (16K).
-
-    The scan stops at the closed form's first fall, which was its maximum
-    on every link tried, and where eta(RK) underflows to 0 and leaves no
-    closed form for that K or any larger one.  Only the order of e_fb's
-    search depends on this guess, never its result.
-    """
-    best, k0 = -math.inf, 1
-    for k in range(1, k_max + 1):
-        try:
-            v = _balance_looseness(bsnr, dsnr, rate_bits, k) / (16.0 * k)
-        except ZeroDivisionError:
-            break
-        if v < best:
-            break
-        if v > best:
-            best, k0 = v, k
-    return k0
-
-
 def e_fb(
     params: ChannelParams, rate_bits: float, k_max: int = 64, *,
     k_first: int | None = None,
@@ -417,19 +401,19 @@ def e_fb(
     largest value with the smallest K that reaches it, as an ascending scan
     of K with a strict ``>`` test would.
 
-    The round count ``k_first`` in [1, k_max], or when it is None the K with
-    the largest closed form L*(K)/(16K), runs first, to the end, and sets
-    the incumbent (best value, K).  ``k_first`` only orders the search and
-    never changes the result; a first K at or near the optimum lets the
+    The round count ``k_first`` in [1, k_max], or when it is None
+    min(_FIRST_K, k_max) with _FIRST_K = 10, runs first, to the end, and
+    sets the incumbent (best value, K).  ``k_first`` only orders the search
+    and never changes the result; a first K at or near the optimum lets the
     probe and the scan's end drop more of the others, so a sweep over rates
     passes the previous rate's ``k_star``.  The scan of K = 1..k_max then
     ends at the first K whose bound cannot beat the incumbent: bsnr/(16K)
     (the modulo exponent is at most L/8 < bsnr/8) below K0 = max(first K,
-    2) or while the incumbent is 0, else the capacity end
-    modulo(Lambda)/(2K) of point 6.  The scan drops a K after one
-    evaluation, with no set-up of its search, when the gap decode - modulo
-    is not positive at the probe L1 = 16K best (1 - _PROBE_MARGIN) and the
-    bound modulo(L1)/(2K) is below best; every other K runs its full search.
+    2), else the capacity end modulo(Lambda)/(2K) of point 6.  The scan
+    drops a K after one evaluation, with no set-up of its search, when the
+    gap decode - modulo is not positive at the probe L1 = 16K best
+    (1 - _PROBE_MARGIN) and the bound modulo(L1)/(2K) is below best; every
+    other K runs its full search.
     The result is bit for bit that of the full scan:
 
     1. A K's search depends only on K, not on the incumbent; the probe
@@ -476,8 +460,11 @@ def e_fb(
        closed form itself.  Past K0 R = 512 bits, where c^K0 - 1 overflows,
        no float SNR decodes (the decode kernel reads an overflowed SNR as
        the largest float, whose capacity is 512 bits), so gamma is inf
-       there.  The end applies only while the incumbent is positive: a
-       best value of 0 never ends the scan through this bound.
+       there.  An incumbent of 0 ends the scan here only where
+       modulo(Lambda) = 0, that is Lambda <= 1, and only at a K above the
+       incumbent's: every L of the search is then at or above Lambda, so
+       every K >= K0 has value 0, and a tie at a larger K never replaces
+       the incumbent.
 
     A result with ``k_at_boundary`` set means the argmax sat at k_max and a
     larger search range might still improve the value; a warning is emitted.
@@ -505,19 +492,15 @@ def e_fb(
         )
 
     if k_first is None:
-        k0 = _first_guess(bsnr, dsnr, rate_bits, k_max)
+        k0 = min(_FIRST_K, k_max)
     else:
         k0 = count("k_first", k_first, 1, k_max + 1)
     best_k, best = k0, _inner_optimum(snr, bsnr, dsnr, rate_bits, k0)
-    # the capacity end, point 6 of the proof above: for every K >= k_end,
-    # once the incumbent is positive
+    # the capacity end, point 6 of the proof above: for every K >= k_end
     k_end = max(k0, 2)
     mod_end = _poltyrev(_capacity_looseness(snr, bsnr, dsnr, rate_bits, k_end))
     for k in range(1, k_max + 1):
-        if k >= k_end and best[0] > 0.0:
-            bound = mod_end / (2.0 * k)
-        else:
-            bound = bsnr / (16.0 * k)
+        bound = mod_end / (2.0 * k) if k >= k_end else bsnr / (16.0 * k)
         if bound < best[0] or (bound == best[0] and k > best_k):
             break
         if k == k0:

@@ -195,7 +195,7 @@ def make_lattice(name: str, dimension: int | None = None) -> Lattice:
     if not isinstance(name, str):
         raise ValueError(f"name must be a str, got {name!r}")
     key = name.strip().lower()
-    family = "cubic" if key in ("z", "int") else key
+    family = "cubic" if key == "z" else key
     if dimension is None:  # the family's fixed dimension, else 1
         dimension = getattr(_FAMILIES.get(family), "dimension", None) or 1
     return Lattice(family, dimension, 1.0)

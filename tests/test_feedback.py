@@ -5,6 +5,7 @@ import random
 import sys
 import warnings
 from decimal import Decimal, getcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from awgn_feedback import (
 )
 from awgn_feedback.exponents import _decode_exponent
 from awgn_feedback.feedback import (
+    _FIRST_K,
     _L_EDGE,
     _L_TOL,
     _PROBE_MARGIN,
@@ -411,14 +413,14 @@ def test_e_fb_prunes_losing_round_counts(monkeypatch):
     """Round counts that cannot beat the best value stop their search."""
     evals = _count_evals(monkeypatch)
     e_fb(P20_30, 1.0)
-    # 61 here; without the capacity end 88, and without the probe as well
-    # every K up to 64 runs its full search, 913
+    # 62 here; without the capacity end 98, and without the probe as well
+    # every K up to 64 runs its full search, 912
     assert 0 < evals() <= 67
 
 
 @pytest.mark.parametrize(
     "snr_db, dsnr_db, budget",
-    # each sweep makes 2 524, 2 083 and 2 582 evaluations, with each rate's
+    # each sweep makes 2 537, 2 096 and 2 593 evaluations, with each rate's
     # search started at the previous rate's K*; budgets allow 10 % more
     [("20", "30", 2_776), ("10", "20", 2_291), ("30", "30", 2_840)],
     ids=["20-30", "10-20", "30-30"],
@@ -433,6 +435,48 @@ def test_fig1_sweep_evaluation_budget(monkeypatch, tmp_path, snr_db, dsnr_db, bu
             "--out", str(tmp_path / "fig1.csv")]
     assert main(argv) == 0
     assert 0 < evals() <= budget
+
+
+def test_one_rate_calls_evaluation_budget(monkeypatch):
+    """The 300 seeded inputs of ``golden/optimize_points.csv``, each a call
+    with no first round count, stay within their evaluation budget."""
+    evals = _count_evals(monkeypatch)
+    golden = Path(__file__).parent / "golden" / "optimize_points.csv"
+    for line in golden.read_text().splitlines()[1:]:
+        snr, dsnr, rate, k_max = line.split(",")[:4]
+        p = ChannelParams.from_snrs(float.fromhex(snr), float.fromhex(dsnr))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            e_fb(p, float.fromhex(rate), int(k_max))
+    # 24 824 evaluations; the budget allows 10 % more
+    assert 0 < evals() <= 27_300
+
+
+def test_a_zero_incumbent_ends_the_scan(monkeypatch):
+    """Seeded links at rates R = C (1 - 10^u), u in [-16, -3], where many
+    calls are worth 0: the same bits as the checked scan.  A call worth 0
+    at k_max = 64 ends at the capacity end just past the first K, after
+    two evaluations per K up to it, instead of searching all 64 round
+    counts at two evaluations each."""
+    evals = _count_evals(monkeypatch)
+    rng = random.Random(16)
+    zeros = 0
+    for i in range(400):
+        p = _random_link(rng)
+        rate = capacity(p.snr) * (1.0 - 10.0 ** rng.uniform(-16.0, -3.0))
+        k_max = (1, 2, 5, 13, 64, 100)[i % 6]
+        before = evals()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            res = e_fb(p, rate, k_max)
+        spent = evals() - before
+        assert (res.e_fb, res.k_star, res.l_star) == checked_search(
+            p, rate, k_max
+        ), (p, rate, k_max)
+        if res.e_fb == 0.0 and k_max == 64:
+            zeros += 1
+            assert spent <= 2 * _FIRST_K + 2, (p, rate, spent)
+    assert zeros >= 20
 
 
 def _plain_bisection(snr, bsnr, dsnr, rate, k):

@@ -85,8 +85,9 @@ def test_make_lattice_names():
     assert make_lattice("cubic", 2).family == "cubic"
     assert make_lattice("d4").dimension == 4
     assert make_lattice("e8").dimension == 8
-    with pytest.raises(ValueError):
-        make_lattice("leech")
+    for name in ("leech", "int"):
+        with pytest.raises(ValueError, match="unknown lattice family"):
+            make_lattice(name)
     for name in (None, 4):
         with pytest.raises(ValueError, match="name must be a str"):
             make_lattice(name)
