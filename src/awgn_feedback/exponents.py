@@ -240,14 +240,15 @@ def _decode_exponent(snr: float, rate_bits: float) -> float:
     boosted SNR past the float range, is read as the largest float: the
     exponent does not fall with the snr, so that value is a lower bound, 0
     at rates of 512 bits and more (the capacity there) and finite below."""
-    return _decode_exponent_hoisted(snr, rate_bits, *_expurgation_terms(rate_bits))
+    return _decode_exponent_hoisted(snr, rate_bits, None, None)
 
 
 def _decode_exponent_hoisted(
-    snr: float, rate_bits: float, u: float, den: float
+    snr: float, rate_bits: float, u: float | None, den: float | None
 ) -> float:
     # _decode_exponent with u, den = _expurgation_terms(rate_bits) passed in,
-    # so a caller that holds the rate fixed across many snrs computes them once
+    # so a caller that holds the rate fixed across many snrs computes them
+    # once; with None they are computed here, on the expurgation branch only
     if snr == math.inf:
         snr = sys.float_info.max
     if rate_bits >= _capacity(snr):
@@ -256,5 +257,7 @@ def _decode_exponent_hoisted(
     # tuple on each evaluation below R_ex: an in-process A/B of the three
     # fig-1 sweeps read that slower in 9 of 11 pairs (Intel Xeon)
     if rate_bits <= _expurgation_rate(snr):
+        if u is None:
+            u, den = _expurgation_terms(rate_bits)
         return _expurgation(snr, u, den)
     return _gallager(snr, rate_bits)[0]

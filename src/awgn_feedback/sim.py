@@ -15,8 +15,10 @@ seed).  Per copy:
                cell: the aliasing event), rescales it to full forward
                power, and sends it; B applies the MMSE correction.
   decode       B picks the nearest codeword to theta_hat_K (a Gaussian
-               codebook is screened by one matrix product per chunk of
-               estimates; near-ties settle by the direct distances).
+               codebook first tries the sent codeword by a certified radius
+               test on the estimation error; the rest are screened by one
+               matrix product per chunk of estimates, and near-ties settle
+               by the direct distances).
 
 The coupled twin runs the same rounds with the modulo maps removed (its
 feedback power is deliberately unbounded).  Both systems consume the same
@@ -30,21 +32,25 @@ One engine runs a range of consecutive trials in two steps: :func:`_draw`
 draws the variates of a keyed block, and :func:`_propagate` advances both
 systems of both copies together through the rounds as arrays of shape
 (system, trial, copy, dimension).  Each correction round makes one
-:func:`~.lattices.modulo` call, folding the real feedback and both
-systems' residues together, and the final decode runs once per distinct
-estimate: a coupled estimate equal to its real twin (one that never
-aliased) takes the real decode.  Campaigns reduce block after block in
-trial order; :func:`run_trial` and :func:`run_coupled_trial` run ranges
-of one trial.
+:func:`~.lattices.modulo` call, folding the real feedback, the real
+residues and only the coupled residues whose estimation error has parted
+from the real one: a coupled residue with the real error is the real
+residue, bit for bit, so it takes the real fold (none part before the
+first aliasing event).  The final decode runs once per distinct estimate:
+a coupled estimate equal to its real twin takes the real decode.
+Campaigns reduce block after block in trial order; :func:`run_trial` and
+:func:`run_coupled_trial` run ranges of one trial.
 
 Randomness: trials are keyed in blocks of B = max(1, 4096 // (2 K n)), a
 pure function of the config.  Block b holds trials [b B, (b + 1) B) and
 draws them all from Generator(Philox(key=[master_seed, b])), one variable
 after another: messages (B, 2), forward noise (B, 2, K, n), feedback noise
-and dither uniforms (B, 2, K - 1, n) each.  A range that ends inside a
-block draws the whole block and keeps its rows, so trial t is row t mod B
-of block t // B however a campaign is split or how long it runs, and a
-campaign is a pure function of (config, trials).  The random codebook
+and dither uniforms (B, 2, K - 1, n) each.  A campaign builds one such
+generator and re-keys it to that state for each block (see
+:class:`_Campaign`), which draws the same numbers.  A range that ends
+inside a block draws the whole block and keeps its rows, so trial t is row
+t mod B of block t // B however a campaign is split or how long it runs,
+and a campaign is a pure function of (config, trials).  The random codebook
 draws from the reserved stream key [master_seed, 2**63]; trial indices
 stay below 2**63, so no block key reaches it.
 """
@@ -289,6 +295,21 @@ def _sq(x: np.ndarray) -> np.ndarray:
     return (x * x).sum(axis=-1)
 
 
+def _screen_terms(cfg: SchemeConfig) -> tuple:
+    """The Gaussian decode screen's terms (see :func:`_decode_index`): |c_j|^2
+    per codeword, the relative width rel, the floor, the room below
+    overflow, -2 C^T and the rows per chunk."""
+    cw = cfg.codewords
+    c2 = _sq(cw)
+    rel = _DECODE_SCREEN_TOL * (cfg.dimension + 2)
+    floor = rel * c2.max() + np.finfo(float).tiny
+    # rows at least this large (or not finite) could overflow |x - c|^2
+    room = 0.25 * np.finfo(float).max - c2.max()
+    neg2ct = -2.0 * cw.T  # exact: scaling by a power of two
+    chunk = max(1, _DECODE_CHUNK_BYTES // (8 * len(cw)))
+    return c2, rel, floor, room, neg2ct, chunk
+
+
 def _decode_index(cfg: SchemeConfig, theta_hat: np.ndarray) -> np.ndarray:
     """Nearest-codeword index of each estimate along the last axis.
 
@@ -325,14 +346,9 @@ def _decode_index(cfg: SchemeConfig, theta_hat: np.ndarray) -> np.ndarray:
     cw = cfg.codewords
     rows = theta_hat.reshape(-1, cfg.dimension)
     out = np.empty(len(rows), dtype=np.intp)
-    c2 = _sq(cw)
-    rel = _DECODE_SCREEN_TOL * (cfg.dimension + 2)
-    floor = rel * c2.max() + np.finfo(float).tiny
-    # rows at least this large (or not finite) could overflow |x - c|^2
-    room = 0.25 * np.finfo(float).max - c2.max()
-    neg2ct = -2.0 * cw.T  # exact: scaling by a power of two
-    chunk = max(1, _DECODE_CHUNK_BYTES // (8 * len(cw)))
-    # the screen of such rows may overflow or meet inf - inf; it is unused
+    c2, rel, floor, room, neg2ct, chunk = _screen_terms(cfg)
+    # the screen of rows not below room may overflow or meet inf - inf; it
+    # is unused
     with np.errstate(invalid="ignore", over="ignore"):
         for i in range(0, len(rows), chunk):
             x = rows[i:i + chunk]
@@ -350,6 +366,58 @@ def _decode_index(cfg: SchemeConfig, theta_hat: np.ndarray) -> np.ndarray:
                 idx[r] = np.argmin(_sq(cw - x[r]))
             out[i:i + chunk] = idx
     return out.reshape(lead)
+
+
+def _decode_radius2(cfg: SchemeConfig, words: np.ndarray) -> np.ndarray:
+    """Certified squared decode radius H_m of each Gaussian codeword index m
+    in ``words``: if an estimate x sent as c_m has an error eps = x - c_m,
+    rounded per coordinate as the engine holds it, with |eps|^2 < H_m, then
+    m is the unique direct-form argmin of |x - c_j|^2.
+
+    H_m = (1 - rel) lo_m / 4, where lo_m is the least Gram-form value
+    |c_m|^2 + |c_j|^2 - 2 c_m.c_j over j != m (inf in a one-word codebook),
+    less the screen's tolerance rel (|c_m|^2 + max|c|^2) + floor (see
+    :func:`_decode_index`); H_m = 0 where |c_m|^2 + max|c|^2 is not below
+    a quarter of the largest float.  An H_m of 0 or less, as a duplicate
+    codeword gets, certifies nothing.  Rows run in chunks of the screen's
+    size.
+
+    Why: let d be the exact distance from c_m to its nearest other codeword
+    and r = |x - c_m|, and write u = 2^-53.
+
+    * lo_m <= d^2 - 2^-1023: below the guard no Gram value overflows, and
+      each errs by at most the screen's bound plus one rounding, under a
+      hundredth of rel (|c_m|^2 + max|c|^2), while floor holds the smallest
+      normal float 2^-1022.  So H_m > 0 puts d^2 above 2^-1023.
+    * Each direct-form value |x - c_j|^2 is a sum of n squares of rounded
+      differences, all nonnegative, so it lies within a relative
+      1.01 (n + 2) u of the exact value, plus n 2^-1074 where it
+      underflows, which is at most 4 n u d^2.  The engine's |eps|^2 is such
+      a value for c_m.
+    * So |eps|^2 < H_m gives r^2 < (1 - rel + e) d^2 / 4 with
+      e = 18 (n + 2) u, hence d - 2 r > (rel - e) d / 2, and by the
+      triangle inequality |x - c_j| >= d - r for every j != m.  The exact
+      values then part by (d - r)^2 - r^2 = d (d - 2 r) > (rel - e) d^2 / 2,
+      while the two direct-form values err by at most
+      (1.01 (n + 2) u + 8 n u) d^2 together.  rel = 900 (n + 2) u leaves
+      c_m strictly first, so the first-index tie rule never applies.
+
+    An estimate whose error is not finite fails the test (NaN compares
+    false) and goes to the screen with every other uncertified row.
+    """
+    cw = cfg.codewords
+    c2, rel, floor, room, neg2ct, chunk = _screen_terms(cfg)
+    out = np.empty(len(words))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i in range(0, len(words), chunk):
+            m = words[i:i + chunk]
+            d2 = cw[m] @ neg2ct
+            d2 += c2
+            d2[np.arange(len(m)), m] = np.inf  # not its own neighbour
+            x2 = c2[m]
+            lo = d2.min(axis=1) + x2 - (rel * x2 + floor)
+            out[i:i + chunk] = np.where(x2 < room, 0.25 * (1.0 - rel) * lo, 0.0)
+    return out
 
 
 class _Draws(NamedTuple):
@@ -378,7 +446,49 @@ def _block_trials(cfg: SchemeConfig) -> int:
     return max(1, _BLOCK_VALUES // (2 * cfg.rounds * cfg.dimension))
 
 
-def _draw(cfg: SchemeConfig, block: int) -> _Draws:
+class _Campaign:
+    """What one campaign reuses from block to block.
+
+    :meth:`rng` re-keys one Philox bit generator to the state a fresh
+    Philox(key=[master_seed, block]) starts in (counter 0, empty buffer, no
+    stored 32-bit half), which skips the seeding entropy a fresh one draws
+    only for its key to override it.  :meth:`radius2` computes each
+    codeword's certified decode radius (:func:`_decode_radius2`) the first
+    time the campaign sends it.  Each campaign builds its own, so
+    concurrent campaigns share no state.
+    """
+
+    def __init__(self, cfg: SchemeConfig) -> None:
+        self.cfg = cfg
+        self._bits = np.random.Philox(0)
+        self._rng = np.random.Generator(self._bits)
+        self._radius2 = None  # per codeword; NaN until sent
+
+    def rng(self, block: int) -> np.random.Generator:
+        self._bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64),
+                      "key": np.array([self.cfg.master_seed, block], dtype=np.uint64)},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return self._rng
+
+    def radius2(self, words: np.ndarray) -> np.ndarray:
+        if self._radius2 is None:
+            self._radius2 = np.full(self.cfg.m_codewords, np.nan)
+        fresh = np.zeros(len(self._radius2), dtype=bool)
+        fresh[words] = True
+        fresh &= np.isnan(self._radius2)
+        if fresh.any():
+            fresh = np.flatnonzero(fresh)
+            self._radius2[fresh] = _decode_radius2(self.cfg, fresh)
+        return self._radius2[words]
+
+
+def _draw(cfg: SchemeConfig, block: int, campaign: _Campaign | None = None) -> _Draws:
     """All variates of the B trials of keyed block ``block``, whole.
 
     The block draws from Generator(Philox(key=[master_seed, block])), one
@@ -389,8 +499,7 @@ def _draw(cfg: SchemeConfig, block: int) -> _Draws:
     per = _block_trials(cfg)
     steps = cfg.rounds - 1
     n = cfg.dimension
-    rng = np.random.Generator(np.random.Philox(
-        key=np.array([cfg.master_seed, block], dtype=np.uint64)))
+    rng = (campaign or _Campaign(cfg)).rng(block)
     msgs = rng.integers(0, cfg.m_codewords, size=(per, 2))
     z_fwd = math.sqrt(p.sigma2) * rng.standard_normal((per, 2, cfg.rounds, n))
     z_fb = math.sqrt(p.sigma2_tilde) * rng.standard_normal((per, 2, steps, n))
@@ -398,17 +507,21 @@ def _draw(cfg: SchemeConfig, block: int) -> _Draws:
     return _Draws(msgs, z_fwd, z_fb, dither)
 
 
-def _propagate(cfg: SchemeConfig, draws: _Draws) -> _Block:
+def _propagate(cfg: SchemeConfig, draws: _Draws,
+               campaign: _Campaign | None = None) -> _Block:
     """Run real and coupled systems of both copies on the given draws.
 
-    Each correction round folds the real system's feedback and both
-    systems' receiver residues in one modulo call; the decode runs once per
-    distinct final estimate (see :func:`_decode_twins`).
+    Each correction round folds, in one modulo call, the real system's
+    feedback and residues and the coupled residues whose estimation error
+    has parted from the real one; every other coupled residue is its real
+    twin's.  ``agree`` compares both systems' own errors.  The decode
+    runs once per distinct final estimate (see :func:`_decode_twins`).
     """
     lat = cfg.lattice
     steps = cfg.rounds - 1
     msgs, z_fwd, z_fb, dither = draws
     trials, _, _, n = z_fwd.shape
+    rows = 2 * trials  # (trial, copy) rows of one system
 
     theta = cfg.codewords[msgs]
     th_hat = np.broadcast_to(theta + z_fwd[:, :, 0], (2, trials, 2, n))
@@ -418,6 +531,7 @@ def _propagate(cfg: SchemeConfig, draws: _Draws) -> _Block:
     alias = np.zeros((2, trials, 2, steps), dtype=bool)
     live = np.ones((trials, 2), dtype=bool)  # real copy not yet aliased
     agree = np.ones((trials, 2), dtype=bool)
+    parted = np.empty(0, dtype=np.intp)  # (trial, copy) rows: coupled eps != real eps
     for k in range(steps):
         g = cfg.gains[k]
         if cfg.exact_feedback:
@@ -427,46 +541,74 @@ def _propagate(cfg: SchemeConfig, draws: _Draws) -> _Block:
             fb = g * th_hat + dither[:, :, k]
             # dither-cancelled receiver residue: equals the modulo chain
             w = g * eps + z_fb[:, :, k]
-            folded = modulo(lat, np.concatenate((fb[:1], w)))
-            fb[_REAL] = folded[0]
-            residue = folded[1:]
-            alias[..., k] = np.any(residue != w, axis=-1)
-            live &= ~alias[_REAL, ..., k]
-            x = cfg.alpha * np.stack((residue[_REAL], w[_COUPLED]))
+            w_parted = w[_COUPLED].reshape(rows, n)[parted]
+            folded = modulo(lat, np.concatenate(
+                (fb[_REAL].reshape(rows, n), w[_REAL].reshape(rows, n), w_parted)))
+            fb[_REAL] = folded[:rows].reshape(trials, 2, n)
+            residue = folded[rows:2 * rows].reshape(trials, 2, n)
+            wraps = np.any(residue != w[_REAL], axis=-1)
+            alias[..., k] = wraps
+            if len(parted):
+                alias[_COUPLED].reshape(rows, steps)[parted, k] = np.any(
+                    folded[2 * rows:] != w_parted, axis=-1)
+            live &= ~wraps
+            x = cfg.alpha * np.stack((residue, w[_COUPLED]))
         fb_sq += _sq(fb)
         ff_sq += _sq(x)
         th_hat = th_hat - cfg.betas[k] * (x + z_fwd[:, :, k + 1])
         eps = th_hat - theta
-        agree &= ~(live & np.any(eps[_REAL] != eps[_COUPLED], axis=-1))
-    return _Block(msgs, alias, _decode_twins(cfg, th_hat), eps, ff_sq, fb_sq,
-                  agree)
+        differ = np.any(eps[_REAL] != eps[_COUPLED], axis=-1)
+        agree &= ~(live & differ)
+        parted = np.flatnonzero(differ)
+    decoded = _decode_twins(cfg, msgs, th_hat, eps, campaign or _Campaign(cfg))
+    return _Block(msgs, alias, decoded, eps, ff_sq, fb_sq, agree)
 
 
-def _decode_twins(cfg: SchemeConfig, th_hat: np.ndarray) -> np.ndarray:
+def _decode_twins(cfg: SchemeConfig, msgs: np.ndarray, th_hat: np.ndarray,
+                  eps: np.ndarray, campaign: _Campaign) -> np.ndarray:
     """Decoded index of each (system, trial, copy) estimate.
 
-    A Gaussian decode runs on every real estimate, then only on the coupled
-    estimates that differ from their real twin (those past an aliasing
-    event); the others copy the real decode.  PAM slices the whole array.
+    PAM slices the whole array.  A Gaussian decode runs on every real
+    estimate, then only on the coupled estimates that differ from their
+    real twin (those past an aliasing event); the others copy the real
+    decode.  Each estimate whose error passes its sent codeword's radius
+    test (:func:`_decode_radius2`) decodes to that codeword; the rest go
+    through :func:`_decode_index`.
     """
     if cfg.codebook == "pam":
         return _decode_index(cfg, th_hat)
-    tr, tc = (t.reshape(-1, cfg.dimension) for t in th_hat)
-    dec = np.empty((2, len(tr)), dtype=np.intp)
-    dec[_REAL] = dec[_COUPLED] = _decode_index(cfg, tr)
+    n = cfg.dimension
+    sent = msgs.reshape(-1)
+    (tr, tc), (er, ec) = (a.reshape(2, -1, n) for a in (th_hat, eps))
+    radius2 = campaign.radius2(sent)
+
+    def decode(rows, err, r2, words):
+        out = words.astype(np.intp)
+        far = np.flatnonzero(~(_sq(err) < r2))
+        if len(far):
+            out[far] = _decode_index(cfg, rows[far])
+        return out
+
+    dec = np.empty((2, len(sent)), dtype=np.intp)
+    dec[_REAL] = dec[_COUPLED] = decode(tr, er, radius2, sent)
     apart = np.flatnonzero((tr != tc).any(-1))
-    dec[_COUPLED, apart] = _decode_index(cfg, tc[apart])
+    if len(apart):
+        dec[_COUPLED, apart] = decode(tc[apart], ec[apart], radius2[apart],
+                                      sent[apart])
     return dec.reshape(th_hat.shape[:-1])
 
 
-def _run_block(cfg: SchemeConfig, start: int, stop: int) -> _Block:
+def _run_block(cfg: SchemeConfig, start: int, stop: int,
+               campaign: _Campaign | None = None) -> _Block:
     """Run trials [start, stop): rows of the keyed blocks they fall in."""
+    campaign = campaign or _Campaign(cfg)
     per = _block_trials(cfg)
     parts = []
     for b in range(start // per, (stop - 1) // per + 1):
         rows = slice(max(start - b * per, 0), min(stop - b * per, per))
-        parts.append([a[rows] for a in _draw(cfg, b)])
-    return _propagate(cfg, _Draws(*map(np.concatenate, zip(*parts))))
+        parts.append([a[rows] for a in _draw(cfg, b, campaign)])
+    draws = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    return _propagate(cfg, _Draws(*draws), campaign)
 
 
 def _record(cfg: SchemeConfig, trial_index: int, system: str) -> TrialRecord:
@@ -634,8 +776,9 @@ def estimate_error_prob(config: SchemeConfig, trials: int) -> SimulationSummary:
     ff_sum = fb_sum = eps2_sum = 0.0
 
     per_block = _block_trials(config)
+    campaign = _Campaign(config)
     for start in range(0, trials, per_block):
-        b = _run_block(config, start, min(trials, start + per_block))
+        b = _run_block(config, start, min(trials, start + per_block), campaign)
         alias_counts += b.alias[_COUPLED].sum(axis=0)
         dec_errs += (b.decoded != b.msgs).sum(axis=(1, 2))
         wrapped = b.alias.any(axis=-1)

@@ -307,3 +307,25 @@ def test_decode_exponent_clamps_at_capacity_and_reads_inf_as_the_largest_float()
         assert 0.0 < value < math.inf
     for rate in (512.0, 550.0, 1e6):
         assert _decode_exponent(math.inf, rate) == 0.0
+
+
+def test_decode_exponent_forms_the_expurgation_terms_only_where_it_uses_them(
+    monkeypatch,
+):
+    """At or above capacity and above R_ex the rate-only expurgation terms
+    (an exp and a sqrt) are not formed; at or below R_ex they are, once."""
+    from awgn_feedback import exponents
+
+    calls = []
+    terms = exponents._expurgation_terms
+    monkeypatch.setattr(exponents, "_expurgation_terms",
+                        lambda rate: calls.append(rate) or terms(rate))
+    for snr in (0.5, 100.0, 1e30):
+        cap, r_ex = capacity(snr), expurgation_rate(snr)
+        for rate in (cap, 2.0 * cap, 0.5 * (r_ex + cap), 0.99 * cap):
+            _decode_exponent(snr, rate)
+        assert calls == []
+        for rate in (0.0, 0.5 * r_ex, r_ex):
+            assert _decode_exponent(snr, rate) == _expurgation(snr, *terms(rate))
+        assert len(calls) == 3
+        calls.clear()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -592,9 +593,10 @@ def test_campaign_independent_of_block_size(monkeypatch, kw, trials):
     assert estimate_error_prob(make_config(**kw), trials) == ref
     run_block = sim._run_block
     for size in (1, 7, 1000):
-        def split(cfg, start, stop, size=size):
+        def split(cfg, start, stop, campaign, size=size):
             cuts = [*range(start, stop, size), stop]
-            return concat_blocks([run_block(cfg, a, b) for a, b in zip(cuts, cuts[1:])])
+            return concat_blocks([run_block(cfg, a, b, campaign)
+                                  for a, b in zip(cuts, cuts[1:])])
 
         monkeypatch.setattr(sim, "_run_block", split)
         assert estimate_error_prob(cfg, trials) == ref
@@ -672,6 +674,56 @@ def test_block_keys_hold_seeds_past_2_63_exactly():
             assert not np.array_equal(draws.z_fwd, other.z_fwd)
 
 
+def test_campaign_rekeys_its_generator_to_fresh_block_streams():
+    """One campaign's generator, re-keyed per block, draws what a fresh
+    Philox(key=[seed, b]) draws: after any earlier use (a stored 32-bit
+    half and a part-used buffer included), for seeds at and past 2**63 and
+    for block indices near 2**63."""
+    for seed in (0, 1 << 63, (1 << 64) - 1):
+        campaign = sim._Campaign(make_config(master_seed=seed))
+        for b in (0, 3, (1 << 63) - 2, (1 << 63) - 1, 1 << 63):
+            rng = campaign.rng(b)
+            fresh = np.random.Generator(np.random.Philox(
+                key=np.array([seed, b], dtype=np.uint64)))
+            for draw in (lambda g: g.integers(0, 256, size=(37, 2)),
+                         lambda g: g.standard_normal((5, 3)),
+                         lambda g: g.random(7),
+                         lambda g: g.integers(0, 9, dtype=np.uint32)):
+                assert np.array_equal(draw(rng), draw(fresh)), (seed, b)
+    cfg = make_config(lattice=make_lattice("e8"), rate_bits=0.25,
+                      master_seed=(1 << 63) + 9)
+    campaign = sim._Campaign(cfg)
+    for b in (2, 0, 2, 1 << 40):
+        for mine, fresh in zip(sim._draw(cfg, b, campaign), sim._draw(cfg, b)):
+            assert np.array_equal(mine, fresh)
+
+
+def test_concurrent_campaigns_give_the_serial_summaries():
+    """Campaigns own their generator and decode radii, so threads running
+    different campaigns at once reproduce the serial summaries."""
+    cfgs = [make_config(lattice=make_lattice("d4"), rate_bits=0.5, looseness=1.5,
+                        master_seed=71),
+            make_config(lattice=make_lattice("e8"), rate_bits=1 / 3, looseness=1.5,
+                        master_seed=72),
+            make_config(looseness=1.5, master_seed=73)]
+    trials = 1500
+    serial = [estimate_error_prob(c, trials) for c in cfgs]
+    start = threading.Barrier(len(cfgs))
+    got = [None] * len(cfgs)
+
+    def run(i):
+        start.wait(timeout=60)
+        got[i] = [estimate_error_prob(cfgs[i], trials) for _ in range(2)]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cfgs))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+        assert not t.is_alive()
+    assert got == [[s, s] for s in serial]
+
+
 # -----------------------------------------------------------------------------
 # designed draws
 # -----------------------------------------------------------------------------
@@ -730,6 +782,49 @@ def test_propagate_flags_feedback_noise_past_a_facet(kw):
     assert not b.alias[:, :, 0].any()  # the noiseless copy never wraps
     union = b.alias.any(axis=-1)
     assert np.array_equal(union[0], union[1])
+
+
+# high-aliasing configs, about 20-40 % total p_mod
+FOLD_CASES = [
+    dict(rounds=4, looseness=1.5),
+    dict(lattice=make_lattice("d4"), rounds=3, rate_bits=0.25, looseness=1.5),
+    dict(lattice=make_lattice("e8"), rounds=3, rate_bits=0.25, looseness=1.5),
+]
+
+
+@pytest.mark.parametrize("kw", FOLD_CASES, ids=["z1", "d4", "e8"])
+def test_each_round_folds_only_the_coupled_rows_that_parted(monkeypatch, kw):
+    """Each correction round folds 4 T rows for T trials, the real
+    feedback and residues of both copies, plus one row per copy whose
+    coupled error has parted from the real one, which happens only after
+    the real copy wrapped: none in the first round."""
+    cfg = make_config(**kw)
+    folds = []
+
+    def counted(lattice, x):
+        folds.append(len(x))
+        return modulo(lattice, x)
+
+    monkeypatch.setattr(sim, "modulo", counted)
+    trials = sim._block_trials(cfg) + 50
+    block = _run_block(cfg, 0, trials)
+    assert block.agree.all()
+    wrapped = np.logical_or.accumulate(block.alias[0], axis=-1)  # (trials, 2, K - 1)
+    parted = [0] + [int(wrapped[..., k].sum()) for k in range(cfg.rounds - 2)]
+    assert parted[-1] > 0
+    # one fold per round over the rows of both keyed blocks
+    assert folds == [4 * trials + d for d in parted]
+    # the coupled flags are still the coupled system's own
+    assert np.array_equal(block.alias, _reference_alias(cfg, trials))
+
+
+def _reference_alias(cfg, trials):
+    """Wrap flags of both systems, every coupled residue folded."""
+    flags = np.zeros((2, trials, 2, cfg.rounds - 1), dtype=bool)
+    for t in range(trials):
+        for (system, i), (f, _) in reference_copies(cfg, t).items():
+            flags[0 if system == "real" else 1, t, i] = f
+    return flags
 
 
 def test_summary_holds_plain_python_scalars():
@@ -907,7 +1002,8 @@ def direct_decode(codewords, rows):
 def gaussian_book(codewords):
     codewords = np.ascontiguousarray(codewords, dtype=float)
     return SimpleNamespace(codebook="gaussian", dimension=codewords.shape[1],
-                           codewords=codewords)
+                           codewords=codewords, m_codewords=len(codewords),
+                           master_seed=0)
 
 
 def assert_decodes_like_direct_form(codewords, rows):
@@ -1045,6 +1141,170 @@ def test_gaussian_decode_largest_codebook():
     ))
     got = assert_decodes_like_direct_form(codewords, rows)
     assert got[:3].tolist() == [7, 7, 65_535]
+
+
+def engine_decode(book, msgs, real, coupled=None):
+    """The engine's decode of real and coupled estimates sent as ``msgs``
+    (the coupled ones default to the real), with the errors formed as the
+    engine forms them."""
+    th_hat = np.stack((real, real if coupled is None else coupled))[:, :, None]
+    eps = th_hat - book.codewords[msgs][:, None]
+    decoded = sim._decode_twins(book, msgs[:, None], th_hat, eps, sim._Campaign(book))
+    return decoded[:, :, 0]
+
+
+def adversarial_rows(codewords, rng, count=3000):
+    """Messages and estimates around their codewords: errors from 1e-12 to
+    10 times the half gap h to the nearest other codeword, points at
+    h (1 - 1e-9), h and h (1 + 1e-9) toward that codeword, and the
+    codewords themselves."""
+    m, n = codewords.shape
+    with np.errstate(over="ignore"):
+        diff = codewords[:, None] - codewords[None]
+        d2 = (diff * diff).sum(axis=-1)
+    np.fill_diagonal(d2, np.inf)
+    near = d2.argmin(axis=1)
+    h = 0.5 * np.sqrt(d2.min(axis=1))
+    msgs = rng.integers(0, m, count)
+    u = rng.standard_normal((count, n))
+    u /= np.sqrt((u * u).sum(axis=1, keepdims=True))
+    size = 10.0 ** rng.uniform(-12.0, 1.0, (count, 1))
+    size[::3] = rng.choice([1e-12, 0.5, 1 - 1e-9, 1 + 1e-9, 10.0], (len(size[::3]), 1))
+    noisy = codewords[msgs] + size * np.nan_to_num(h[msgs, None], posinf=1.0) * u
+    toward = np.concatenate([
+        codewords + t * 0.5 * (codewords[near] - codewords)
+        for t in (1 - 1e-9, 1.0, 1 + 1e-9)])
+    msgs = np.concatenate((msgs, np.tile(np.arange(m), 4)))
+    return msgs, np.concatenate((noisy, toward, codewords))
+
+
+def assert_engine_decodes_like_direct_form(codewords, msgs, rows):
+    book = gaussian_book(codewords)
+    coupled = rows[np.random.default_rng(1).permutation(len(rows))]
+    with np.errstate(invalid="ignore", over="ignore"):
+        expected = [direct_decode(book.codewords, r) for r in (rows, coupled)]
+        got = engine_decode(book, msgs, rows, coupled)
+    assert got.dtype == np.intp
+    for system in (0, 1):
+        bad = np.flatnonzero(got[system] != expected[system])
+        assert not len(bad), (system, bad[:10])
+
+
+def odd_codebook(rng):
+    """16 words with two duplicates of word 3, a duplicate of word 0 and
+    words 1 ulp from word 4, in one coordinate and in all."""
+    codewords = rng.standard_normal((16, 4))
+    codewords[[9, 12]] = codewords[3]
+    codewords[15] = codewords[0]
+    codewords[5] = codewords[4]
+    codewords[5, 2] = np.nextafter(codewords[4, 2], math.inf)
+    codewords[6] = np.nextafter(codewords[4], -math.inf)
+    return codewords
+
+
+@pytest.mark.parametrize("case", ["e8-256", "odd-16", "huge", "small", "offset",
+                                  "overflow"])
+def test_certified_decode_matches_direct_form(case):
+    """The radius test decodes adversarial estimates as the direct form
+    does, ties and duplicate words included, also where the squares
+    underflow, where the Gram form cancels, and where |x|^2 + max|c|^2
+    nears or passes a quarter of the largest float; non-finite estimates
+    as well."""
+    rng = np.random.default_rng(sum(map(ord, case)))
+    big = np.finfo(float).max
+    if case == "overflow":
+        # |c|^2 = 0.6 of the largest float, so the distance between the two
+        # words overflows; an error of 0.6 of it has a finite square and
+        # lands nearer the other word
+        a = math.sqrt(0.6 * big)
+        codewords = np.array([[-a, 0.0], [a, 0.0]])
+        msgs = np.array([0, 0, 0, 1, 1])
+        shift = np.array([[0.4], [0.6], [1e-9], [-0.6], [-0.4]]) * [2 * a, 0.0]
+        rows = codewords[msgs] + shift
+        assert np.isfinite(sim._sq(rows - codewords[msgs])).all()
+        assert_engine_decodes_like_direct_form(codewords, msgs, rows)
+        return
+    if case == "e8-256":
+        codewords = make_config(lattice=make_lattice("e8"), rate_bits=1 / 3,
+                                master_seed=8).codewords
+    elif case == "odd-16":
+        codewords = odd_codebook(rng)
+    elif case == "huge":
+        # the largest words sit at |c|^2 = max/8: sent words on both sides
+        # of the quarter-of-the-largest-float guard
+        codewords = rng.standard_normal((32, 4))
+        c2 = (codewords * codewords).sum(axis=1)
+        codewords *= math.sqrt(big / 8 / c2.max())
+    elif case == "offset":
+        # words 1e6 from the origin and about 1 apart: the Gram form's
+        # rounding, relative to |c|^2 ~ 1e12, dwarfs rel d^2
+        codewords = 1e6 + rng.standard_normal((32, 4))
+    else:
+        # squares of the errors underflow; the words stay 1e-152 apart
+        codewords = 1e-152 * rng.standard_normal((32, 4))
+    msgs, rows = adversarial_rows(codewords, rng)
+    inf, nan = math.inf, math.nan
+    odd = np.array([[nan, 0, 0, 0], [inf, 0, 0, 0], [-inf, inf, 0, 0]])
+    if codewords.shape[1] == 4:
+        msgs = np.concatenate((msgs, [0, 1, 2]))
+        rows = np.concatenate((rows, odd))
+    assert_engine_decodes_like_direct_form(codewords, msgs, rows)
+
+
+def test_only_uncertified_estimates_reach_the_screen(monkeypatch):
+    """The screen sees exactly the real estimates that fail their radius
+    test and the failing coupled estimates that differ from their twin; on
+    a 20/30 dB E8 campaign with 256 words it sees under 1 % of them."""
+    screened = []
+
+    def counted(cfg, rows):
+        screened.append(rows.copy())
+        return _decode_index(cfg, rows)
+
+    monkeypatch.setattr(sim, "_decode_index", counted)
+    rng = np.random.default_rng(3)
+    codewords = odd_codebook(rng)
+    book = gaussian_book(codewords)
+    msgs, rows = adversarial_rows(codewords, rng)
+    coupled = rows.copy()
+    coupled[::2] += 0.25  # half the coupled estimates part from their twin
+    engine_decode(book, msgs, rows, coupled)
+    radius2 = sim._decode_radius2(book, np.arange(len(codewords)))
+    fails = [~(sim._sq(r - codewords[msgs]) < radius2[msgs]) for r in (rows, coupled)]
+    fails[1][1::2] = False
+    assert 0 < fails[0].sum() < len(rows)
+    assert len(screened) == 2
+    for got, r, f in zip(screened, (rows, coupled), fails):
+        assert np.array_equal(got, r[f])
+
+    screened.clear()
+    cfg = make_config(params=ChannelParams.from_snrs(100.0, 1000.0),
+                      lattice=make_lattice("e8"), rounds=3, rate_bits=1 / 3,
+                      looseness=4.0, master_seed=20)
+    estimate_error_prob(cfg, 500)
+    assert sum(map(len, screened)) < 0.01 * 2 * 500
+
+
+def test_decode_radius_is_computed_once_per_sent_codeword(monkeypatch):
+    """A campaign computes each sent codeword's radius once, from its own
+    row of Gram values, and no other codeword's."""
+    rows = []
+
+    def counted(cfg, words):
+        rows.extend(words.tolist())
+        return radius2(cfg, words)
+
+    radius2 = sim._decode_radius2
+    monkeypatch.setattr(sim, "_decode_radius2", counted)
+    cfg = make_config(lattice=make_lattice("e8"), rounds=3, rate_bits=1 / 3,
+                      looseness=4.0, master_seed=4)
+    trials = 4 * sim._block_trials(cfg) + 7
+    sent = set(_run_block(cfg, 0, trials).msgs.ravel().tolist())
+    rows.clear()
+    estimate_error_prob(cfg, trials)
+    assert len(rows) == len(set(rows))
+    assert set(rows) == sent
+    assert len(sent) < cfg.m_codewords
 
 
 def test_high_snr_trials_decode_correctly():
