@@ -23,7 +23,7 @@ the decoder's clamped exponent ``_decode_exponent``) that trusts its
 arguments.  Each public function checks its arguments, then calls its
 kernel, so checked and unchecked callers get the same bits.  Inner loops
 that have validated their inputs once (the optimizer in :mod:`.feedback`)
-call the kernels directly; ``_decode_exponent_hoisted`` takes the
+call the kernels directly; ``_decode_exponent`` optionally takes the
 rate-only factors of the expurgation exponent (``_expurgation_terms``) from
 a caller that evaluates many snrs at one rate.
 """
@@ -233,22 +233,19 @@ def _gallager(snr: float, rate_bits: float) -> tuple[float, ExponentRegion]:
     return _sphere_packing(snr, rate_bits), ExponentRegion.SPHERE_PACKING
 
 
-def _decode_exponent(snr: float, rate_bits: float) -> float:
+def _decode_exponent(
+    snr: float, rate_bits: float, u: float | None = None, den: float | None = None
+) -> float:
     """Reliability exponent of a decoder at a positive snr and a nonnegative
     rate: :func:`gallager_exp`'s value below capacity, 0 at or above it (no
     reliable decoding, so clamp instead of raising).  An snr of inf, a
     boosted SNR past the float range, is read as the largest float: the
     exponent does not fall with the snr, so that value is a lower bound, 0
-    at rates of 512 bits and more (the capacity there) and finite below."""
-    return _decode_exponent_hoisted(snr, rate_bits, None, None)
+    at rates of 512 bits and more (the capacity there) and finite below.
 
-
-def _decode_exponent_hoisted(
-    snr: float, rate_bits: float, u: float | None, den: float | None
-) -> float:
-    # _decode_exponent with u, den = _expurgation_terms(rate_bits) passed in,
-    # so a caller that holds the rate fixed across many snrs computes them
-    # once; with None they are computed here, on the expurgation branch only
+    A caller that holds the rate fixed across many snrs may pass
+    ``u, den = _expurgation_terms(rate_bits)``, so they are computed once;
+    left at None they are computed here, on the expurgation branch only."""
     if snr == math.inf:
         snr = sys.float_info.max
     if rate_bits >= _capacity(snr):

@@ -61,7 +61,6 @@ from ._checks import count, number, real
 from .exponents import (
     _critical_rate,
     _decode_exponent,
-    _decode_exponent_hoisted,
     _expurgation_terms,
     _poltyrev,
     _rate_nats,
@@ -163,6 +162,7 @@ class ChannelParams:
         if self.sigma2_tilde == 0.0:
             return math.inf
         if self.sigma2 == 0.0:
+            # not bsnr / snr: a finite p_tilde / sigma2_tilde can overflow to inf
             return 0.0
         return self.bsnr / self.snr
 
@@ -280,18 +280,16 @@ def _inner_optimum(
 
     def decode(L: float) -> float:
         snr_k = _effective_snr(snr, bsnr, dsnr, L, rounds)
-        return _decode_exponent_hoisted(snr_k, rate_k, u, den)
+        return _decode_exponent(snr_k, rate_k, u, den)
 
     if decode(lo) - _poltyrev(lo) <= 0.0:
         l_opt = lo
     elif decode(hi) - _poltyrev(hi) >= 0.0:
         l_opt = hi
     else:
-        try:
-            start = _balance_looseness(bsnr, dsnr, rate_bits, rounds)
-        except ZeroDivisionError:
-            # eta(R*K) underflows to 0: no closed form, start in the middle
-            start = lo
+        # decode(lo) > _poltyrev(lo) > 0 puts K R below capacity(float max),
+        # 512 bits, so eta(K R) >= 2^-513 cannot underflow to 0 here
+        start = _balance_looseness(bsnr, dsnr, rate_bits, rounds)
         if not lo < start < hi:
             start = math.sqrt(lo * hi)
         pos, neg = _certified_bracket(decode, lo, hi, start)

@@ -82,7 +82,7 @@ Z95 = 1.959963984540054
 
 _CODEBOOK_STREAM = 1 << 63
 _MAX_TRIAL_INDEX = 1 << 63
-_MAX_PAM_ORDER = 1 << 20
+_MAX_PAM_BITS = 20
 _MAX_CODEBOOK_BITS = 16
 
 # the engine's system axis
@@ -178,22 +178,22 @@ class SchemeConfig:
         if self.codebook.strip().lower() not in ("auto", mode):
             raise ValueError(f"codebook {self.codebook!r} does not fit dimension {n}; "
                              f"expected auto or {mode}")
+        # checked before 2**bits or its ceiling, either of which can overflow
         if mode == "pam":
-            m = max(1, math.ceil(2.0 ** (self.rounds * self.rate_bits)))
-            if m > _MAX_PAM_ORDER:
-                raise ValueError(f"PAM order {m} is beyond the simulator's range")
+            bits = self.rounds * self.rate_bits
+            if bits > _MAX_PAM_BITS:
+                raise ValueError(f"PAM order 2**{bits:g} is beyond the simulator's range")
+            m = max(1, math.ceil(2.0 ** bits))
             # extreme levels at +-sqrt(P): every codeword meets the power
             # constraint individually
             step = 2.0 * math.sqrt(p.p) / (m - 1) if m > 1 else 0.0
             levels = step * (np.arange(m) - 0.5 * (m - 1))
             codewords = levels[:, None]
         else:
-            bits = math.ceil(n * self.rounds * self.rate_bits)
+            bits = n * self.rounds * self.rate_bits
             if bits > _MAX_CODEBOOK_BITS:
-                raise ValueError(
-                    f"codebook of 2**{bits} codewords is beyond brute-force ML"
-                )
-            m = 1 << bits
+                raise ValueError(f"a codebook of {bits:g} bits is beyond brute-force ML")
+            m = 1 << math.ceil(bits)
             rng = np.random.Generator(
                 np.random.Philox(
                     key=np.array([self.master_seed, _CODEBOOK_STREAM], dtype=np.uint64)
@@ -712,13 +712,7 @@ class SimulationSummary:
 
     @property
     def p_mod_total(self) -> float:
-        # a plain left-to-right loop: sum() compensates float rounding from
-        # Python 3.12 on, which would move the last bits
-        total = 0.0
-        for row in self.p_mod:
-            for p in row:
-                total += p
-        return total
+        return _ordered_sum(0.0, np.array(self.p_mod))
 
     @property
     def p_dec(self) -> float:
@@ -743,14 +737,16 @@ class SimulationSummary:
         e_lo, e_hi = self.p_e_ci
         d_lo, d_hi = self.p_dec_ci
         slack = (e_hi - e_lo) / 2.0 + (d_hi - d_lo) / 2.0
-        for row in self.p_mod_ci:
-            for lo, hi in row:
-                slack += (hi - lo) / 2.0
+        # one (lo, hi) pair per row and round; K = 1 leaves no pair axis
+        ci = np.array(self.p_mod_ci).reshape(-1, 2)
+        slack = _ordered_sum(slack, (ci[:, 1] - ci[:, 0]) / 2.0)
         return self.p_e <= self.p_dec + self.p_mod_total + 3.0 * slack
 
 
 def _ordered_sum(total: float, values: np.ndarray) -> float:
-    """total + v0 + v1 + ..., added left to right as a scalar loop would."""
+    """total + v0 + v1 + ..., added left to right as a scalar loop would:
+    sum() compensates float rounding from Python 3.12 on, and np.sum adds
+    pairwise, so either would move the last bits."""
     return float(np.cumsum(np.concatenate(([total], values.ravel())))[-1])
 
 

@@ -141,6 +141,16 @@ def test_bad_config_exits_3(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_codebook_beyond_float_range_exits_3(tmp_path, capsys):
+    """2**(K R) past the float range is a config error, not a traceback."""
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(FULL_CONFIG.replace("rounds = 3", "rounds = 2000")
+                   .replace("rate_bits = 0.5", "rate_bits = 1.0"))
+    code, out, err = run_main(["simulate", "--config", str(cfg)], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and "beyond" in err
+
+
 def test_unwritable_output_exits_4(tmp_path, capsys):
     code, _, err = run_main(
         ["exponents", "--grid", "4", "--out", str(tmp_path / "no" / "x.csv")],

@@ -28,7 +28,7 @@ from awgn_feedback import (
     poltyrev_exponent,
     region_assumptions_hold,
 )
-from awgn_feedback.exponents import _decode_exponent
+from awgn_feedback.exponents import _decode_exponent, _poltyrev
 from awgn_feedback.feedback import (
     _FIRST_K,
     _L_EDGE,
@@ -61,6 +61,11 @@ def test_zero_variance_params():
     assert p.bsnr == math.inf
     q = ChannelParams(p=1.0, p_tilde=1.0, sigma2=0.0, sigma2_tilde=0.0)
     assert q.snr == math.inf
+    assert q.dsnr == math.inf
+    # a noiseless forward link under a noisy feedback link, also where bsnr
+    # overflows to inf and bsnr / snr would be nan
+    assert ChannelParams(1.0, 1.0, 0.0, 0.1).dsnr == 0.0
+    assert ChannelParams(1e308, 1e308, 0.0, 1e-10).dsnr == 0.0
 
 
 def test_from_snrs_infinite_snr_is_a_noiseless_link():
@@ -388,24 +393,51 @@ def test_e_fb_matches_checked_search_on_random_draws():
         ), (p, rate, k_max)
 
 
+def test_balance_start_stays_below_the_float_capacity(monkeypatch):
+    """The looseness search takes its closed-form start only where
+    decode(1 + _L_EDGE) > _poltyrev(1 + _L_EDGE) > 0, which puts K R below
+    capacity(float max) = 512 bits, so eta(K R) >= 2**-513 never
+    underflows to 0 there.  Seeded links of -5..300 dB, rates up to within
+    1e-9 of capacity, k_max 64."""
+    from awgn_feedback import feedback
+
+    assert _poltyrev(1.0 + _L_EDGE) > 0.0
+    calls = []
+    balance = feedback._balance_looseness
+
+    def recorded(bsnr, dsnr, rate_bits, rounds):
+        calls.append(rounds * rate_bits)
+        return balance(bsnr, dsnr, rate_bits, rounds)
+
+    monkeypatch.setattr(feedback, "_balance_looseness", recorded)
+    rng = random.Random(512)
+    for i in range(240):
+        snr_db = rng.uniform(-5.0, 300.0)
+        dsnr_db = max(rng.uniform(0.5, 60.0), 0.5 - snr_db)
+        p = ChannelParams.from_snrs(10.0 ** (snr_db / 10.0), 10.0 ** (dsnr_db / 10.0))
+        gap = 1e-9 if i % 4 == 0 else 10.0 ** rng.uniform(-9.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            e_fb(p, (1.0 - gap) * capacity(p.snr), 64)
+    # the draws come within a few bits of the bound
+    assert len(calls) > 240 and 500.0 < max(calls) < 512.0
+
+
 def _count_evals(monkeypatch):
-    """Tally e_fb's decode evaluations at the decode kernels in feedback's
-    namespace: the probes call ``_decode_exponent``, the looseness searches
-    ``_decode_exponent_hoisted``, at every looseness they evaluate, the
-    final one included; the binding check reuses the final one's."""
+    """Tally e_fb's decode evaluations at the decode kernel in feedback's
+    namespace, ``_decode_exponent``: the probes call it, and the looseness
+    searches at every looseness they evaluate, the final one included; the
+    binding check reuses the final one's."""
     from awgn_feedback import feedback
 
     total = 0
 
-    def counted(kernel):
-        def call(*args):
-            nonlocal total
-            total += 1
-            return kernel(*args)
-        return call
+    def counted(*args):
+        nonlocal total
+        total += 1
+        return _decode_exponent(*args)
 
-    for name in ("_decode_exponent", "_decode_exponent_hoisted"):
-        monkeypatch.setattr(feedback, name, counted(getattr(feedback, name)))
+    monkeypatch.setattr(feedback, "_decode_exponent", counted)
     return lambda: total
 
 
@@ -609,11 +641,13 @@ def test_probe_stops_only_round_counts_that_cannot_win(monkeypatch):
     ran = _record_full_searches(monkeypatch)
     probed = []
 
-    def counted(snr_k, rate_k):
-        # the binding check reuses the winner's exponents, so every call
-        # here is a probe; its rate is K times the rate
-        probed.append(round(rate_k / rate))
-        return _decode_exponent(snr_k, rate_k)
+    def counted(snr_k, rate_k, *terms):
+        # the looseness searches pass the rate terms and the binding check
+        # reuses the winner's exponents, so every call without the terms is
+        # a probe; its rate is K times the rate
+        if not terms:
+            probed.append(round(rate_k / rate))
+        return _decode_exponent(snr_k, rate_k, *terms)
 
     monkeypatch.setattr(feedback, "_decode_exponent", counted)
     rng = random.Random(18)

@@ -321,6 +321,13 @@ def test_codebook_dimension_rules():
         make_config(rounds=1, rate_bits=21.0)  # PAM order beyond range
     with pytest.raises(ValueError):
         make_config(lattice=make_lattice("d4"), rounds=3, rate_bits=1.5)  # 2**18 words
+    # a total rate past the float range of 2**bits, or an infinite n K R,
+    # is out of range too, not an OverflowError
+    for lattice, rounds, rate in ((cubic_lattice(1), 2000, 1.0),
+                                  (cubic_lattice(1), 3, 1e308),
+                                  (make_lattice("d4"), 3, 1e308)):
+        with pytest.raises(ValueError, match="beyond"):
+            make_config(lattice=lattice, rounds=rounds, rate_bits=rate)
 
 
 def test_pam_codebook_layout():
