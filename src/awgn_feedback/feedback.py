@@ -186,7 +186,7 @@ class ChannelParams:
 def _require_noisy(params: ChannelParams) -> None:
     if params.sigma2 <= 0.0 or params.sigma2_tilde <= 0.0:
         raise ValueError("analysis requires noisy forward and feedback links")
-    if params.dsnr <= 1.0:
+    if not params.dsnr > 1.0:  # also a nan dsnr, which inf / inf gives
         raise ValueError(
             f"feedback link must be better than the forward link (dsnr > 1), "
             f"got dsnr={params.dsnr!r}"

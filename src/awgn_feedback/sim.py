@@ -26,33 +26,36 @@ draws, and the receiver residue is computed in its dither-cancelled form
 gamma*(theta_hat - theta) + noise, which equals the modulo-chain value
 exactly and keeps the two sample paths bit-identical until the first
 aliasing event.  The union-of-aliasing indicator therefore agrees between
-the systems on every trial, not merely with high probability.
+the systems on every trial, not merely with high probability.  No dither is
+drawn: by the crypto lemma the real feedback is uniform on the Voronoi cell
+whatever theta_hat is, so its power is the lattice's second moment; only
+exact feedback, which sends theta_hat itself, simulates its power.
 
 One engine runs a range of consecutive trials in two steps: :func:`_draw`
 draws the variates of a keyed block, and :func:`_propagate` advances both
 systems of both copies together through the rounds as arrays of shape
 (system, trial, copy, dimension).  Each correction round makes one
-:func:`~.lattices.modulo` call, folding the real feedback, the real
-residues and only the coupled residues whose estimation error has parted
-from the real one: a coupled residue with the real error is the real
-residue, bit for bit, so it takes the real fold (none part before the
-first aliasing event).  The final decode runs once per distinct estimate:
-a coupled estimate equal to its real twin takes the real decode.
+:func:`~.lattices.modulo` call, folding residues only: the real ones and
+the coupled ones whose estimation error has parted from the real one; a
+coupled residue with the real error is the real residue, bit for bit, so
+it takes the real fold (none part before the first aliasing event).  The
+final decode runs once per distinct estimate: a coupled estimate equal to
+its real twin takes the real decode.
 Campaigns reduce block after block in trial order; :func:`run_trial` and
 :func:`run_coupled_trial` run ranges of one trial.
 
 Randomness: trials are keyed in blocks of B = max(1, 4096 // (2 K n)), a
 pure function of the config.  Block b holds trials [b B, (b + 1) B) and
 draws them all from Generator(Philox(key=[master_seed, b])), one variable
-after another: messages (B, 2), forward noise (B, 2, K, n), feedback noise
-and dither uniforms (B, 2, K - 1, n) each.  A campaign builds one such
-generator and re-keys it to that state for each block (see
-:class:`_Campaign`), which draws the same numbers.  A range that ends
-inside a block draws the whole block and keeps its rows, so trial t is row
-t mod B of block t // B however a campaign is split or how long it runs,
-and a campaign is a pure function of (config, trials).  The random codebook
-draws from the reserved stream key [master_seed, 2**63]; trial indices
-stay below 2**63, so no block key reaches it.
+after another: messages (B, 2), forward noise (B, 2, K, n) and feedback
+noise (B, 2, K - 1, n).  A campaign builds one such generator and re-keys
+it to that state for each block (see :class:`_Campaign`), which draws the
+same numbers.  A range that ends inside a block draws the whole block and
+keeps its rows, so trial t is row t mod B of block t // B however a
+campaign is split or how long it runs, and a campaign is a pure function of
+(config, trials).  The random codebook draws from the reserved stream key
+[master_seed, 2**63]; trial indices stay below 2**63, so no block key
+reaches it.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ import numpy as np
 
 from ._checks import count, real
 from .feedback import ChannelParams, _check_looseness
-from .lattices import Lattice, modulo, sample_dither, scale_to_power
+from .lattices import Lattice, modulo, scale_to_power
 
 __all__ = [
     "SchemeConfig",
@@ -84,6 +87,9 @@ _CODEBOOK_STREAM = 1 << 63
 _MAX_TRIAL_INDEX = 1 << 63
 _MAX_PAM_BITS = 20
 _MAX_CODEBOOK_BITS = 16
+# rounds stay below this: the schedule and each trial's draws grow with K,
+# far past e_fb's default k_max of 64 (and K R is no float at K = 10**400)
+_ROUNDS_LIMIT = 1 << 16
 
 # the engine's system axis
 _REAL, _COUPLED = 0, 1
@@ -117,8 +123,9 @@ class SchemeConfig:
     a correction round has no finite real gain.  The lattice's dimension
     fixes the codebook: PAM when it is 1, a random Gaussian codebook
     otherwise; ``codebook`` is 'auto' or that name, and is stored as the
-    name.  ``rounds``, ``rate_bits``, ``master_seed`` and
-    ``looseness`` are stored as the int or float their check makes of them.
+    name.  ``rounds`` (below 2**16, as the schedule and each trial's draws
+    grow with it), ``rate_bits``, ``master_seed`` and ``looseness`` are
+    stored as the int or float their check makes of them.
     Either link may be noiseless (an infinite snr or dsnr in
     ``ChannelParams.from_snrs``); ``looseness`` lies in [1, bsnr), or is 0
     on a noiseless feedback link to select exact feedback, the
@@ -156,7 +163,7 @@ class SchemeConfig:
         loose = real("looseness", self.looseness)
         exact = loose == 0.0 and p.sigma2_tilde == 0.0
         for name, value in (
-            ("rounds", count("rounds", self.rounds)),
+            ("rounds", count("rounds", self.rounds, 1, _ROUNDS_LIMIT)),
             ("rate_bits", real("rate", self.rate_bits, at_least=0.0)),
             ("master_seed", count("master_seed", self.master_seed, 0, 1 << 64)),
             ("looseness", loose if exact else _check_looseness(loose, p.bsnr)),
@@ -277,7 +284,8 @@ class TrialRecord:
     ``aliasing_flags[i][k]`` marks scheme copy i wrapping at correction
     round k; ``coupled_agreement`` states that the real and coupled
     estimation errors were equal up to the first aliasing event of each copy.
-    Powers are per dimension, averaged over the trial's transmissions.
+    Powers are per dimension, averaged over the trial's transmissions and,
+    for feedback, over the dither (see :class:`SimulationSummary`).
     """
 
     trial_index: int
@@ -426,7 +434,6 @@ class _Draws(NamedTuple):
     msgs: np.ndarray      # (trials, 2) message per copy
     z_fwd: np.ndarray     # (trials, 2, rounds, n) forward noise
     z_fb: np.ndarray      # (trials, 2, rounds - 1, n) feedback noise
-    dither: np.ndarray    # (trials, 2, rounds - 1, n) dither, in the cell
 
 
 class _Block(NamedTuple):
@@ -492,8 +499,8 @@ def _draw(cfg: SchemeConfig, block: int, campaign: _Campaign | None = None) -> _
     """All variates of the B trials of keyed block ``block``, whole.
 
     The block draws from Generator(Philox(key=[master_seed, block])), one
-    variable after another: messages (B, 2), forward noise (B, 2, K, n),
-    feedback noise and dither uniforms (B, 2, K - 1, n) each.
+    variable after another: messages (B, 2), forward noise (B, 2, K, n) and
+    feedback noise (B, 2, K - 1, n); no dither (see the module docstring).
     """
     p = cfg.params
     per = _block_trials(cfg)
@@ -503,23 +510,25 @@ def _draw(cfg: SchemeConfig, block: int, campaign: _Campaign | None = None) -> _
     msgs = rng.integers(0, cfg.m_codewords, size=(per, 2))
     z_fwd = math.sqrt(p.sigma2) * rng.standard_normal((per, 2, cfg.rounds, n))
     z_fb = math.sqrt(p.sigma2_tilde) * rng.standard_normal((per, 2, steps, n))
-    dither = sample_dither(cfg.lattice, rng, (per, 2, steps))
-    return _Draws(msgs, z_fwd, z_fb, dither)
+    return _Draws(msgs, z_fwd, z_fb)
 
 
 def _propagate(cfg: SchemeConfig, draws: _Draws,
                campaign: _Campaign | None = None) -> _Block:
     """Run real and coupled systems of both copies on the given draws.
 
-    Each correction round folds, in one modulo call, the real system's
-    feedback and residues and the coupled residues whose estimation error
-    has parted from the real one; every other coupled residue is its real
-    twin's.  ``agree`` compares both systems' own errors.  The decode
-    runs once per distinct final estimate (see :func:`_decode_twins`).
+    Each correction round folds, in one modulo call, the real residues and
+    the coupled residues whose estimation error has parted from the real
+    one; every other coupled residue is its real twin's.  ``fb_sq`` is the
+    feedback energy averaged over the dither: n M per round for the real
+    system (M the second moment), |gamma theta_hat|^2 + n M for the
+    unfolded coupled one, and |theta_hat|^2 under exact feedback.
+    ``agree`` compares both systems' own errors.  The decode runs once per
+    distinct final estimate (see :func:`_decode_twins`).
     """
     lat = cfg.lattice
     steps = cfg.rounds - 1
-    msgs, z_fwd, z_fb, dither = draws
+    msgs, z_fwd, z_fb = draws
     trials, _, _, n = z_fwd.shape
     rows = 2 * trials  # (trial, copy) rows of one system
 
@@ -535,25 +544,24 @@ def _propagate(cfg: SchemeConfig, draws: _Draws,
     for k in range(steps):
         g = cfg.gains[k]
         if cfg.exact_feedback:
-            fb = th_hat
+            fb_sq += _sq(th_hat)
             x = g * eps
         else:
-            fb = g * th_hat + dither[:, :, k]
             # dither-cancelled receiver residue: equals the modulo chain
             w = g * eps + z_fb[:, :, k]
             w_parted = w[_COUPLED].reshape(rows, n)[parted]
-            folded = modulo(lat, np.concatenate(
-                (fb[_REAL].reshape(rows, n), w[_REAL].reshape(rows, n), w_parted)))
-            fb[_REAL] = folded[:rows].reshape(trials, 2, n)
-            residue = folded[rows:2 * rows].reshape(trials, 2, n)
+            folded = modulo(lat, np.concatenate((w[_REAL].reshape(rows, n), w_parted)))
+            residue = folded[:rows].reshape(trials, 2, n)
             wraps = np.any(residue != w[_REAL], axis=-1)
             alias[..., k] = wraps
             if len(parted):
                 alias[_COUPLED].reshape(rows, steps)[parted, k] = np.any(
-                    folded[2 * rows:] != w_parted, axis=-1)
+                    folded[rows:] != w_parted, axis=-1)
             live &= ~wraps
             x = cfg.alpha * np.stack((residue, w[_COUPLED]))
-        fb_sq += _sq(fb)
+            # |g th_hat + d|^2 averaged over d, folded by the crypto lemma
+            fb_sq[_COUPLED] += _sq(g * th_hat[_COUPLED])
+            fb_sq += n * lat.second_moment
         ff_sq += _sq(x)
         th_hat = th_hat - cfg.betas[k] * (x + z_fwd[:, :, k + 1])
         eps = th_hat - theta
@@ -680,7 +688,10 @@ class SimulationSummary:
     copies), ``p_e`` the real system's (``dec_errors_real``).
     ``sigma_k2_hat`` estimates the final estimation-error variance from
     real-system trials without aliasing, pooling dimensions
-    (``no_alias_dims`` of them).
+    (``no_alias_dims`` of them).  ``ff_power`` and ``fb_power`` are the real
+    system's powers per dimension; ``fb_power`` is the lattice's second
+    moment, the feedback budget P~, by the crypto lemma, and is simulated
+    only under exact feedback, which sends the estimate unfolded.
 
     ``union_agreement`` and ``coupled_agreement`` count copies, out of
     ``2 * trials``: the first counts matching union-of-aliasing indicators

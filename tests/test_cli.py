@@ -151,6 +151,16 @@ def test_codebook_beyond_float_range_exits_3(tmp_path, capsys):
     assert err.startswith("error:") and "beyond" in err
 
 
+def test_rounds_beyond_the_limit_exit_3(tmp_path, capsys):
+    """A round count whose K R is no float is a config error, not a
+    traceback."""
+    cfg = tmp_path / "rounds.cfg"
+    cfg.write_text(FULL_CONFIG.replace("rounds = 3", f"rounds = {10**400}"))
+    code, out, err = run_main(["simulate", "--config", str(cfg)], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: rounds must be in") and "Traceback" not in err
+
+
 def test_unwritable_output_exits_4(tmp_path, capsys):
     code, _, err = run_main(
         ["exponents", "--grid", "4", "--out", str(tmp_path / "no" / "x.csv")],
@@ -214,9 +224,11 @@ def test_exponents_golden_bytes(golden, tmp_path):
     "golden", sorted(GOLDEN_DIR.glob("simulate_*.csv")), ids=lambda path: path.stem
 )
 def test_simulate_golden_bytes(golden, tmp_path):
-    """Pinned Gaussian-codebook campaigns (D4, E8; 256 codewords) reproduce
-    byte for byte.  At 4.8 dB both systems decode wrongly on a few percent
-    of copies or more, so the decode decisions show in p_dec and p_e.
+    """Pinned campaigns reproduce byte for byte: Gaussian codebooks (D4, E8;
+    256 codewords) at 4.8 dB, where both systems decode wrongly on a few
+    percent of copies or more, so the decode decisions show in p_dec and
+    p_e; the README's Z1 PAM config; and exact feedback (sk), whose
+    feedback power is simulated rather than the cell's second moment.
 
     The campaign's config is the .cfg file of the same stem.
     """

@@ -245,6 +245,18 @@ def test_e_fb_requires_noisy_feedback():
         e_fb(exact, 0.5)
 
 
+def test_nan_dsnr_is_rejected():
+    """P / sigma2 and P~ / sigma2~ both overflow, so dsnr = inf / inf is nan;
+    the analysis rejects it as it rejects dsnr <= 1, never returning nan."""
+    params = ChannelParams(1e308, 1e308, 1e-10, 1e-10)
+    assert math.isnan(params.dsnr)
+    for call in (lambda: balance_looseness(params, 0.5, 3),
+                 lambda: effective_snr(params, 2.0, 3),
+                 lambda: e_fb(params, 0.5)):
+        with pytest.raises(ValueError, match="dsnr > 1"):
+            call()
+
+
 def test_e_fb_rejects_infinite_bsnr():
     # p_tilde / sigma2_tilde overflows: the search interval has no top
     params = ChannelParams(p=1.0, p_tilde=10.0, sigma2=0.01, sigma2_tilde=1e-308)

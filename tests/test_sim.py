@@ -271,6 +271,9 @@ def test_config_validation():
         make_config(rounds=2.0)
     with pytest.raises(ValueError):
         make_config(rounds=True)  # a bool is not a count
+    for rounds in (sim._ROUNDS_LIMIT, 10**400):  # K R overflows a float at 10**400
+        with pytest.raises(ValueError, match="rounds must be in"):
+            make_config(rounds=rounds, rate_bits=0.0)
     with pytest.raises(ValueError):
         make_config(looseness=0.5)
     with pytest.raises(ValueError):
@@ -456,11 +459,14 @@ SPLIT_CASES = [
 
 
 def reference_copies(cfg, t):
-    """Trial t as a plain loop over copies, systems and rounds.
+    """Trial t as a plain loop over copies, systems and rounds: per copy and
+    system, the wrap flags, the final estimation error and the value
+    g_k theta_hat the feedback transmitter dithers and sends at each round.
 
     The trial is row t mod B of keyed block t // B, drawn here from its own
-    Philox stream in the documented layout.  The dithers are the block's
-    last draw and cancel from the residue, so they are not drawn here.
+    Philox stream in the documented layout: messages, forward noise and
+    feedback noise.  The engine draws no dither: it cancels from the
+    residue, and the real feedback power is the cell's second moment.
     """
     per = sim._block_trials(cfg)
     assert per == max(1, sim._BLOCK_VALUES // (2 * cfg.rounds * cfg.dimension))
@@ -477,14 +483,15 @@ def reference_copies(cfg, t):
         theta = cfg.codewords[msgs[i]]
         for system in ("real", "coupled"):
             th_hat = theta + z_fwd[i, 0]
-            flags = []
+            flags, fed = [], []
             for k in range(steps):
+                fed.append(cfg.gains[k] * th_hat)
                 w = cfg.gains[k] * (th_hat - theta) + z_fb[i, k]
                 residue = modulo(lat, w)
                 flags.append(bool(np.any(residue != w)))
                 x = cfg.alpha * (residue if system == "real" else w)
                 th_hat = th_hat - cfg.betas[k] * (x + z_fwd[i, k + 1])
-            out[system, i] = (flags, th_hat - theta)
+            out[system, i] = (flags, th_hat - theta, fed)
     return out
 
 
@@ -519,7 +526,7 @@ def test_engine_matches_per_copy_loop(kw, trials):
     block = _run_block(cfg, start, stop)
     assert block.alias.any()
     for t in range(start, stop):
-        for (system, i), (flags, eps) in reference_copies(cfg, t).items():
+        for (system, i), (flags, eps, _) in reference_copies(cfg, t).items():
             s = 0 if system == "real" else 1
             assert block.alias[s, t - start, i].tolist() == flags
             assert np.array_equal(block.eps[s, t - start, i], eps)
@@ -616,26 +623,26 @@ TWIN_CASES = [
     (*SPLIT_CASES[0],
      "SimulationSummary(trials=1500, rounds=3, alias_counts=((22, 29), (19, 20)),"
      " dec_errors_coupled=0, dec_errors_real=1, ff_power=0.8555824190572083,"
-     " fb_power=0.9918124344760513, union_agreement=3000, coupled_agreement=3000,"
+     " fb_power=0.9999999999999999, union_agreement=3000, coupled_agreement=3000,"
      " sigma_k2_hat=1.004901897229691e-06, no_alias_dims=2911,"
      " realized_rate_bits=0.5283208335737187)"),
     (*SPLIT_CASES[1],
      "SimulationSummary(trials=600, rounds=2, alias_counts=((82,), (92,)),"
      " dec_errors_coupled=0, dec_errors_real=0, ff_power=0.7475773602929521,"
-     " fb_power=1.003216927835773, union_agreement=1200, coupled_agreement=1200,"
+     " fb_power=1.0, union_agreement=1200, coupled_agreement=1200,"
      " sigma_k2_hat=0.00010384778171382737, no_alias_dims=4104,"
      " realized_rate_bits=0.25)"),
     (*SPLIT_CASES[2],
      "SimulationSummary(trials=300, rounds=3, alias_counts=((50, 56), (56, 53)),"
      " dec_errors_coupled=0, dec_errors_real=0, ff_power=0.9028764617681072,"
-     " fb_power=1.0016773709365592, union_agreement=600, coupled_agreement=600,"
+     " fb_power=1.0, union_agreement=600, coupled_agreement=600,"
      " sigma_k2_hat=9.879779073521577e-07, no_alias_dims=3216,"
      " realized_rate_bits=0.25)"),
     (dict(params=ChannelParams.from_snrs(30.0, 300.0), lattice=make_lattice("e8"),
           rounds=3, rate_bits=1 / 3, looseness=1.2, master_seed=5), 300,
      "SimulationSummary(trials=300, rounds=3, alias_counts=((51, 58), (57, 52)),"
      " dec_errors_coupled=0, dec_errors_real=6, ff_power=0.8845383743501196,"
-     " fb_power=1.010162814206324, union_agreement=600, coupled_agreement=600,"
+     " fb_power=1.0, union_agreement=600, coupled_agreement=600,"
      " sigma_k2_hat=3.5779402460965715e-05, no_alias_dims=3208,"
      " realized_rate_bits=0.3333333333333333)"),
 ]
@@ -745,15 +752,12 @@ ENGINE_CASES = [
 
 def designed_draws(cfg, trials, z_fb=None):
     """Noise-free draws of ``trials`` trials, messages cycling through the
-    codebook, keyed-block dithers, and optional feedback noise."""
-    real = sim._draw(cfg, 0)
-    reps = -(-trials // len(real.msgs))
-    dither = np.concatenate([real.dither] * reps)[:trials]
+    codebook, and optional feedback noise."""
     msgs = np.arange(2 * trials).reshape(trials, 2) % cfg.m_codewords
     z_fwd = np.zeros((trials, 2, cfg.rounds, cfg.dimension))
     if z_fb is None:
-        z_fb = np.zeros_like(dither)
-    return sim._Draws(msgs, z_fwd, z_fb, dither)
+        z_fb = np.zeros((trials, 2, cfg.rounds - 1, cfg.dimension))
+    return sim._Draws(msgs, z_fwd, z_fb)
 
 
 @pytest.mark.parametrize("kw", ENGINE_CASES)
@@ -801,10 +805,11 @@ FOLD_CASES = [
 
 @pytest.mark.parametrize("kw", FOLD_CASES, ids=["z1", "d4", "e8"])
 def test_each_round_folds_only_the_coupled_rows_that_parted(monkeypatch, kw):
-    """Each correction round folds 4 T rows for T trials, the real
-    feedback and residues of both copies, plus one row per copy whose
-    coupled error has parted from the real one, which happens only after
-    the real copy wrapped: none in the first round."""
+    """Each correction round folds 2 T rows for T trials, the real
+    residues of both copies, plus one row per copy whose coupled error has
+    parted from the real one, which happens only after the real copy
+    wrapped: none in the first round.  The real feedback is not folded: its
+    power is the cell's second moment."""
     cfg = make_config(**kw)
     folds = []
 
@@ -820,7 +825,7 @@ def test_each_round_folds_only_the_coupled_rows_that_parted(monkeypatch, kw):
     parted = [0] + [int(wrapped[..., k].sum()) for k in range(cfg.rounds - 2)]
     assert parted[-1] > 0
     # one fold per round over the rows of both keyed blocks
-    assert folds == [4 * trials + d for d in parted]
+    assert folds == [2 * trials + d for d in parted]
     # the coupled flags are still the coupled system's own
     assert np.array_equal(block.alias, _reference_alias(cfg, trials))
 
@@ -829,7 +834,7 @@ def _reference_alias(cfg, trials):
     """Wrap flags of both systems, every coupled residue folded."""
     flags = np.zeros((2, trials, 2, cfg.rounds - 1), dtype=bool)
     for t in range(trials):
-        for (system, i), (f, _) in reference_copies(cfg, t).items():
+        for (system, i), (f, _, _) in reference_copies(cfg, t).items():
             flags[0 if system == "real" else 1, t, i] = f
     return flags
 
@@ -912,6 +917,32 @@ def test_power_accounting():
     s = estimate_error_prob(cfg, 20000)
     assert s.ff_power <= cfg.params.p * 1.01
     assert s.fb_power == pytest.approx(cfg.params.p_tilde, rel=0.02)
+
+
+@pytest.mark.parametrize("lattice", ["z", "d4", "e8"])
+def test_sent_feedback_power_is_the_cell_second_moment(lattice):
+    """The real system sends [g_k theta_hat + d] mod the cell back, with d a
+    dither uniform on the cell.  By the crypto lemma the sent value is
+    uniform on the cell whatever theta_hat is, so its power per dimension
+    is the cell's second moment, which the campaign's fb_power reports in
+    closed form.  The per-copy loop's values, folded with dithers of their
+    own, check the physical signal against it within 4 standard errors."""
+    cfg = make_config(lattice=make_lattice(lattice), looseness=4.0,
+                      rate_bits=0.5 if lattice == "z" else 0.25, master_seed=23)
+    lat = cfg.lattice
+    rng = np.random.default_rng(41)
+    power = []
+    for t in range(300):
+        copies = reference_copies(cfg, t)
+        for i in range(2):
+            for v in copies["real", i][2]:
+                sent = modulo(lat, v + sample_dither(lat, rng))
+                power.append(sent @ sent / cfg.dimension)
+    power = np.array(power)
+    se = power.std(ddof=1) / math.sqrt(len(power))
+    assert abs(power.mean() - lat.second_moment) < 4.0 * se
+    s = estimate_error_prob(cfg, 300)
+    assert s.fb_power == pytest.approx(lat.second_moment, rel=1e-12)
 
 
 _BELOW_RESOLUTION = pytest.mark.xfail(
