@@ -6,30 +6,36 @@ always has a finished block to react to; statistically the interlacing is
 pure scheduling, so the simulator runs both copies side by side on one trial
 seed).  Per copy:
 
-  round 1      Terminal A sends the codeword Theta; B sets the estimate
-               theta_hat = Y_1, so the estimation error starts at the
-               channel noise (sigma_1^2 = sigma^2).
+  round 1      Terminal A sends the codeword theta = c_m; B's estimate is
+               Y_1 = theta + eps, so the estimation error eps starts at
+               the channel noise (sigma_1^2 = sigma^2).
   rounds 2..K  B feeds back its estimate through a dithered modulo-lattice
-               map scaled by gamma_k; A reconstructs gamma_k*eps_k + fb
+               map scaled by gamma_k; A reconstructs gamma_k*eps + fb
                noise (exact unless the pre-modulo value leaves the Voronoi
                cell: the aliasing event), rescales it to full forward
-               power, and sends it; B applies the MMSE correction.
-  decode       B picks the nearest codeword to theta_hat_K (a Gaussian
-               codebook first tries the sent codeword by a certified radius
-               test on the estimation error; the rest are screened by one
-               matrix product per chunk of estimates, and near-ties settle
-               by the direct distances).
+               power as x, and sends it; B's MMSE correction on noise z
+               is eps <- eps - beta_k (x + z).
+  decode       B picks the nearest codeword to theta + eps (PAM by index
+               arithmetic on m and eps / step; a Gaussian codebook first
+               tries the sent codeword by a certified radius test on eps;
+               the rest are screened by one matrix product per chunk of
+               estimates, and near-ties settle by the direct distances).
+
+The engine carries eps alone, as the analysis does (theta + eps would lose
+eps below about 2.2e-16 |theta|): theta enters only the powers, |theta|^2
+in round 1, |theta + eps|^2 under exact feedback and the coupled twin's
+|gamma (theta + eps)|^2, and the screened Gaussian decodes.
 
 The coupled twin runs the same rounds with the modulo maps removed (its
 feedback power is deliberately unbounded).  Both systems consume the same
 draws, and the receiver residue is computed in its dither-cancelled form
-gamma*(theta_hat - theta) + noise, which equals the modulo-chain value
-exactly and keeps the two sample paths bit-identical until the first
-aliasing event.  The union-of-aliasing indicator therefore agrees between
-the systems on every trial, not merely with high probability.  No dither is
-drawn: by the crypto lemma the real feedback is uniform on the Voronoi cell
-whatever theta_hat is, so its power is the lattice's second moment; only
-exact feedback, which sends theta_hat itself, simulates its power.
+gamma*eps + noise, which equals the modulo-chain value exactly and keeps
+the two sample paths bit-identical until the first aliasing event.  The
+union-of-aliasing indicator therefore agrees between the systems on every
+trial, not merely with high probability.  No dither is drawn: by the crypto
+lemma the real feedback is uniform on the Voronoi cell whatever the
+estimate is, so its power is the lattice's second moment; only exact
+feedback, which sends the estimate itself, simulates its power.
 
 One engine runs a range of consecutive trials in two steps: :func:`_draw`
 draws the variates of a keyed block, and :func:`_propagate` advances both
@@ -39,8 +45,8 @@ systems of both copies together through the rounds as arrays of shape
 the coupled ones whose estimation error has parted from the real one; a
 coupled residue with the real error is the real residue, bit for bit, so
 it takes the real fold (none part before the first aliasing event).  The
-final decode runs once per distinct estimate: a coupled estimate equal to
-its real twin takes the real decode.
+final decode runs once per distinct error: a coupled error equal to its
+real twin's takes the real decode.
 Campaigns reduce block after block in trial order; :func:`run_trial` and
 :func:`run_coupled_trial` run ranges of one trial.
 
@@ -319,11 +325,10 @@ def _screen_terms(cfg: SchemeConfig) -> tuple:
 
 
 def _decode_index(cfg: SchemeConfig, theta_hat: np.ndarray) -> np.ndarray:
-    """Nearest-codeword index of each estimate along the last axis.
+    """Nearest Gaussian codeword index of each estimate along the last axis.
 
-    PAM slices.  A Gaussian codebook returns, for each row x, exactly the
-    direct form argmin_j |x - c_j|^2 (first index on ties), but finds it by
-    screen, then settle:
+    Returns, for each row x, exactly the direct form argmin_j |x - c_j|^2
+    (first index on ties), but finds it by screen, then settle:
 
     * screen: score_j = |c_j|^2 - 2 x.c_j, that is |x - c_j|^2 - |x|^2, for a
       chunk of rows in one matrix product; a row's candidates are the
@@ -345,12 +350,6 @@ def _decode_index(cfg: SchemeConfig, theta_hat: np.ndarray) -> np.ndarray:
     lone candidate is it.
     """
     lead = theta_hat.shape[:-1]
-    if cfg.codebook == "pam":
-        m = cfg.m_codewords
-        if m == 1:
-            return np.zeros(lead, dtype=np.intp)
-        t = theta_hat[..., 0] / cfg.pam_step + 0.5 * (m - 1)
-        return np.clip(np.rint(t), 0, m - 1).astype(np.intp)
     cw = cfg.codewords
     rows = theta_hat.reshape(-1, cfg.dimension)
     out = np.empty(len(rows), dtype=np.intp)
@@ -378,9 +377,9 @@ def _decode_index(cfg: SchemeConfig, theta_hat: np.ndarray) -> np.ndarray:
 
 def _decode_radius2(cfg: SchemeConfig, words: np.ndarray) -> np.ndarray:
     """Certified squared decode radius H_m of each Gaussian codeword index m
-    in ``words``: if an estimate x sent as c_m has an error eps = x - c_m,
-    rounded per coordinate as the engine holds it, with |eps|^2 < H_m, then
-    m is the unique direct-form argmin of |x - c_j|^2.
+    in ``words``: if the error eps of an estimate c_m + eps has a rounded
+    |eps|^2 below H_m, c_m is the unique nearest codeword to the exact
+    estimate c_m + eps.
 
     H_m = (1 - rel) lo_m / 4, where lo_m is the least Gram-form value
     |c_m|^2 + |c_j|^2 - 2 c_m.c_j over j != m (inf in a one-word codebook),
@@ -391,27 +390,21 @@ def _decode_radius2(cfg: SchemeConfig, words: np.ndarray) -> np.ndarray:
     size.
 
     Why: let d be the exact distance from c_m to its nearest other codeword
-    and r = |x - c_m|, and write u = 2^-53.
+    and r = |eps|, and write u = 2^-53.
 
     * lo_m <= d^2 - 2^-1023: below the guard no Gram value overflows, and
       each errs by at most the screen's bound plus one rounding, under a
       hundredth of rel (|c_m|^2 + max|c|^2), while floor holds the smallest
       normal float 2^-1022.  So H_m > 0 puts d^2 above 2^-1023.
-    * Each direct-form value |x - c_j|^2 is a sum of n squares of rounded
-      differences, all nonnegative, so it lies within a relative
-      1.01 (n + 2) u of the exact value, plus n 2^-1074 where it
-      underflows, which is at most 4 n u d^2.  The engine's |eps|^2 is such
-      a value for c_m.
-    * So |eps|^2 < H_m gives r^2 < (1 - rel + e) d^2 / 4 with
-      e = 18 (n + 2) u, hence d - 2 r > (rel - e) d / 2, and by the
-      triangle inequality |x - c_j| >= d - r for every j != m.  The exact
-      values then part by (d - r)^2 - r^2 = d (d - 2 r) > (rel - e) d^2 / 2,
-      while the two direct-form values err by at most
-      (1.01 (n + 2) u + 8 n u) d^2 together.  rel = 900 (n + 2) u leaves
-      c_m strictly first, so the first-index tie rule never applies.
+    * The rounded |eps|^2 sums n rounded squares, all nonnegative, so it
+      lies within a relative 1.01 n u of r^2, plus n 2^-1074 where it
+      underflows, which is at most 4 n u d^2.
+    * So |eps|^2 < H_m gives r^2 < (1 - rel + 18 n u) d^2 / 4, and
+      rel = 900 (n + 2) u makes r < d / 2.  By the triangle inequality
+      |c_m + eps - c_j| >= d - r > r for every j != m.
 
-    An estimate whose error is not finite fails the test (NaN compares
-    false) and goes to the screen with every other uncertified row.
+    An error that is not finite fails the test (NaN compares false) and
+    goes to the screen with every other uncertified row.
     """
     cw = cfg.codewords
     c2, rel, floor, room, neg2ct, chunk = _screen_terms(cfg)
@@ -517,14 +510,15 @@ def _propagate(cfg: SchemeConfig, draws: _Draws,
                campaign: _Campaign | None = None) -> _Block:
     """Run real and coupled systems of both copies on the given draws.
 
-    Each correction round folds, in one modulo call, the real residues and
-    the coupled residues whose estimation error has parted from the real
-    one; every other coupled residue is its real twin's.  ``fb_sq`` is the
-    feedback energy averaged over the dither: n M per round for the real
-    system (M the second moment), |gamma theta_hat|^2 + n M for the
-    unfolded coupled one, and |theta_hat|^2 under exact feedback.
-    ``agree`` compares both systems' own errors.  The decode runs once per
-    distinct final estimate (see :func:`_decode_twins`).
+    The one state is the estimation error eps, from z_fwd[0] on.  Each
+    correction round folds, in one modulo call, the real residues and the
+    coupled residues whose error has parted from the real one; every other
+    coupled residue is its real twin's.  ``fb_sq`` is the feedback energy
+    averaged over the dither: n M per round for the real system (M the
+    second moment), |gamma (theta + eps)|^2 + n M for the unfolded coupled
+    one, and |theta + eps|^2 under exact feedback.  ``agree`` compares both
+    systems' own errors.  The decode runs once per distinct final error (see
+    :func:`_decode_twins`).
     """
     lat = cfg.lattice
     steps = cfg.rounds - 1
@@ -533,8 +527,7 @@ def _propagate(cfg: SchemeConfig, draws: _Draws,
     rows = 2 * trials  # (trial, copy) rows of one system
 
     theta = cfg.codewords[msgs]
-    th_hat = np.broadcast_to(theta + z_fwd[:, :, 0], (2, trials, 2, n))
-    eps = th_hat - theta
+    eps = np.broadcast_to(z_fwd[:, :, 0], (2, trials, 2, n))
     ff_sq = np.stack([_sq(theta)] * 2)
     fb_sq = np.zeros((2, trials, 2))
     alias = np.zeros((2, trials, 2, steps), dtype=bool)
@@ -544,7 +537,7 @@ def _propagate(cfg: SchemeConfig, draws: _Draws,
     for k in range(steps):
         g = cfg.gains[k]
         if cfg.exact_feedback:
-            fb_sq += _sq(th_hat)
+            fb_sq += _sq(theta + eps)
             x = g * eps
         else:
             # dither-cancelled receiver residue: equals the modulo chain
@@ -559,51 +552,55 @@ def _propagate(cfg: SchemeConfig, draws: _Draws,
                     folded[rows:] != w_parted, axis=-1)
             live &= ~wraps
             x = cfg.alpha * np.stack((residue, w[_COUPLED]))
-            # |g th_hat + d|^2 averaged over d, folded by the crypto lemma
-            fb_sq[_COUPLED] += _sq(g * th_hat[_COUPLED])
+            # |g (theta + eps) + d|^2 averaged over d, folded by the crypto lemma
+            fb_sq[_COUPLED] += _sq(g * (theta + eps[_COUPLED]))
             fb_sq += n * lat.second_moment
         ff_sq += _sq(x)
-        th_hat = th_hat - cfg.betas[k] * (x + z_fwd[:, :, k + 1])
-        eps = th_hat - theta
+        eps = eps - cfg.betas[k] * (x + z_fwd[:, :, k + 1])
         differ = np.any(eps[_REAL] != eps[_COUPLED], axis=-1)
         agree &= ~(live & differ)
         parted = np.flatnonzero(differ)
-    decoded = _decode_twins(cfg, msgs, th_hat, eps, campaign or _Campaign(cfg))
+    decoded = _decode_twins(cfg, msgs, eps, campaign or _Campaign(cfg))
     return _Block(msgs, alias, decoded, eps, ff_sq, fb_sq, agree)
 
 
-def _decode_twins(cfg: SchemeConfig, msgs: np.ndarray, th_hat: np.ndarray,
-                  eps: np.ndarray, campaign: _Campaign) -> np.ndarray:
-    """Decoded index of each (system, trial, copy) estimate.
+def _decode_twins(cfg: SchemeConfig, msgs: np.ndarray, eps: np.ndarray,
+                  campaign: _Campaign) -> np.ndarray:
+    """Decoded index of each (system, trial, copy) estimate c_m + eps, with
+    m its message in ``msgs``.
 
-    PAM slices the whole array.  A Gaussian decode runs on every real
-    estimate, then only on the coupled estimates that differ from their
-    real twin (those past an aliasing event); the others copy the real
-    decode.  Each estimate whose error passes its sent codeword's radius
-    test (:func:`_decode_radius2`) decodes to that codeword; the rest go
-    through :func:`_decode_index`.
+    PAM decodes the whole array by index arithmetic: m plus eps / step
+    rounded to the nearest integer, ties to the lower one, clipped to
+    [0, M - 1].  A Gaussian decode runs on every real error, then only on
+    the coupled errors that differ from their real twin's (the final parted
+    rows, past an aliasing event); the others copy the real decode.  Each
+    error that passes its sent codeword's radius test
+    (:func:`_decode_radius2`) decodes to that codeword; the rest go through
+    :func:`_decode_index` as the estimate c_m + eps.
     """
+    lead = eps.shape[:-1]
+    if cfg.m_codewords == 1:
+        return np.zeros(lead, dtype=np.intp)
     if cfg.codebook == "pam":
-        return _decode_index(cfg, th_hat)
-    n = cfg.dimension
+        j = msgs + np.ceil(eps[..., 0] / cfg.pam_step - 0.5)
+        return np.clip(j, 0, cfg.m_codewords - 1).astype(np.intp)
     sent = msgs.reshape(-1)
-    (tr, tc), (er, ec) = (a.reshape(2, -1, n) for a in (th_hat, eps))
+    er, ec = eps.reshape(2, -1, cfg.dimension)
     radius2 = campaign.radius2(sent)
 
-    def decode(rows, err, r2, words):
+    def decode(err, words, r2):
         out = words.astype(np.intp)
         far = np.flatnonzero(~(_sq(err) < r2))
         if len(far):
-            out[far] = _decode_index(cfg, rows[far])
+            out[far] = _decode_index(cfg, cfg.codewords[words[far]] + err[far])
         return out
 
     dec = np.empty((2, len(sent)), dtype=np.intp)
-    dec[_REAL] = dec[_COUPLED] = decode(tr, er, radius2, sent)
-    apart = np.flatnonzero((tr != tc).any(-1))
+    dec[_REAL] = dec[_COUPLED] = decode(er, sent, radius2)
+    apart = np.flatnonzero((er != ec).any(-1))
     if len(apart):
-        dec[_COUPLED, apart] = decode(tc[apart], ec[apart], radius2[apart],
-                                      sent[apart])
-    return dec.reshape(th_hat.shape[:-1])
+        dec[_COUPLED, apart] = decode(ec[apart], sent[apart], radius2[apart])
+    return dec.reshape(lead)
 
 
 def _run_block(cfg: SchemeConfig, start: int, stop: int,

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import threading
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -461,12 +462,14 @@ SPLIT_CASES = [
 def reference_copies(cfg, t):
     """Trial t as a plain loop over copies, systems and rounds: per copy and
     system, the wrap flags, the final estimation error and the value
-    g_k theta_hat the feedback transmitter dithers and sends at each round.
+    g_k (theta + eps) the feedback transmitter dithers and sends at each
+    round.
 
     The trial is row t mod B of keyed block t // B, drawn here from its own
     Philox stream in the documented layout: messages, forward noise and
-    feedback noise.  The engine draws no dither: it cancels from the
-    residue, and the real feedback power is the cell's second moment.
+    feedback noise.  The loop carries the error eps alone, as the engine
+    does.  The engine draws no dither: it cancels from the residue, and
+    the real feedback power is the cell's second moment.
     """
     per = sim._block_trials(cfg)
     assert per == max(1, sim._BLOCK_VALUES // (2 * cfg.rounds * cfg.dimension))
@@ -482,16 +485,16 @@ def reference_copies(cfg, t):
     for i in range(2):
         theta = cfg.codewords[msgs[i]]
         for system in ("real", "coupled"):
-            th_hat = theta + z_fwd[i, 0]
+            eps = z_fwd[i, 0]
             flags, fed = [], []
             for k in range(steps):
-                fed.append(cfg.gains[k] * th_hat)
-                w = cfg.gains[k] * (th_hat - theta) + z_fb[i, k]
+                fed.append(cfg.gains[k] * (theta + eps))
+                w = cfg.gains[k] * eps + z_fb[i, k]
                 residue = modulo(lat, w)
                 flags.append(bool(np.any(residue != w)))
                 x = cfg.alpha * (residue if system == "real" else w)
-                th_hat = th_hat - cfg.betas[k] * (x + z_fwd[i, k + 1])
-            out[system, i] = (flags, th_hat - theta, fed)
+                eps = eps - cfg.betas[k] * (x + z_fwd[i, k + 1])
+            out[system, i] = (flags, eps, fed)
     return out
 
 
@@ -624,26 +627,26 @@ TWIN_CASES = [
      "SimulationSummary(trials=1500, rounds=3, alias_counts=((22, 29), (19, 20)),"
      " dec_errors_coupled=0, dec_errors_real=1, ff_power=0.8555824190572083,"
      " fb_power=0.9999999999999999, union_agreement=3000, coupled_agreement=3000,"
-     " sigma_k2_hat=1.004901897229691e-06, no_alias_dims=2911,"
+     " sigma_k2_hat=1.0049018972296866e-06, no_alias_dims=2911,"
      " realized_rate_bits=0.5283208335737187)"),
     (*SPLIT_CASES[1],
      "SimulationSummary(trials=600, rounds=2, alias_counts=((82,), (92,)),"
      " dec_errors_coupled=0, dec_errors_real=0, ff_power=0.7475773602929521,"
      " fb_power=1.0, union_agreement=1200, coupled_agreement=1200,"
-     " sigma_k2_hat=0.00010384778171382737, no_alias_dims=4104,"
+     " sigma_k2_hat=0.00010384778171382736, no_alias_dims=4104,"
      " realized_rate_bits=0.25)"),
     (*SPLIT_CASES[2],
      "SimulationSummary(trials=300, rounds=3, alias_counts=((50, 56), (56, 53)),"
-     " dec_errors_coupled=0, dec_errors_real=0, ff_power=0.9028764617681072,"
+     " dec_errors_coupled=0, dec_errors_real=0, ff_power=0.9028764617681075,"
      " fb_power=1.0, union_agreement=600, coupled_agreement=600,"
-     " sigma_k2_hat=9.879779073521577e-07, no_alias_dims=3216,"
+     " sigma_k2_hat=9.87977907352159e-07, no_alias_dims=3216,"
      " realized_rate_bits=0.25)"),
     (dict(params=ChannelParams.from_snrs(30.0, 300.0), lattice=make_lattice("e8"),
           rounds=3, rate_bits=1 / 3, looseness=1.2, master_seed=5), 300,
      "SimulationSummary(trials=300, rounds=3, alias_counts=((51, 58), (57, 52)),"
-     " dec_errors_coupled=0, dec_errors_real=6, ff_power=0.8845383743501196,"
+     " dec_errors_coupled=0, dec_errors_real=6, ff_power=0.8845383743501197,"
      " fb_power=1.0, union_agreement=600, coupled_agreement=600,"
-     " sigma_k2_hat=3.5779402460965715e-05, no_alias_dims=3208,"
+     " sigma_k2_hat=3.57794024609657e-05, no_alias_dims=3208,"
      " realized_rate_bits=0.3333333333333333)"),
 ]
 
@@ -921,9 +924,9 @@ def test_power_accounting():
 
 @pytest.mark.parametrize("lattice", ["z", "d4", "e8"])
 def test_sent_feedback_power_is_the_cell_second_moment(lattice):
-    """The real system sends [g_k theta_hat + d] mod the cell back, with d a
-    dither uniform on the cell.  By the crypto lemma the sent value is
-    uniform on the cell whatever theta_hat is, so its power per dimension
+    """The real system sends [g_k (theta + eps) + d] mod the cell back, with
+    d a dither uniform on the cell.  By the crypto lemma the sent value is
+    uniform on the cell whatever the estimate is, so its power per dimension
     is the cell's second moment, which the campaign's fb_power reports in
     closed form.  The per-copy loop's values, folded with dithers of their
     own, check the physical signal against it within 4 standard errors."""
@@ -945,18 +948,35 @@ def test_sent_feedback_power_is_the_cell_second_moment(lattice):
     assert s.fb_power == pytest.approx(lat.second_moment, rel=1e-12)
 
 
-_BELOW_RESOLUTION = pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 17: the engine keeps theta + eps, so eps "
-    "is lost once sigma_K falls below the float resolution of the codewords")
+@pytest.mark.parametrize("kw", FOLD_CASES, ids=["z1", "d4", "e8"])
+def test_trial_feedback_power_matches_the_sent_values(kw):
+    """A real trial's fb_power is the cell's second moment M.  A coupled
+    trial's is the mean of |g_k (theta + eps)|^2 per dimension over the
+    values the per-copy loop sends, plus M for the dither; some trials
+    wrap, so their coupled estimates part from the real ones."""
+    cfg = make_config(**kw)
+    m2, n = cfg.lattice.second_moment, cfg.dimension
+    parted = 0
+    for t in range(40):
+        copies = reference_copies(cfg, t)
+        fed = [v for i in range(2) for v in copies["coupled", i][2]]
+        parted += any(not np.array_equal(v, w) for i in range(2)
+                      for v, w in zip(copies["real", i][2], copies["coupled", i][2]))
+        want = sum(float(v @ v) for v in fed) / (len(fed) * n) + m2
+        assert run_coupled_trial(cfg, t).fb_power == pytest.approx(want, rel=1e-12)
+        assert run_trial(cfg, t).fb_power == pytest.approx(m2, rel=1e-12)
+    assert parted
 
 
 @pytest.mark.parametrize("lattice, rate_bits", [("z", 1.5), ("d4", 1.0)],
                          ids=["z1-pam", "d4-16"])
-@pytest.mark.parametrize("rounds", [12, pytest.param(20, marks=_BELOW_RESOLUTION)])
+@pytest.mark.parametrize("rounds", [12, 20, 22, 24])
 def test_powers_and_final_variance_hold_at_many_rounds(lattice, rate_bits, rounds):
     """At 20/30 dB and L = 4, e_fb's optimal round counts reach 22; the
     feedback power and the final error variance must still match their
-    design values there (sigma_K is 9.5e-21 at K = 20)."""
+    design values there.  sigma_K is 9.5e-21 at K = 20, far below the float
+    resolution of the codewords, which the engine's error coordinates
+    never meet."""
     cfg = make_config(params=ChannelParams.from_snrs(100.0, 1000.0),
                       rounds=rounds, looseness=4.0, lattice=make_lattice(lattice),
                       rate_bits=rate_bits / rounds, master_seed=11)
@@ -1000,23 +1020,45 @@ def test_feedback_hop_matches_link_primitives():
 # -----------------------------------------------------------------------------
 
 def decode_one(cfg, theta_hat):
-    """Decode a batch of one estimate."""
+    """Decode a batch of one estimate on a Gaussian codebook."""
     return int(_decode_index(cfg, np.asarray(theta_hat, dtype=float)[None])[0])
+
+
+def pam_decode(cfg, sent, eps):
+    """The engine's PAM decode of the estimates c_m + eps sent as ``sent``,
+    run through a one-round block with eps as the forward noise, so that
+    both systems of both copies decode each one."""
+    sent, eps = np.asarray(sent), np.asarray(eps, dtype=float)
+    msgs = np.stack([sent] * 2, axis=1)
+    z_fwd = np.broadcast_to(eps[:, None, None, None], (len(sent), 2, 1, 1))
+    b = sim._propagate(cfg, sim._Draws(msgs, z_fwd, np.zeros((len(sent), 2, 0, 1))))
+    assert (b.decoded == b.decoded[:1, :, :1]).all()
+    return b.decoded[0, :, 0].tolist()
 
 
 def test_pam_decode_slicing():
     cfg = make_config(rounds=1, rate_bits=2.0)  # levels -1, -1/3, 1/3, 1
-    for i in range(4):
-        assert decode_one(cfg, cfg.codewords[i]) == i
-    # clipping at the extremes
-    assert decode_one(cfg, [-9.0]) == 0
-    assert decode_one(cfg, [9.0]) == 3
-    # nearest-level slicing
-    assert decode_one(cfg, [0.4]) == 2
-    assert decode_one(cfg, [-0.52]) == 1
-    # exact midpoints round to the even index, as round() does
-    assert decode_one(cfg, [-cfg.pam_step]) == 0
-    assert decode_one(cfg, [cfg.pam_step]) == 2
+    levels = cfg.codewords[:, 0]
+    # each level, sent as itself
+    assert pam_decode(cfg, range(4), [0.0] * 4) == [0, 1, 2, 3]
+    # clipping at the extremes: estimates -9 and 9 from each level
+    assert pam_decode(cfg, range(4), -9.0 - levels) == [0] * 4
+    assert pam_decode(cfg, range(4), 9.0 - levels) == [3] * 4
+    # nearest-level slicing: estimates 0.4 and -0.52 from each level
+    assert pam_decode(cfg, range(4), 0.4 - levels) == [2] * 4
+    assert pam_decode(cfg, range(4), -0.52 - levels) == [1] * 4
+
+
+def test_pam_decode_ties_take_the_lower_index():
+    """An estimate midway between two PAM levels decodes to the lower one
+    from either level, as the Gaussian decode's first-index rule does;
+    midway past an end level, or far past it, it decodes to that level."""
+    cfg = make_config(rounds=1, rate_bits=2.0)  # levels -1, -1/3, 1/3, 1
+    half = 0.5 * cfg.pam_step
+    # the midpoints -2/3, 0 and 2/3 from both sides, then past both ends
+    sent = [0, 1, 1, 2, 2, 3, 0, 3, 0, 3]
+    eps = [half, -half, half, -half, half, -half, -half, half, -9.0, 9.0]
+    assert pam_decode(cfg, sent, eps) == [0, 0, 1, 1, 2, 2, 0, 3, 0, 3]
 
 
 def test_ml_decode_on_gaussian_codebook():
@@ -1182,20 +1224,18 @@ def test_gaussian_decode_largest_codebook():
 
 
 def engine_decode(book, msgs, real, coupled=None):
-    """The engine's decode of real and coupled estimates sent as ``msgs``
-    (the coupled ones default to the real), with the errors formed as the
-    engine forms them."""
-    th_hat = np.stack((real, real if coupled is None else coupled))[:, :, None]
-    eps = th_hat - book.codewords[msgs][:, None]
-    decoded = sim._decode_twins(book, msgs[:, None], th_hat, eps, sim._Campaign(book))
+    """The engine's decode of the real and coupled estimates c_m + eps sent
+    as ``msgs``, from their errors (the coupled ones default to the real)."""
+    eps = np.stack((real, real if coupled is None else coupled))[:, :, None]
+    decoded = sim._decode_twins(book, msgs[:, None], eps, sim._Campaign(book))
     return decoded[:, :, 0]
 
 
-def adversarial_rows(codewords, rng, count=3000):
-    """Messages and estimates around their codewords: errors from 1e-12 to
-    10 times the half gap h to the nearest other codeword, points at
-    h (1 - 1e-9), h and h (1 + 1e-9) toward that codeword, and the
-    codewords themselves."""
+def adversarial_errors(codewords, rng, count=3000):
+    """Messages and errors of estimates around their codewords: errors
+    from 1e-12 to 10 times the half gap h to the nearest other codeword,
+    errors of h (1 - 1e-9), h and h (1 + 1e-9) toward that codeword, and
+    no error at all."""
     m, n = codewords.shape
     with np.errstate(over="ignore"):
         diff = codewords[:, None] - codewords[None]
@@ -1208,24 +1248,59 @@ def adversarial_rows(codewords, rng, count=3000):
     u /= np.sqrt((u * u).sum(axis=1, keepdims=True))
     size = 10.0 ** rng.uniform(-12.0, 1.0, (count, 1))
     size[::3] = rng.choice([1e-12, 0.5, 1 - 1e-9, 1 + 1e-9, 10.0], (len(size[::3]), 1))
-    noisy = codewords[msgs] + size * np.nan_to_num(h[msgs, None], posinf=1.0) * u
-    toward = np.concatenate([
-        codewords + t * 0.5 * (codewords[near] - codewords)
-        for t in (1 - 1e-9, 1.0, 1 + 1e-9)])
+    noisy = size * np.nan_to_num(h[msgs, None], posinf=1.0) * u
+    toward = np.concatenate([t * 0.5 * (codewords[near] - codewords)
+                             for t in (1 - 1e-9, 1.0, 1 + 1e-9)])
     msgs = np.concatenate((msgs, np.tile(np.arange(m), 4)))
-    return msgs, np.concatenate((noisy, toward, codewords))
+    return msgs, np.concatenate((noisy, toward, np.zeros_like(codewords)))
 
 
-def assert_engine_decodes_like_direct_form(codewords, msgs, rows):
+def assert_nearest_exactly(codewords, msgs, eps):
+    """c_m is the unique nearest codeword to the exact point c_m + eps of
+    each row: D_j = |c_m - c_j|^2 + 2 eps.(c_m - c_j) > 0 for every j != m.
+    Floats decide D_j where it clears a margin a thousand times their
+    rounding error; Fractions decide the rest exactly, and the pair of
+    each chunk of rows nearest that margin."""
+    for i in range(0, len(msgs), 128):
+        m, e = msgs[i:i + 128], eps[i:i + 128]
+        own = np.arange(len(m)), m
+        with np.errstate(over="ignore", invalid="ignore"):
+            delta = codewords[m][:, None] - codewords[None]
+            dd = (delta * delta).sum(axis=-1)
+            de = e[:, None] * delta
+            slack = 1e-12 * (dd + 2.0 * np.abs(de).sum(axis=-1)) + 1e-320
+            ratio = (dd + 2.0 * de.sum(axis=-1)) / slack
+        ratio[own] = np.inf
+        exact = ~(ratio > 1.0)
+        exact[np.unravel_index(np.nanargmin(ratio), ratio.shape)] = True
+        exact[own] = False
+        for r, j in zip(*np.nonzero(exact)):
+            cm, cj = (map(Fraction, codewords[w]) for w in (m[r], j))
+            d = [a - b for a, b in zip(cm, cj)]
+            gap = sum(x * x for x in d) + 2 * sum(
+                Fraction(x) * y for x, y in zip(e[r], d))
+            assert gap > 0, (i + r, j)
+
+
+def assert_engine_decodes_like_direct_form(codewords, msgs, eps):
+    """The engine decodes each error, real and coupled (the latter a
+    permutation of the former), so that a certified one decodes to its
+    sent word, the exact estimate's unique nearest codeword, and every
+    other one as the direct form of the rounded estimate fl(c_m + eps)."""
     book = gaussian_book(codewords)
-    coupled = rows[np.random.default_rng(1).permutation(len(rows))]
+    coupled = eps[np.random.default_rng(1).permutation(len(eps))]
+    radius2 = sim._decode_radius2(book, msgs)
     with np.errstate(invalid="ignore", over="ignore"):
-        expected = [direct_decode(book.codewords, r) for r in (rows, coupled)]
-        got = engine_decode(book, msgs, rows, coupled)
-    assert got.dtype == np.intp
-    for system in (0, 1):
-        bad = np.flatnonzero(got[system] != expected[system])
-        assert not len(bad), (system, bad[:10])
+        got = engine_decode(book, msgs, eps, coupled)
+        assert got.dtype == np.intp
+        for system, e in enumerate((eps, coupled)):
+            certified = sim._sq(e) < radius2
+            assert np.array_equal(got[system, certified], msgs[certified])
+            assert_nearest_exactly(book.codewords, msgs[certified], e[certified])
+            far = ~certified
+            expected = direct_decode(book.codewords, book.codewords[msgs[far]] + e[far])
+            bad = np.flatnonzero(got[system, far] != expected)
+            assert not len(bad), (system, bad[:10])
 
 
 def odd_codebook(rng):
@@ -1257,10 +1332,9 @@ def test_certified_decode_matches_direct_form(case):
         a = math.sqrt(0.6 * big)
         codewords = np.array([[-a, 0.0], [a, 0.0]])
         msgs = np.array([0, 0, 0, 1, 1])
-        shift = np.array([[0.4], [0.6], [1e-9], [-0.6], [-0.4]]) * [2 * a, 0.0]
-        rows = codewords[msgs] + shift
-        assert np.isfinite(sim._sq(rows - codewords[msgs])).all()
-        assert_engine_decodes_like_direct_form(codewords, msgs, rows)
+        eps = np.array([[0.4], [0.6], [1e-9], [-0.6], [-0.4]]) * [2 * a, 0.0]
+        assert np.isfinite(sim._sq(eps)).all()
+        assert_engine_decodes_like_direct_form(codewords, msgs, eps)
         return
     if case == "e8-256":
         codewords = make_config(lattice=make_lattice("e8"), rate_bits=1 / 3,
@@ -1280,13 +1354,13 @@ def test_certified_decode_matches_direct_form(case):
     else:
         # squares of the errors underflow; the words stay 1e-152 apart
         codewords = 1e-152 * rng.standard_normal((32, 4))
-    msgs, rows = adversarial_rows(codewords, rng)
+    msgs, eps = adversarial_errors(codewords, rng)
     inf, nan = math.inf, math.nan
     odd = np.array([[nan, 0, 0, 0], [inf, 0, 0, 0], [-inf, inf, 0, 0]])
     if codewords.shape[1] == 4:
         msgs = np.concatenate((msgs, [0, 1, 2]))
-        rows = np.concatenate((rows, odd))
-    assert_engine_decodes_like_direct_form(codewords, msgs, rows)
+        eps = np.concatenate((eps, odd))
+    assert_engine_decodes_like_direct_form(codewords, msgs, eps)
 
 
 def test_only_uncertified_estimates_reach_the_screen(monkeypatch):
@@ -1303,17 +1377,17 @@ def test_only_uncertified_estimates_reach_the_screen(monkeypatch):
     rng = np.random.default_rng(3)
     codewords = odd_codebook(rng)
     book = gaussian_book(codewords)
-    msgs, rows = adversarial_rows(codewords, rng)
-    coupled = rows.copy()
-    coupled[::2] += 0.25  # half the coupled estimates part from their twin
-    engine_decode(book, msgs, rows, coupled)
+    msgs, eps = adversarial_errors(codewords, rng)
+    coupled = eps.copy()
+    coupled[::2] += 0.25  # half the coupled errors part from their twin
+    engine_decode(book, msgs, eps, coupled)
     radius2 = sim._decode_radius2(book, np.arange(len(codewords)))
-    fails = [~(sim._sq(r - codewords[msgs]) < radius2[msgs]) for r in (rows, coupled)]
+    fails = [~(sim._sq(e) < radius2[msgs]) for e in (eps, coupled)]
     fails[1][1::2] = False
-    assert 0 < fails[0].sum() < len(rows)
+    assert 0 < fails[0].sum() < len(eps)
     assert len(screened) == 2
-    for got, r, f in zip(screened, (rows, coupled), fails):
-        assert np.array_equal(got, r[f])
+    for got, e, f in zip(screened, (eps, coupled), fails):
+        assert np.array_equal(got, codewords[msgs[f]] + e[f])
 
     screened.clear()
     cfg = make_config(params=ChannelParams.from_snrs(100.0, 1000.0),
