@@ -12,7 +12,9 @@ point per row of the last axis, with one vectorized quantizer per family
 quantizers and codes", IEEE T-IT 28(2), 1982): rounding for cZ^n, rounding
 plus one parity-fixing flip for D_n, and for E8 the nearer of the D8 and
 D8 + 1/2 candidates, both found in one D8 pass over the two cosets.  A
-residue r returned by :func:`modulo` satisfies quantize_nn(r) = 0.
+residue r returned by :func:`modulo` satisfies quantize_nn(r) = 0 (up to
+one rounding on a cell facet), also for inputs past 2**53 cell widths,
+whose first fold errs by an ulp of the input and is folded again.
 
 The table's second moments are exact closed forms (Conway & Sloane, *Sphere
 Packings, Lattices and Groups*, ch. 21): normalized second moments 1/12 for
@@ -114,13 +116,17 @@ class _Family(NamedTuple):
     volume: float  # cell volume
     moment: float  # per-dimension second moment
     quantize: Callable[[np.ndarray], np.ndarray]  # lex-min nearest points
+    covering: Callable[[int], float]  # covering radius in n dimensions
 
 
 # Conway & Sloane, SPLAG, ch. 4 and 21; IEEE T-IT 28(2), 1982.
 _FAMILIES = {
-    "cubic": _Family(None, np.eye, 1.0, 1.0 / 12.0, _quantize_zn),
-    "d4": _Family(4, lambda n: _D4_BASE, 2.0, 13.0 / 120.0, _quantize_dn),
-    "e8": _Family(8, lambda n: _E8_BASE, 1.0, 929.0 / 12960.0, _quantize_e8),
+    "cubic": _Family(None, np.eye, 1.0, 1.0 / 12.0, _quantize_zn,
+                     lambda n: math.sqrt(n) / 2.0),
+    "d4": _Family(4, lambda n: _D4_BASE, 2.0, 13.0 / 120.0, _quantize_dn,
+                  lambda n: 1.0),
+    "e8": _Family(8, lambda n: _E8_BASE, 1.0, 929.0 / 12960.0, _quantize_e8,
+                  lambda n: 1.0),
 }
 
 
@@ -224,9 +230,22 @@ def quantize_nn(lattice: Lattice, x) -> np.ndarray:
 
 
 def modulo(lattice: Lattice, x) -> np.ndarray:
-    """Residues x - quantize_nn(x), points of the fundamental Voronoi cell."""
+    """Residues x - quantize_nn(x), points of the fundamental Voronoi cell.
+
+    Past 2**53 cell widths one fold errs by an ulp of the input, which can
+    be many cells.  No coordinate of a cell point exceeds the covering
+    radius, so every row with a coordinate beyond twice that is folded
+    again until none is left; a normal call pays one max over the array.
+    """
     x = _check_points(lattice, x)
-    return x - lattice.scale * _FAMILIES[lattice.family].quantize(x / lattice.scale)
+    fam = _FAMILIES[lattice.family]
+    s = lattice.scale
+    r = x - s * fam.quantize(x / s)
+    far = 2.0 * s * fam.covering(lattice.dimension)
+    while r.size and np.abs(r).max() > far:
+        out = (np.abs(r) > far).any(axis=-1)
+        r[out] -= s * fam.quantize(r[out] / s)
+    return r
 
 
 def sample_dither(

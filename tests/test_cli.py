@@ -228,9 +228,11 @@ def test_simulate_golden_bytes(golden, tmp_path):
     256 codewords) at 4.8 dB, where both systems decode wrongly on a few
     percent of copies or more, so the decode decisions show in p_dec and
     p_e; the README's Z1 PAM config; exact feedback (sk), whose feedback
-    power is simulated rather than the cell's second moment; and Z1 PAM at
+    power is simulated rather than the cell's second moment; Z1 PAM at
     K = 20 (z1_k20), whose final error sigma_K ~ 1e-20 lies far below the
-    float resolution of the codewords.
+    float resolution of the codewords; and D4 at K = 22 (d4_k22), where the
+    residues of copies that alias early pass 2**53 cell widths, so its
+    forward power holds only if modulo folds them into the cell.
 
     The campaign's config is the .cfg file of the same stem.
     """

@@ -385,6 +385,31 @@ def test_modulo_output_in_cell(x):
     assert float(np.sum(w * w)) <= best_d + 1e-9
 
 
+@pytest.mark.parametrize("name", ["z", "d4", "e8"])
+@pytest.mark.parametrize("widths", [2.0**60, 3.7e22])
+def test_modulo_returns_cell_points_past_float_resolution(name, widths):
+    """Past 2**53 cell widths one fold errs by an ulp of the input, many
+    cells wide; modulo folds such rows again, so every residue is a cell
+    point (3.7e22 is a real residue of a K = 24 campaign).  Cell points are
+    checked by distance: the refold's inputs are multiples of an ulp, and
+    the E8 ones at 2**60 include exact facet ties, whose tie-break
+    quantize_nn(r) may flip by one rounding."""
+    lat = scale_to_power(make_lattice(name), 0.37)  # scale about 2
+    rng = np.random.default_rng(13)
+    # not a multiple of the scale, which x / scale * scale rounds back to x
+    x = rng.uniform(1.0, 4.0, (100, lat.dimension)) * widths
+    x[::2] *= -1.0
+    r = modulo(lat, x)
+    assert np.abs(r).max() <= lat.scale * math.sqrt(lat.dimension)
+    # rows fold alike one at a time and in a transposed, non-contiguous stack
+    assert np.array_equal(modulo(lat, x[1]), r[1])
+    stack = x.reshape(2, 50, -1).transpose(1, 0, 2)
+    assert np.array_equal(modulo(lat, stack), r.reshape(2, 50, -1).transpose(1, 0, 2))
+    for w in r:
+        _, best_d = brute_nearest(lat, w)
+        assert float(w @ w) <= best_d + 1e-9
+
+
 # -----------------------------------------------------------------------------
 # dither
 # -----------------------------------------------------------------------------

@@ -603,7 +603,8 @@ def test_campaign_counts_equal_sums_over_trials(kw, trials):
 def test_campaign_independent_of_block_size(monkeypatch, kw, trials):
     """A campaign is a pure function of (config, trials): a twin config
     repeats it, and running its trials in ranges of any other size, cut
-    across the keyed blocks, changes no count and no float sum."""
+    across the keyed blocks, or in engine calls of one or three keyed
+    blocks, changes no count and no float sum."""
     cfg = make_config(**kw)
     trials = sim._block_trials(cfg) + trials // 4  # two keyed blocks
     ref = estimate_error_prob(cfg, trials)
@@ -617,6 +618,53 @@ def test_campaign_independent_of_block_size(monkeypatch, kw, trials):
 
         monkeypatch.setattr(sim, "_run_block", split)
         assert estimate_error_prob(cfg, trials) == ref
+    monkeypatch.setattr(sim, "_run_block", run_block)
+    for blocks in (1, 3):
+        monkeypatch.setattr(sim, "_CALL_BLOCKS", blocks)
+        assert estimate_error_prob(cfg, trials) == ref
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_sq_is_numpys_row_sum_bit_for_bit(n):
+    """_sq adds whole columns in the order numpy's last-axis sum adds them,
+    so it returns the bits of (x * x).sum(axis=-1) at every magnitude,
+    through subnormal squares, overflow to inf and NaN, for any layout.
+    This pins numpy's reduction order: a numpy that changes it fails here
+    before it moves a golden."""
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((3, 500, n)) * 10.0 ** rng.uniform(-300, 300, (3, 500, n))
+    x[0, :40] = rng.standard_normal((40, n)) * 10.0 ** rng.uniform(-165, -150, (40, n))
+    x[1, :10, 0] = np.nan
+    x[1, 5:15, -1] = np.inf
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for v in (x, x[0, 0], x[:1, :1], x[:, ::3], np.swapaxes(x, 0, 1),
+                  x[..., ::-1], np.asfortranarray(x[0]), x[:0]):
+            want = np.asarray((v * v).sum(axis=-1))
+            got = np.asarray(sim._sq(v))
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        sq = sim._sq(x)
+    assert np.isnan(sq).any() and np.isinf(sq).any()
+    if n < 8:
+        assert ((0 < sq) & (sq < np.finfo(float).tiny)).any()  # subnormal
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_rows_any_is_numpys_any(n):
+    """_rows_any equals .any(axis=-1) on contiguous rows (read as one word
+    where n is 1, 2, 4 or 8), on rows at an odd byte offset or a row
+    stride, and on strided or reversed rows, which fall back to .any."""
+    rng = np.random.default_rng(100 + n)
+    b = rng.random((4, 300, 2 * n + 3)) < 0.1
+    c = np.ascontiguousarray(b[..., :n])
+    for v in (c, b[..., :n], b[..., 1:n + 1], b[::2, ::3, 2:n + 2],
+              b[..., ::2][..., :n], np.swapaxes(c, 0, 1), c[..., ::-1], c[0, 0], c[:0]):
+        want = v.any(axis=-1)
+        got = sim._rows_any(v)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).dtype == bool
+        assert np.array_equal(got, want)
+    assert c.any(axis=-1).any() and not c.any(axis=-1).all()
 
 
 # the SPLIT_CASES configs and an E8, K = 3 config whose real system
@@ -976,11 +1024,14 @@ def test_powers_and_final_variance_hold_at_many_rounds(lattice, rate_bits, round
     feedback power and the final error variance must still match their
     design values there.  sigma_K is 9.5e-21 at K = 20, far below the float
     resolution of the codewords, which the engine's error coordinates
-    never meet."""
+    never meet.  A copy that aliases early keeps an O(1) error while
+    gamma_k grows, so its residues pass 2**53 cell widths; the forward
+    power holds only if modulo still returns cell points there."""
     cfg = make_config(params=ChannelParams.from_snrs(100.0, 1000.0),
                       rounds=rounds, looseness=4.0, lattice=make_lattice(lattice),
                       rate_bits=rate_bits / rounds, master_seed=11)
     s = estimate_error_prob(cfg, 2000)
+    assert abs(s.ff_power / cfg.params.p - 1.0) < 0.05
     assert abs(s.fb_power / cfg.params.p_tilde - 1.0) < 0.05
     assert abs(s.sigma_k2_hat / cfg.sigmas2[-1] - 1.0) < 0.2
 
