@@ -288,17 +288,15 @@ def _sim_rows(summary) -> list[dict]:
         row("rounds", str(summary.rounds)),
         row("realized_rate_bits", _g17(summary.realized_rate_bits)),
     ]
-    for i in range(2):
-        for k in range(summary.rounds - 1):
-            lo, hi = summary.p_mod_ci[i][k]
-            rows.append(row("p_mod", _g17(summary.p_mod[i][k]),
-                            scheme=str(i + 1), rnd=str(k + 1),
-                            lo=_g17(lo), hi=_g17(hi)))
+    # each rate property builds its tuple anew: read each once
+    for i, (p_mod, p_mod_ci) in enumerate(zip(summary.p_mod, summary.p_mod_ci)):
+        for k, (value, (lo, hi)) in enumerate(zip(p_mod, p_mod_ci)):
+            rows.append(row("p_mod", _g17(value), scheme=str(i + 1),
+                            rnd=str(k + 1), lo=_g17(lo), hi=_g17(hi)))
     rows.append(row("p_mod_total", _g17(summary.p_mod_total)))
-    rows.append(row("p_dec", _g17(summary.p_dec),
-                    lo=_g17(summary.p_dec_ci[0]), hi=_g17(summary.p_dec_ci[1])))
-    rows.append(row("p_e", _g17(summary.p_e),
-                    lo=_g17(summary.p_e_ci[0]), hi=_g17(summary.p_e_ci[1])))
+    for name, value, (lo, hi) in (("p_dec", summary.p_dec, summary.p_dec_ci),
+                                  ("p_e", summary.p_e, summary.p_e_ci)):
+        rows.append(row(name, _g17(value), lo=_g17(lo), hi=_g17(hi)))
     rows.append(row("ff_power", _g17(summary.ff_power)))
     rows.append(row("fb_power", _g17(summary.fb_power)))
     rows.append(row("sigma_k2_hat", _g17(summary.sigma_k2_hat)))

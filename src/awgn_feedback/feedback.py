@@ -172,7 +172,9 @@ class ChannelParams:
 
         ``dsnr = inf`` makes the feedback link noiseless (variance 0) and
         ``snr = inf`` both links; the simulator accepts noiseless links, the
-        analysis functions reject them.
+        analysis functions reject them.  Finite values whose product rounds
+        to 0 or inf raise ValueError rather than divide by zero or give a
+        noiseless feedback link.
         """
         snr = number("snr", snr)
         dsnr = number("dsnr", dsnr)
@@ -180,6 +182,8 @@ class ChannelParams:
             raise ValueError(f"snr must be positive, got {snr!r}")
         if not dsnr > 0.0:
             raise ValueError(f"dsnr must be positive, got {dsnr!r}")
+        if max(snr, dsnr) < math.inf and not 0.0 < snr * dsnr < math.inf:
+            raise ValueError(f"snr {snr!r} times dsnr {dsnr!r} leaves the float range")
         return cls(p=1.0, p_tilde=1.0, sigma2=1.0 / snr, sigma2_tilde=1.0 / (snr * dsnr))
 
 
@@ -670,7 +674,10 @@ def _region_anchor(params: ChannelParams) -> tuple[float, int, float]:
         rate = cap * (i / 1000.0)
         feasible = []
         for k in candidates:
-            l_star = _balance_looseness(bsnr, dsnr, rate, k)
+            try:
+                l_star = _balance_looseness(bsnr, dsnr, rate, k)
+            except ZeroDivisionError:
+                continue  # eta(R K) underflows: balance_looseness has no value
             if _region_holds(snr, bsnr, dsnr, rate, k, l_star):
                 # high_snr_bound's value
                 feasible.append((l_star / (16.0 * k), k, l_star))

@@ -37,19 +37,20 @@ lemma the real feedback is uniform on the Voronoi cell whatever the
 estimate is, so its power is the lattice's second moment; only exact
 feedback, which sends the estimate itself, simulates its power.
 
-One engine runs a range of consecutive trials in two steps: :func:`_draw`
-draws the variates of a keyed block, and :func:`_propagate` advances both
-systems of both copies together through the rounds as arrays of shape
-(system, trial, copy, dimension).  Each correction round makes one
-:func:`~.lattices.modulo` call, folding residues only: the real ones and
-the coupled ones whose estimation error has parted from the real one; a
-coupled residue with the real error is the real residue, bit for bit, so
-it takes the real fold (none part before the first aliasing event).  The
-final decode runs once per distinct error: a coupled error equal to its
-real twin's takes the real decode.
-A campaign makes one engine call per two keyed blocks and reduces each
-call's outcomes in trial order; :func:`run_trial` and
-:func:`run_coupled_trial` run ranges of one trial.
+The engine's one handle is a :class:`_Campaign`, whose ``run`` runs a
+range of consecutive trials: its ``draw`` draws each keyed block's
+variates, and :func:`_propagate` advances both systems of both copies
+together through the rounds as arrays of shape (system, trial, copy,
+dimension).  Each correction round makes one :func:`~.lattices.modulo`
+call, folding residues only: the real ones and the coupled ones whose
+estimation error has parted from the real one; a coupled residue with the
+real error is the real residue, bit for bit, so it takes the real fold
+(none part before the first aliasing event).  The final decode runs once
+per distinct error: a coupled error that has not parted takes its real
+twin's decode.  :func:`estimate_error_prob` runs its campaign in engine
+calls of two keyed blocks and reduces each call's outcomes in trial order;
+:func:`run_trial` and :func:`run_coupled_trial` run one trial in a
+campaign of their own.
 
 Randomness: trials are keyed in blocks of B = max(1, 4096 // (2 K n)), a
 pure function of the config.  Block b holds trials [b B, (b + 1) B) and
@@ -476,25 +477,23 @@ class _Block(NamedTuple):
     agree: np.ndarray     # (trials, 2) paths agree up to the first alias
 
 
-def _block_trials(cfg: SchemeConfig) -> int:
-    """Trials per keyed block, B: about _BLOCK_VALUES values per variable."""
-    return max(1, _BLOCK_VALUES // (2 * cfg.rounds * cfg.dimension))
-
-
 class _Campaign:
-    """What one campaign reuses from block to block.
+    """The engine's handle on one campaign of ``cfg``.
 
-    :meth:`rng` re-keys one Philox bit generator to the state a fresh
-    Philox(key=[master_seed, block]) starts in (counter 0, empty buffer, no
-    stored 32-bit half), which skips the seeding entropy a fresh one draws
-    only for its key to override it.  :meth:`radius2` computes each
-    codeword's certified decode radius (:func:`_decode_radius2`) the first
-    time the campaign sends it.  Each campaign builds its own, so
-    concurrent campaigns share no state.
+    ``block_trials`` is B, the trials per keyed block: about _BLOCK_VALUES
+    values per variable.  :meth:`run` runs a range of trials, drawing each
+    keyed block with :meth:`draw`.  :meth:`rng` re-keys one Philox bit
+    generator to the state a fresh Philox(key=[master_seed, block]) starts
+    in (counter 0, empty buffer, no stored 32-bit half), which skips the
+    seeding entropy a fresh one draws only for its key to override it.
+    :meth:`radius2` computes each codeword's certified decode radius
+    (:func:`_decode_radius2`) the first time the campaign sends it.  Each
+    campaign builds its own, so concurrent campaigns share no state.
     """
 
     def __init__(self, cfg: SchemeConfig) -> None:
         self.cfg = cfg
+        self.block_trials = max(1, _BLOCK_VALUES // (2 * cfg.rounds * cfg.dimension))
         self._bits = np.random.Philox(0)
         self._rng = np.random.Generator(self._bits)
         self._radius2 = None  # per codeword; NaN until sent
@@ -511,6 +510,27 @@ class _Campaign:
         }
         return self._rng
 
+    def draw(self, block: int) -> _Draws:
+        """All variates of the B trials of keyed block ``block``, whole, in
+        the layout of the module docstring; no dither."""
+        cfg, per = self.cfg, self.block_trials
+        p, k, n = cfg.params, cfg.rounds, cfg.dimension
+        rng = self.rng(block)
+        msgs = rng.integers(0, cfg.m_codewords, size=(per, 2))
+        z_fwd = math.sqrt(p.sigma2) * rng.standard_normal((per, 2, k, n))
+        z_fb = math.sqrt(p.sigma2_tilde) * rng.standard_normal((per, 2, k - 1, n))
+        return _Draws(msgs, z_fwd, z_fb)
+
+    def run(self, start: int, stop: int) -> _Block:
+        """Run trials [start, stop): rows of the keyed blocks they fall in."""
+        per = self.block_trials
+        parts = []
+        for b in range(start // per, (stop - 1) // per + 1):
+            rows = slice(max(start - b * per, 0), min(stop - b * per, per))
+            parts.append([a[rows] for a in self.draw(b)])
+        draws = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+        return _propagate(self, _Draws(*draws))
+
     def radius2(self, words: np.ndarray) -> np.ndarray:
         if self._radius2 is None:
             self._radius2 = np.full(self.cfg.m_codewords, np.nan)
@@ -523,26 +543,7 @@ class _Campaign:
         return self._radius2[words]
 
 
-def _draw(cfg: SchemeConfig, block: int, campaign: _Campaign | None = None) -> _Draws:
-    """All variates of the B trials of keyed block ``block``, whole.
-
-    The block draws from Generator(Philox(key=[master_seed, block])), one
-    variable after another: messages (B, 2), forward noise (B, 2, K, n) and
-    feedback noise (B, 2, K - 1, n); no dither (see the module docstring).
-    """
-    p = cfg.params
-    per = _block_trials(cfg)
-    steps = cfg.rounds - 1
-    n = cfg.dimension
-    rng = (campaign or _Campaign(cfg)).rng(block)
-    msgs = rng.integers(0, cfg.m_codewords, size=(per, 2))
-    z_fwd = math.sqrt(p.sigma2) * rng.standard_normal((per, 2, cfg.rounds, n))
-    z_fb = math.sqrt(p.sigma2_tilde) * rng.standard_normal((per, 2, steps, n))
-    return _Draws(msgs, z_fwd, z_fb)
-
-
-def _propagate(cfg: SchemeConfig, draws: _Draws,
-               campaign: _Campaign | None = None) -> _Block:
+def _propagate(campaign: _Campaign, draws: _Draws) -> _Block:
     """Run real and coupled systems of both copies on the given draws.
 
     The one state is the estimation error eps, from z_fwd[0] on.  Each
@@ -555,6 +556,7 @@ def _propagate(cfg: SchemeConfig, draws: _Draws,
     systems' own errors.  The decode runs once per distinct final error (see
     :func:`_decode_twins`).
     """
+    cfg = campaign.cfg
     lat = cfg.lattice
     steps = cfg.rounds - 1
     msgs, z_fwd, z_fb = draws
@@ -595,24 +597,25 @@ def _propagate(cfg: SchemeConfig, draws: _Draws,
         differ = _rows_any(eps[_REAL] != eps[_COUPLED])
         agree &= ~(live & differ)
         parted = np.flatnonzero(differ)
-    decoded = _decode_twins(cfg, msgs, eps, campaign or _Campaign(cfg))
+    decoded = _decode_twins(campaign, msgs, eps, parted)
     return _Block(msgs, alias, decoded, eps, ff_sq, fb_sq, agree)
 
 
-def _decode_twins(cfg: SchemeConfig, msgs: np.ndarray, eps: np.ndarray,
-                  campaign: _Campaign) -> np.ndarray:
+def _decode_twins(campaign: _Campaign, msgs: np.ndarray, eps: np.ndarray,
+                  parted: np.ndarray) -> np.ndarray:
     """Decoded index of each (system, trial, copy) estimate c_m + eps, with
     m its message in ``msgs``.
 
     PAM decodes the whole array by index arithmetic: m plus eps / step
     rounded to the nearest integer, ties to the lower one, clipped to
     [0, M - 1].  A Gaussian decode runs on every real error, then only on
-    the coupled errors that differ from their real twin's (the final parted
-    rows, past an aliasing event); the others copy the real decode.  Each
+    the coupled errors of the ``parted`` (trial, copy) rows, those that
+    differ from their real twin's; the others copy the real decode.  Each
     error that passes its sent codeword's radius test
     (:func:`_decode_radius2`) decodes to that codeword; the rest go through
     :func:`_decode_index` as the estimate c_m + eps.
     """
+    cfg = campaign.cfg
     lead = eps.shape[:-1]
     if cfg.m_codewords == 1:
         return np.zeros(lead, dtype=np.intp)
@@ -632,28 +635,14 @@ def _decode_twins(cfg: SchemeConfig, msgs: np.ndarray, eps: np.ndarray,
 
     dec = np.empty((2, len(sent)), dtype=np.intp)
     dec[_REAL] = dec[_COUPLED] = decode(er, sent, radius2)
-    apart = np.flatnonzero(_rows_any(er != ec))
-    if len(apart):
-        dec[_COUPLED, apart] = decode(ec[apart], sent[apart], radius2[apart])
+    if len(parted):
+        dec[_COUPLED, parted] = decode(ec[parted], sent[parted], radius2[parted])
     return dec.reshape(lead)
-
-
-def _run_block(cfg: SchemeConfig, start: int, stop: int,
-               campaign: _Campaign | None = None) -> _Block:
-    """Run trials [start, stop): rows of the keyed blocks they fall in."""
-    campaign = campaign or _Campaign(cfg)
-    per = _block_trials(cfg)
-    parts = []
-    for b in range(start // per, (stop - 1) // per + 1):
-        rows = slice(max(start - b * per, 0), min(stop - b * per, per))
-        parts.append([a[rows] for a in _draw(cfg, b, campaign)])
-    draws = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
-    return _propagate(cfg, _Draws(*draws), campaign)
 
 
 def _record(cfg: SchemeConfig, trial_index: int, system: str) -> TrialRecord:
     trial_index = count("trial_index", trial_index, 0, _MAX_TRIAL_INDEX)
-    b = _run_block(cfg, trial_index, trial_index + 1)
+    b = _Campaign(cfg).run(trial_index, trial_index + 1)
     s = _REAL if system == "real" else _COUPLED
     flags = b.alias[s, 0].tolist()
     sends_fb = 2 * (cfg.rounds - 1) * cfg.dimension
@@ -722,8 +711,9 @@ class SimulationSummary:
     real-system trials without aliasing, pooling dimensions
     (``no_alias_dims`` of them).  ``ff_power`` and ``fb_power`` are the real
     system's powers per dimension; ``fb_power`` is the lattice's second
-    moment, the feedback budget P~, by the crypto lemma, and is simulated
-    only under exact feedback, which sends the estimate unfolded.
+    moment, the feedback budget P~, by the crypto lemma, up to the rounding
+    of its trial-order sum, and is simulated only under exact feedback,
+    which sends the estimate unfolded.
 
     ``union_agreement`` and ``coupled_agreement`` count copies, out of
     ``2 * trials``: the first counts matching union-of-aliasing indicators
@@ -815,10 +805,10 @@ def estimate_error_prob(config: SchemeConfig, trials: int) -> SimulationSummary:
     union_mismatch = agreement = no_alias = 0
     ff_sum = fb_sum = eps2_sum = 0.0
 
-    per_call = _CALL_BLOCKS * _block_trials(config)
     campaign = _Campaign(config)
+    per_call = _CALL_BLOCKS * campaign.block_trials
     for start in range(0, trials, per_call):
-        b = _run_block(config, start, min(trials, start + per_call), campaign)
+        b = campaign.run(start, min(trials, start + per_call))
         alias_counts += b.alias[_COUPLED].sum(axis=0)
         dec_errs += (b.decoded != b.msgs).sum(axis=(1, 2))
         wrapped = _rows_any(b.alias)

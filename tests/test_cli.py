@@ -8,12 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from awgn_feedback import e_fb
+from awgn_feedback import SimulationSummary, e_fb, sim, wilson_interval
 from awgn_feedback.cli import (
     ConfigError,
     _db_to_linear,
     _g17,
     _params_from_db,
+    _sim_rows,
     _sweep_rows,
     main,
     parse_config,
@@ -242,6 +243,38 @@ def test_simulate_golden_bytes(golden, tmp_path):
         "--trials", "2000", "--out", str(out),
     ]) == 0
     assert out.read_bytes() == golden.read_bytes()
+
+
+def test_sim_rows_build_each_interval_once(monkeypatch):
+    """A K-round report costs O(K): its 2 (K - 1) p_mod rows, p_dec, p_e
+    and the union-bound flag read at most 4 K + 4 Wilson intervals (the
+    report once built all 2 (K - 1) of them per p_mod row), and each row
+    carries its own rate and interval."""
+    k = 200
+    alias = tuple(tuple((7 * i + 3 * j) % 50 for j in range(k - 1)) for i in range(2))
+    summary = SimulationSummary(
+        trials=1000, rounds=k, alias_counts=alias, dec_errors_coupled=3,
+        dec_errors_real=5, ff_power=1.0, fb_power=1.0, union_agreement=2000,
+        coupled_agreement=2000, sigma_k2_hat=1e-9, no_alias_dims=1500,
+        realized_rate_bits=0.5)
+    calls = []
+
+    def counted(successes, total):
+        calls.append(successes)
+        return wilson_interval(successes, total)
+
+    monkeypatch.setattr(sim, "wilson_interval", counted)
+    rows = _sim_rows(summary)
+    assert len(calls) <= 4 * k + 4
+    p_mod = [r for r in rows if r["metric"] == "p_mod"]
+    assert len(p_mod) == 2 * (k - 1)
+    for r in p_mod:
+        i, j = int(r["scheme"]) - 1, int(r["round"]) - 1
+        lo, hi = wilson_interval(alias[i][j], 1000)
+        assert (r["value"], r["ci_low"], r["ci_high"]) == (
+            _g17(alias[i][j] / 1000), _g17(lo), _g17(hi))
+    p_e = next(r for r in rows if r["metric"] == "p_e")
+    assert (p_e["ci_low"], p_e["ci_high"]) == tuple(map(_g17, wilson_interval(5, 2000)))
 
 
 @pytest.mark.filterwarnings("ignore:e_fb argmax hit k_max")
@@ -497,6 +530,26 @@ def test_simulate_decibels_past_the_float_range_are_a_domain_error(
     )
     assert (code, out) == (3, "")
     assert err.startswith("error: 4000.0 dB")
+
+
+@pytest.mark.parametrize("argv", [
+    ["exponents", "--grid", "3"],
+    ["optimize", "--rate", "0"],
+    ["bound", "--rate", "0", "--rounds", "3"],
+    ["simulate", "--trials", "10"],
+], ids=lambda argv: argv[0])
+def test_snr_product_past_the_float_range_is_a_domain_error(argv, tmp_path, capsys):
+    """-3000 dB forward and -400 dB advantage: snr * dsnr underflows to 0."""
+    if argv[0] == "simulate":
+        cfg = tmp_path / "faint.cfg"
+        cfg.write_text("snr_db = -3000\ndsnr_db = -400\nrounds = 3\n"
+                       "looseness = 4\nrate_bits = 0\n")
+        argv = [*argv, "--config", str(cfg)]
+    else:
+        argv = [*argv, "--snr-db", "-3000", "--dsnr-db", "-400"]
+    code, out, err = run_main(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: snr ") and "leaves the float range" in err
 
 
 def test_simulate_underflowing_schedule_is_a_domain_error(tmp_path, capsys):

@@ -79,6 +79,12 @@ def test_from_snrs_infinite_snr_is_a_noiseless_link():
             ChannelParams.from_snrs(bad, 1000.0)
         with pytest.raises(ValueError):
             ChannelParams.from_snrs(100.0, bad)
+    # finite SNRs whose product rounds to 0 or inf have no feedback variance
+    for snr, dsnr in ((1e-200, 1e-200), (1e200, 1e200), (1e300, 1e10)):
+        with pytest.raises(ValueError, match="leaves the float range"):
+            ChannelParams.from_snrs(snr, dsnr)
+    assert ChannelParams.from_snrs(1e200, 1e-200).sigma2_tilde == 1.0
+    assert ChannelParams.from_snrs(1e300, math.inf).sigma2_tilde == 0.0
     # the analysis still needs both links noisy
     for params in (fb, fwd):
         with pytest.raises(ValueError, match="noisy"):
@@ -1066,3 +1072,13 @@ def test_out_of_region_decreasing_above_boundary():
 def test_out_of_region_inapplicable_params():
     with pytest.raises(ValueError):
         out_of_region_exponent(ChannelParams.from_snrs(100.0, 1.0001), 3.0)
+
+
+def test_out_of_region_skips_rates_past_the_closed_form():
+    """At 180 dB forward and a 201 dB advantage the scan's top rates put
+    eta(R K) below the smallest float, where balance_looseness has no
+    closed form; the scan skips them instead of dividing by zero."""
+    p = ChannelParams.from_snrs(1e18, 10**20.1)
+    with pytest.raises(ValueError, match="beyond the closed form"):
+        balance_looseness(p, 0.999 * capacity(p.snr), 36)
+    assert out_of_region_exponent(p, 1.0) == pytest.approx(1.795e49, rel=1e-3)

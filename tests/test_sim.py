@@ -26,7 +26,7 @@ from awgn_feedback import (
     wz_receive,
 )
 from awgn_feedback import sim
-from awgn_feedback.sim import _decode_index, _run_block
+from awgn_feedback.sim import _decode_index
 
 P = ChannelParams.from_snrs(100.0, 1000.0)
 NOISELESS_FB = ChannelParams(p=1.0, p_tilde=1.0, sigma2=0.01, sigma2_tilde=0.0)
@@ -471,7 +471,7 @@ def reference_copies(cfg, t):
     does.  The engine draws no dither: it cancels from the residue, and
     the real feedback power is the cell's second moment.
     """
-    per = sim._block_trials(cfg)
+    per = sim._Campaign(cfg).block_trials
     assert per == max(1, sim._BLOCK_VALUES // (2 * cfg.rounds * cfg.dimension))
     key = np.array([cfg.master_seed, t // per], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
@@ -496,6 +496,11 @@ def reference_copies(cfg, t):
                 eps = eps - cfg.betas[k] * (x + z_fwd[i, k + 1])
             out[system, i] = (flags, eps, fed)
     return out
+
+
+def run_range(cfg, start, stop):
+    """Trials [start, stop) as a campaign of ``cfg`` runs them."""
+    return sim._Campaign(cfg).run(start, stop)
 
 
 def concat_blocks(parts):
@@ -524,9 +529,9 @@ def test_engine_matches_per_copy_loop(kw, trials):
     """The array engine repeats a per-copy loop bit for bit, wraps included,
     over a range that crosses a block boundary."""
     cfg = make_config(**kw)
-    per = sim._block_trials(cfg)
+    per = sim._Campaign(cfg).block_trials
     start, stop = per - trials // 10, per + trials // 10
-    block = _run_block(cfg, start, stop)
+    block = run_range(cfg, start, stop)
     assert block.alias.any()
     for t in range(start, stop):
         for (system, i), (flags, eps, _) in reference_copies(cfg, t).items():
@@ -541,13 +546,13 @@ def test_run_trial_is_a_row_of_its_block(kw, trials):
     first row, both sides of a block boundary, and the last row of a
     partial block."""
     cfg = make_config(**kw)
-    per = sim._block_trials(cfg)
+    per = sim._Campaign(cfg).block_trials
     stop = 2 * per + per // 3 + 1
-    whole = _run_block(cfg, 0, stop)
+    whole = run_range(cfg, 0, stop)
     for t in (0, per - 1, per, stop - 1):
-        one = _run_block(cfg, t, t + 1)
+        one = run_range(cfg, t, t + 1)
         assert_blocks_equal(one, block_rows(whole, t, t + 1))
-        assert_blocks_equal(one, block_rows(_run_block(cfg, t, stop), 0, 1))
+        assert_blocks_equal(one, block_rows(run_range(cfg, t, stop), 0, 1))
         for s, record in ((0, run_trial(cfg, t)), (1, run_coupled_trial(cfg, t))):
             assert record.aliasing_flags == tuple(map(tuple, whole.alias[s, t].tolist()))
             assert record.decode_success == tuple(
@@ -558,20 +563,21 @@ def test_run_trial_is_a_row_of_its_block(kw, trials):
 @pytest.mark.parametrize("kw, trials", SPLIT_CASES)
 def test_run_block_equals_the_concatenation_of_its_blocks(kw, trials):
     cfg = make_config(**kw)
-    per = sim._block_trials(cfg)
+    per = sim._Campaign(cfg).block_trials
     start, stop = per // 2, 2 * per + 3
     cuts = [start, per, 2 * per, stop]
-    parts = [_run_block(cfg, a, b) for a, b in zip(cuts, cuts[1:])]
-    assert_blocks_equal(_run_block(cfg, start, stop), concat_blocks(parts))
+    parts = [run_range(cfg, a, b) for a, b in zip(cuts, cuts[1:])]
+    assert_blocks_equal(run_range(cfg, start, stop), concat_blocks(parts))
     # and each whole block is the propagation of its own keyed draws
-    assert_blocks_equal(parts[1], sim._propagate(cfg, sim._draw(cfg, 1)))
+    campaign = sim._Campaign(cfg)
+    assert_blocks_equal(parts[1], sim._propagate(campaign, campaign.draw(1)))
 
 
 @pytest.mark.parametrize("kw, trials", SPLIT_CASES)
 def test_campaign_counts_equal_sums_over_trials(kw, trials):
     """A multi-block campaign counts exactly what its single trials show."""
     cfg = make_config(**kw)
-    assert trials > sim._block_trials(cfg)
+    assert trials > sim._Campaign(cfg).block_trials
     s = estimate_error_prob(cfg, trials)
     alias = np.zeros((2, cfg.rounds - 1), dtype=int)
     dec_err = [0, 0]  # real, coupled
@@ -587,7 +593,7 @@ def test_campaign_counts_equal_sums_over_trials(kw, trials):
             clean += not wrapped
         # records hold the AND over both copies; count copies from the
         # trial's own one-trial block
-        copies = _run_block(cfg, t, t + 1).agree[0]
+        copies = run_range(cfg, t, t + 1).agree[0]
         assert real.coupled_agreement == coupled.coupled_agreement == copies.all()
         agree += int(copies.sum())
     assert alias.sum() > 0  # the config is tight enough to wrap
@@ -606,19 +612,19 @@ def test_campaign_independent_of_block_size(monkeypatch, kw, trials):
     across the keyed blocks, or in engine calls of one or three keyed
     blocks, changes no count and no float sum."""
     cfg = make_config(**kw)
-    trials = sim._block_trials(cfg) + trials // 4  # two keyed blocks
+    trials = sim._Campaign(cfg).block_trials + trials // 4  # two keyed blocks
     ref = estimate_error_prob(cfg, trials)
     assert estimate_error_prob(make_config(**kw), trials) == ref
-    run_block = sim._run_block
+    run = sim._Campaign.run
     for size in (1, 7, 1000):
-        def split(cfg, start, stop, campaign, size=size):
+        def split(campaign, start, stop, size=size):
             cuts = [*range(start, stop, size), stop]
-            return concat_blocks([run_block(cfg, a, b, campaign)
+            return concat_blocks([run(campaign, a, b)
                                   for a, b in zip(cuts, cuts[1:])])
 
-        monkeypatch.setattr(sim, "_run_block", split)
+        monkeypatch.setattr(sim._Campaign, "run", split)
         assert estimate_error_prob(cfg, trials) == ref
-    monkeypatch.setattr(sim, "_run_block", run_block)
+    monkeypatch.setattr(sim._Campaign, "run", run)
     for blocks in (1, 3):
         monkeypatch.setattr(sim, "_CALL_BLOCKS", blocks)
         assert estimate_error_prob(cfg, trials) == ref
@@ -706,7 +712,7 @@ def test_campaign_bits_pinned_where_the_twins_diverge(kw, trials, pinned):
     every count and float sum; the parted rows are really there, so their
     separate decodes run."""
     cfg = make_config(**kw)
-    block = _run_block(cfg, 0, trials)
+    block = run_range(cfg, 0, trials)
     assert (block.eps[0] != block.eps[1]).any()
     assert repr(estimate_error_prob(cfg, trials)) == pinned
 
@@ -714,8 +720,8 @@ def test_campaign_bits_pinned_where_the_twins_diverge(kw, trials, pinned):
 def test_campaign_counts_do_not_depend_on_its_length():
     """The first N trials of a longer campaign are the N-trial campaign."""
     cfg = make_config(looseness=2.0, master_seed=(1 << 63) + 5)
-    per = sim._block_trials(cfg)
-    whole = _run_block(cfg, 0, 2 * per + 1)
+    per = sim._Campaign(cfg).block_trials
+    whole = run_range(cfg, 0, 2 * per + 1)
     for trials in (1, per - 1, per, per + 1, 2 * per + 1):
         s = estimate_error_prob(cfg, trials)
         alias = whole.alias[1, :trials].sum(axis=0).tolist()
@@ -730,12 +736,12 @@ def test_block_keys_hold_seeds_past_2_63_exactly():
     for seed in (1 << 63, (1 << 63) + 1, (1 << 64) - 1):
         cfg = make_config(master_seed=seed)
         for b in (0, 3):
-            draws = sim._draw(cfg, b)
+            draws = sim._Campaign(cfg).draw(b)
             rng = np.random.Generator(np.random.Philox(
                 key=np.array([seed, b], dtype=np.uint64)))
             assert np.array_equal(draws.msgs, rng.integers(
                 0, cfg.m_codewords, size=draws.msgs.shape))
-            other = sim._draw(make_config(master_seed=seed - 1), b)
+            other = sim._Campaign(make_config(master_seed=seed - 1)).draw(b)
             assert not np.array_equal(draws.z_fwd, other.z_fwd)
 
 
@@ -759,7 +765,7 @@ def test_campaign_rekeys_its_generator_to_fresh_block_streams():
                       master_seed=(1 << 63) + 9)
     campaign = sim._Campaign(cfg)
     for b in (2, 0, 2, 1 << 40):
-        for mine, fresh in zip(sim._draw(cfg, b, campaign), sim._draw(cfg, b)):
+        for mine, fresh in zip(campaign.draw(b), sim._Campaign(cfg).draw(b)):
             assert np.array_equal(mine, fresh)
 
 
@@ -817,7 +823,7 @@ def test_propagate_without_noise_is_exact(kw):
     (eps = 0 exactly), and both systems decode every message."""
     cfg = make_config(**kw)
     draws = designed_draws(cfg, 40)
-    b = sim._propagate(cfg, draws)
+    b = sim._propagate(sim._Campaign(cfg), draws)
     assert not b.alias.any()
     assert np.array_equal(b.eps, np.zeros_like(b.eps))
     assert np.array_equal(b.decoded, np.stack([draws.msgs] * 2))
@@ -837,7 +843,7 @@ def test_propagate_flags_feedback_noise_past_a_facet(kw):
     scales = np.array([1 - 1e-9, 1 + 1e-9, -(1 - 1e-9), -(1 + 1e-9)])
     z_fb = np.zeros((len(scales), 2, cfg.rounds - 1, cfg.dimension))
     z_fb[:, 1, 0] = scales[:, None] * v / 2  # copy 1, first correction round
-    b = sim._propagate(cfg, designed_draws(cfg, len(scales), z_fb))
+    b = sim._propagate(sim._Campaign(cfg), designed_draws(cfg, len(scales), z_fb))
     past = np.abs(scales) > 1
     for system in (0, 1):
         assert b.alias[system, :, 1, 0].tolist() == past.tolist()
@@ -869,8 +875,8 @@ def test_each_round_folds_only_the_coupled_rows_that_parted(monkeypatch, kw):
         return modulo(lattice, x)
 
     monkeypatch.setattr(sim, "modulo", counted)
-    trials = sim._block_trials(cfg) + 50
-    block = _run_block(cfg, 0, trials)
+    trials = sim._Campaign(cfg).block_trials + 50
+    block = run_range(cfg, 0, trials)
     assert block.agree.all()
     wrapped = np.logical_or.accumulate(block.alias[0], axis=-1)  # (trials, 2, K - 1)
     parted = [0] + [int(wrapped[..., k].sum()) for k in range(cfg.rounds - 2)]
@@ -954,7 +960,7 @@ def test_final_error_gaussian_given_no_aliasing():
     from scipy import stats
 
     cfg = make_config(looseness=4.0, master_seed=17)
-    block = _run_block(cfg, 0, 6000)
+    block = run_range(cfg, 0, 6000)
     clean = ~block.alias[0].any(axis=-1)  # real copies that never wrapped
     errors = block.eps[0][clean][:, 0]
     res = stats.anderson(errors, dist="norm", method="interpolate")
@@ -1082,7 +1088,8 @@ def pam_decode(cfg, sent, eps):
     sent, eps = np.asarray(sent), np.asarray(eps, dtype=float)
     msgs = np.stack([sent] * 2, axis=1)
     z_fwd = np.broadcast_to(eps[:, None, None, None], (len(sent), 2, 1, 1))
-    b = sim._propagate(cfg, sim._Draws(msgs, z_fwd, np.zeros((len(sent), 2, 0, 1))))
+    draws = sim._Draws(msgs, z_fwd, np.zeros((len(sent), 2, 0, 1)))
+    b = sim._propagate(sim._Campaign(cfg), draws)
     assert (b.decoded == b.decoded[:1, :, :1]).all()
     return b.decoded[0, :, 0].tolist()
 
@@ -1134,7 +1141,7 @@ def gaussian_book(codewords):
     codewords = np.ascontiguousarray(codewords, dtype=float)
     return SimpleNamespace(codebook="gaussian", dimension=codewords.shape[1],
                            codewords=codewords, m_codewords=len(codewords),
-                           master_seed=0)
+                           master_seed=0, rounds=1)
 
 
 def assert_decodes_like_direct_form(codewords, rows):
@@ -1276,9 +1283,11 @@ def test_gaussian_decode_largest_codebook():
 
 def engine_decode(book, msgs, real, coupled=None):
     """The engine's decode of the real and coupled estimates c_m + eps sent
-    as ``msgs``, from their errors (the coupled ones default to the real)."""
+    as ``msgs``, from their errors (the coupled ones default to the real);
+    the coupled errors that differ from the real ones are the parted rows."""
     eps = np.stack((real, real if coupled is None else coupled))[:, :, None]
-    decoded = sim._decode_twins(book, msgs[:, None], eps, sim._Campaign(book))
+    parted = np.flatnonzero(sim._rows_any(eps[0] != eps[1]))
+    decoded = sim._decode_twins(sim._Campaign(book), msgs[:, None], eps, parted)
     return decoded[:, :, 0]
 
 
@@ -1461,8 +1470,8 @@ def test_decode_radius_is_computed_once_per_sent_codeword(monkeypatch):
     monkeypatch.setattr(sim, "_decode_radius2", counted)
     cfg = make_config(lattice=make_lattice("e8"), rounds=3, rate_bits=1 / 3,
                       looseness=4.0, master_seed=4)
-    trials = 4 * sim._block_trials(cfg) + 7
-    sent = set(_run_block(cfg, 0, trials).msgs.ravel().tolist())
+    trials = 4 * sim._Campaign(cfg).block_trials + 7
+    sent = set(run_range(cfg, 0, trials).msgs.ravel().tolist())
     rows.clear()
     estimate_error_prob(cfg, trials)
     assert len(rows) == len(set(rows))
