@@ -704,9 +704,11 @@ class SimulationSummary:
     jointly Gaussian and hence comparable to the analysis); by the exact
     sample-path coupling the union of aliasing events is identical in the
     real system.  ``alias_counts[i][k]`` counts the coupled trials whose
-    copy i wrapped at correction round k.  ``p_dec`` is the coupled
-    system's decode error rate (``dec_errors_coupled`` over ``2 * trials``
-    copies), ``p_e`` the real system's (``dec_errors_real``).
+    copy i wrapped at correction round k; ``p_mod_total`` sums both copies'
+    per-round rates, each over ``trials``, so it is twice the per-copy union
+    bound and at least twice the rate of copies that aliased.  ``p_dec`` is
+    the coupled system's decode error rate (``dec_errors_coupled`` over
+    ``2 * trials`` copies), ``p_e`` the real system's (``dec_errors_real``).
     ``sigma_k2_hat`` estimates the final estimation-error variance from
     real-system trials without aliasing, pooling dimensions
     (``no_alias_dims`` of them).  ``ff_power`` and ``fb_power`` are the real
@@ -719,6 +721,8 @@ class SimulationSummary:
     ``2 * trials``: the first counts matching union-of-aliasing indicators
     between the real and coupled runs, the second counts estimate paths
     that coincide bit for bit up to the first aliasing event.
+    ``unaliased_splits`` counts the copies that never aliased yet decoded
+    differently in the two systems; the coupling makes it 0.
     """
 
     trials: int
@@ -730,6 +734,7 @@ class SimulationSummary:
     fb_power: float
     union_agreement: int
     coupled_agreement: int
+    unaliased_splits: int
     sigma_k2_hat: float
     no_alias_dims: int
     realized_rate_bits: float
@@ -765,15 +770,9 @@ class SimulationSummary:
 
     @property
     def union_bound_ok(self) -> bool:
-        """p_e <= p_dec + sum of p_mod, with three Wilson half-widths of
-        slack (the real and coupled decode rates' and every p_mod's)."""
-        e_lo, e_hi = self.p_e_ci
-        d_lo, d_hi = self.p_dec_ci
-        slack = (e_hi - e_lo) / 2.0 + (d_hi - d_lo) / 2.0
-        # one (lo, hi) pair per row and round; K = 1 leaves no pair axis
-        ci = np.array(self.p_mod_ci).reshape(-1, 2)
-        slack = _ordered_sum(slack, (ci[:, 1] - ci[:, 0]) / 2.0)
-        return self.p_e <= self.p_dec + self.p_mod_total + 3.0 * slack
+        """The union bound p_e <= p_dec + P(aliasing), checked on every copy:
+        a copy whose real and coupled decodes differ has aliased."""
+        return self.unaliased_splits == 0
 
 
 def _ordered_sum(total: float, values: np.ndarray) -> float:
@@ -791,9 +790,8 @@ def estimate_error_prob(config: SchemeConfig, trials: int) -> SimulationSummary:
     trial order.  Trial t's draws depend only on (master_seed, t // B,
     t mod B), so the aggregate is a pure function of (config, trials) and
     does not depend on how the trials are split into runs or calls.  The
-    summary's union-bound flag checks the real decode error rate against
-    the coupled rate plus all aliasing rates, with three Wilson
-    half-widths of slack.
+    summary's union-bound flag checks that no copy that never aliased
+    decodes differently in the two systems.
     """
     trials = count("trials", trials)
     k_rounds = config.rounds
@@ -802,7 +800,7 @@ def estimate_error_prob(config: SchemeConfig, trials: int) -> SimulationSummary:
 
     alias_counts = np.zeros((2, steps), dtype=np.int64)
     dec_errs = np.zeros(2, dtype=np.int64)  # per system
-    union_mismatch = agreement = no_alias = 0
+    union_mismatch = agreement = no_alias = splits = 0
     ff_sum = fb_sum = eps2_sum = 0.0
 
     campaign = _Campaign(config)
@@ -816,6 +814,7 @@ def estimate_error_prob(config: SchemeConfig, trials: int) -> SimulationSummary:
         clean = ~wrapped[_REAL]
         eps2_sum = _ordered_sum(eps2_sum, _sq(b.eps[_REAL][clean]))
         no_alias += int(np.count_nonzero(clean))
+        splits += int(np.count_nonzero(clean & (b.decoded[_REAL] != b.decoded[_COUPLED])))
         ff_sum = _ordered_sum(ff_sum, b.ff_sq[_REAL])
         fb_sum = _ordered_sum(fb_sum, b.fb_sq[_REAL])
         agreement += int(np.count_nonzero(b.agree))
@@ -832,6 +831,7 @@ def estimate_error_prob(config: SchemeConfig, trials: int) -> SimulationSummary:
         fb_power=fb_sum / (copies * steps * n) if steps else 0.0,
         union_agreement=copies - union_mismatch,
         coupled_agreement=agreement,
+        unaliased_splits=splits,
         sigma_k2_hat=eps2_sum / (no_alias * n) if no_alias else math.nan,
         no_alias_dims=no_alias * n,
         realized_rate_bits=config.realized_rate_bits,

@@ -281,10 +281,15 @@ def test_criterion_5_coupling_exactness(noisy_campaign, capsys):
         failures.append(
             f"{mismatches} union-indicator mismatches over {copies} copies"
         )
+    if s.unaliased_splits != 0:
+        failures.append(
+            f"{s.unaliased_splits} copies decode differently without aliasing"
+        )
     if events == 0:
         failures.append("no aliasing events occurred; exactness check vacuous")
     verdict(capsys, 5, "aliasing-union indicator coupling", failures,
-            extra=f"{copies} copies, {events} aliasing events, 0 mismatches")
+            extra=f"{copies} copies, {events} aliasing events, 0 mismatches, "
+                  f"{s.unaliased_splits} unaliased decode splits")
 
 
 def test_criterion_6_snr_recursion(noisy_campaign, noiseless_campaign, capsys):

@@ -246,17 +246,17 @@ def test_simulate_golden_bytes(golden, tmp_path):
 
 
 def test_sim_rows_build_each_interval_once(monkeypatch):
-    """A K-round report costs O(K): its 2 (K - 1) p_mod rows, p_dec, p_e
-    and the union-bound flag read at most 4 K + 4 Wilson intervals (the
-    report once built all 2 (K - 1) of them per p_mod row), and each row
-    carries its own rate and interval."""
+    """A K-round report costs O(K): it reads exactly 2 K Wilson intervals,
+    2 (K - 1) for its p_mod rows plus p_dec and p_e, as the union-bound
+    flag builds none (the report once built all 2 (K - 1) of them per
+    p_mod row), and each row carries its own rate and interval."""
     k = 200
     alias = tuple(tuple((7 * i + 3 * j) % 50 for j in range(k - 1)) for i in range(2))
     summary = SimulationSummary(
         trials=1000, rounds=k, alias_counts=alias, dec_errors_coupled=3,
         dec_errors_real=5, ff_power=1.0, fb_power=1.0, union_agreement=2000,
-        coupled_agreement=2000, sigma_k2_hat=1e-9, no_alias_dims=1500,
-        realized_rate_bits=0.5)
+        coupled_agreement=2000, unaliased_splits=0, sigma_k2_hat=1e-9,
+        no_alias_dims=1500, realized_rate_bits=0.5)
     calls = []
 
     def counted(successes, total):
@@ -265,7 +265,7 @@ def test_sim_rows_build_each_interval_once(monkeypatch):
 
     monkeypatch.setattr(sim, "wilson_interval", counted)
     rows = _sim_rows(summary)
-    assert len(calls) <= 4 * k + 4
+    assert len(calls) == 2 * k
     p_mod = [r for r in rows if r["metric"] == "p_mod"]
     assert len(p_mod) == 2 * (k - 1)
     for r in p_mod:

@@ -555,6 +555,9 @@ def test_run_trial_is_a_row_of_its_block(kw, trials):
         assert_blocks_equal(one, block_rows(run_range(cfg, t, stop), 0, 1))
         for s, record in ((0, run_trial(cfg, t)), (1, run_coupled_trial(cfg, t))):
             assert record.aliasing_flags == tuple(map(tuple, whole.alias[s, t].tolist()))
+            # the 1-based correction round of each copy's first wrap
+            assert record.first_aliasing_round == tuple(
+                int(np.argmax(f)) + 1 if f.any() else None for f in whole.alias[s, t])
             assert record.decode_success == tuple(
                 (whole.decoded[s, t] == whole.msgs[t]).tolist())
             assert record.coupled_agreement == bool(whole.agree[t].all())
@@ -581,7 +584,7 @@ def test_campaign_counts_equal_sums_over_trials(kw, trials):
     s = estimate_error_prob(cfg, trials)
     alias = np.zeros((2, cfg.rounds - 1), dtype=int)
     dec_err = [0, 0]  # real, coupled
-    union = clean = agree = 0
+    union = clean = agree = splits = 0
     for t in range(trials):
         real, coupled = run_trial(cfg, t), run_coupled_trial(cfg, t)
         alias += np.array(coupled.aliasing_flags)
@@ -593,9 +596,12 @@ def test_campaign_counts_equal_sums_over_trials(kw, trials):
             clean += not wrapped
         # records hold the AND over both copies; count copies from the
         # trial's own one-trial block
-        copies = run_range(cfg, t, t + 1).agree[0]
+        one = run_range(cfg, t, t + 1)
+        copies = one.agree[0]
         assert real.coupled_agreement == coupled.coupled_agreement == copies.all()
         agree += int(copies.sum())
+        split = (one.decoded[0, 0] != one.decoded[1, 0]) & ~one.alias[0, 0].any(axis=-1)
+        splits += int(split.sum())
     assert alias.sum() > 0  # the config is tight enough to wrap
     assert s.alias_counts == tuple(map(tuple, alias.tolist()))
     assert s.dec_errors_real == dec_err[0]
@@ -603,6 +609,7 @@ def test_campaign_counts_equal_sums_over_trials(kw, trials):
     assert s.union_agreement == union
     assert s.no_alias_dims == clean * cfg.dimension
     assert s.coupled_agreement == agree
+    assert s.unaliased_splits == splits
 
 
 @pytest.mark.parametrize("kw, trials", SPLIT_CASES)
@@ -681,26 +688,26 @@ TWIN_CASES = [
      "SimulationSummary(trials=1500, rounds=3, alias_counts=((22, 29), (19, 20)),"
      " dec_errors_coupled=0, dec_errors_real=1, ff_power=0.8555824190572083,"
      " fb_power=0.9999999999999999, union_agreement=3000, coupled_agreement=3000,"
-     " sigma_k2_hat=1.0049018972296866e-06, no_alias_dims=2911,"
+     " unaliased_splits=0, sigma_k2_hat=1.0049018972296866e-06, no_alias_dims=2911,"
      " realized_rate_bits=0.5283208335737187)"),
     (*SPLIT_CASES[1],
      "SimulationSummary(trials=600, rounds=2, alias_counts=((82,), (92,)),"
      " dec_errors_coupled=0, dec_errors_real=0, ff_power=0.7475773602929521,"
      " fb_power=1.0, union_agreement=1200, coupled_agreement=1200,"
-     " sigma_k2_hat=0.00010384778171382736, no_alias_dims=4104,"
+     " unaliased_splits=0, sigma_k2_hat=0.00010384778171382736, no_alias_dims=4104,"
      " realized_rate_bits=0.25)"),
     (*SPLIT_CASES[2],
      "SimulationSummary(trials=300, rounds=3, alias_counts=((50, 56), (56, 53)),"
      " dec_errors_coupled=0, dec_errors_real=0, ff_power=0.9028764617681075,"
      " fb_power=1.0, union_agreement=600, coupled_agreement=600,"
-     " sigma_k2_hat=9.87977907352159e-07, no_alias_dims=3216,"
+     " unaliased_splits=0, sigma_k2_hat=9.87977907352159e-07, no_alias_dims=3216,"
      " realized_rate_bits=0.25)"),
     (dict(params=ChannelParams.from_snrs(30.0, 300.0), lattice=make_lattice("e8"),
           rounds=3, rate_bits=1 / 3, looseness=1.2, master_seed=5), 300,
      "SimulationSummary(trials=300, rounds=3, alias_counts=((51, 58), (57, 52)),"
      " dec_errors_coupled=0, dec_errors_real=6, ff_power=0.8845383743501197,"
      " fb_power=1.0, union_agreement=600, coupled_agreement=600,"
-     " sigma_k2_hat=3.57794024609657e-05, no_alias_dims=3208,"
+     " unaliased_splits=0, sigma_k2_hat=3.57794024609657e-05, no_alias_dims=3208,"
      " realized_rate_bits=0.3333333333333333)"),
 ]
 
@@ -929,6 +936,61 @@ def test_summary_rates_follow_from_counts():
             assert s.p_mod[i][k] == c / s.trials
             assert s.p_mod_ci[i][k] == wilson_interval(c, s.trials)
     assert s.p_mod_total == pytest.approx(sum(map(sum, s.alias_counts)) / s.trials)
+
+
+def test_union_bound_catches_one_corrupted_decode(monkeypatch):
+    """One coupled decode flipped on a copy that never aliased breaks the
+    union bound on that copy, though the rates still satisfy p_e <= p_dec."""
+    cfg = make_config(master_seed=3)
+    clean = estimate_error_prob(cfg, 2000)
+    assert not any(map(any, clean.alias_counts))  # no copy aliases
+    assert clean.unaliased_splits == 0 and clean.union_bound_ok
+    decode = sim._decode_twins
+    flipped = []
+
+    def corrupt(campaign, msgs, eps, parted):
+        decoded = decode(campaign, msgs, eps, parted)
+        if not flipped:
+            decoded[1, 0, 0] = (decoded[1, 0, 0] + 1) % cfg.m_codewords
+            flipped.append(True)
+        return decoded
+
+    monkeypatch.setattr(sim, "_decode_twins", corrupt)
+    s = estimate_error_prob(cfg, 2000)
+    assert s.p_e <= s.p_dec
+    assert s.unaliased_splits == 1
+    assert s.union_bound_ok is False
+
+
+def test_union_bound_holds_exactly_on_random_campaigns():
+    """Over seeded random configs (Z1, Z2, D4, E8; K = 1..6; every fifth
+    with exact feedback), no copy that never aliased decodes differently
+    in the two systems; so the real system's extra errors are at most the
+    copies that aliased, and p_e <= p_dec + p_mod_total."""
+    rng = np.random.default_rng(36)
+    lattices = [cubic_lattice(1), cubic_lattice(2), make_lattice("d4"),
+                make_lattice("e8")]
+    trials, aliased, differ = 500, 0, 0
+    for c in range(160):
+        lat = lattices[rng.integers(4)]
+        n, rounds = lat.dimension, int(rng.integers(1, 7))
+        snr = 10.0 ** rng.uniform(0.5, 3.0)
+        if c % 5 == 4:
+            params, looseness = ChannelParams.from_snrs(snr, math.inf), 0.0
+        else:
+            params = ChannelParams.from_snrs(snr, 10.0 ** rng.uniform(0.5, 3.0))
+            looseness = float(rng.uniform(1.0, 4.0))  # tight: most campaigns alias
+        cfg = SchemeConfig(params=params, rounds=rounds, looseness=looseness,
+                           lattice=lat, rate_bits=rng.uniform(0.0, 8.0) / (n * rounds),
+                           master_seed=int(rng.integers(1 << 63)))
+        s = estimate_error_prob(cfg, trials)
+        assert s.unaliased_splits == 0 and s.union_bound_ok, cfg
+        extra = s.dec_errors_real - s.dec_errors_coupled
+        assert extra <= 2 * trials - s.no_alias_dims // n
+        assert s.p_e <= s.p_dec + s.p_mod_total
+        aliased += any(map(any, s.alias_counts))
+        differ += extra != 0
+    assert aliased > 80 and differ > 0
 
 
 def test_sigma_recursion_against_campaign():
