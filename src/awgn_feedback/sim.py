@@ -791,9 +791,10 @@ def estimate_error_prob(config: SchemeConfig, trials: int) -> SimulationSummary:
     t mod B), so the aggregate is a pure function of (config, trials) and
     does not depend on how the trials are split into runs or calls.  The
     summary's union-bound flag checks that no copy that never aliased
-    decodes differently in the two systems.
+    decodes differently in the two systems.  ``trials`` lies in [1, 2**63],
+    so every trial index stays below the codebook's stream key.
     """
-    trials = count("trials", trials)
+    trials = count("trials", trials, 1, _MAX_TRIAL_INDEX + 1)
     k_rounds = config.rounds
     steps = k_rounds - 1
     n = config.dimension

@@ -162,6 +162,18 @@ def test_rounds_beyond_the_limit_exit_3(tmp_path, capsys):
     assert err.startswith("error: rounds must be in") and "Traceback" not in err
 
 
+def test_trials_beyond_the_trial_index_range_exit_3(tmp_path, capsys):
+    """More trials than trial indices below 2**63 is an argument error, not
+    a campaign that never ends."""
+    cfg = tmp_path / "full.cfg"
+    cfg.write_text(FULL_CONFIG)
+    for trials in (0, 2**63 + 1, 10**20):
+        code, out, err = run_main(
+            ["simulate", "--config", str(cfg), "--trials", str(trials)], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: trials must be in [1, 9223372036854775809)")
+
+
 def test_unwritable_output_exits_4(tmp_path, capsys):
     code, _, err = run_main(
         ["exponents", "--grid", "4", "--out", str(tmp_path / "no" / "x.csv")],

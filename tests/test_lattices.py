@@ -15,8 +15,12 @@ from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from awgn_feedback import (
+    ChannelParams,
     Lattice,
+    SchemeConfig,
     cubic_lattice,
+    estimate_error_prob,
+    lattices,
     make_lattice,
     modulo,
     quantize_nn,
@@ -252,6 +256,35 @@ def test_batch_matches_row_by_row(lat):
         assert np.array_equal(f(lat, batch), one_by_one)
 
 
+def _layouts(x):
+    """Views of the points x, shape (2m, n), in five memory layouts, each
+    with a C-ordered array of the same shape and values: C, Fortran, a
+    transposed 3-D stack, negative strides and a step of 2."""
+    m, n = len(x) // 2, x.shape[-1]
+    stack = np.ascontiguousarray(x.reshape(m, 2, n).transpose(1, 0, 2))
+    return [(x, x), (np.asfortranarray(x), x),
+            (stack.transpose(1, 0, 2), x.reshape(m, 2, n)),
+            (x[::-1], x[::-1].copy()), (x[::2], x[::2].copy())]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("lat", [cubic_lattice(3, spacing=0.7), make_lattice("d4"),
+                                 make_lattice("e8")], ids=lambda lat: lat.family)
+def test_every_layout_gives_the_c_ordered_bits(lat):
+    """quantize_nn and modulo return the bytes of the C-ordered input for
+    any memory layout: the D_n parity flips land in the returned array."""
+    rng = np.random.default_rng(16)
+    n = lat.dimension
+    pts = lat.scale * np.concatenate([_tie_points(rng, n, 60),
+                                      rng.normal(size=(120, n))])
+    for f in (quantize_nn, modulo):
+        for view, dense in _layouts(pts):
+            assert _same_bits(f(lat, view), f(lat, np.ascontiguousarray(dense)))
+
+
 @pytest.mark.parametrize("lat", [make_lattice("d4"), make_lattice("e8")],
                          ids=lambda lat: lat.family)
 def test_ties_go_to_lexicographic_minimum(lat):
@@ -383,6 +416,82 @@ def test_modulo_output_in_cell(x):
     # residual is no farther from 0 than from any nearby lattice point
     _, best_d = brute_nearest(lat, w)
     assert float(np.sum(w * w)) <= best_d + 1e-9
+
+
+# packing radius d_min / 2 of each unit-scale family
+_PACKING = {"cubic": 0.5, "d4": math.sqrt(0.5), "e8": math.sqrt(0.5)}
+
+
+def _full_fold(lat, x):
+    """modulo with no inscribed-ball shortcut, on a C-ordered copy of x:
+    x - quantize_nn(x), then the rows beyond twice the covering radius
+    folded again until none is left."""
+    x = np.ascontiguousarray(x, dtype=float)
+    r = x - quantize_nn(lat, x)
+    far = 2.0 * lat.scale * _COVERING.get(lat.family, math.sqrt(lat.dimension) / 2.0)
+    out = (np.abs(r) > far).any(axis=-1)
+    while out.any():
+        r[out] -= quantize_nn(lat, r[out])
+        out = (np.abs(r) > far).any(axis=-1)
+    return r
+
+
+@pytest.mark.parametrize("name,dim", [("z", 1), ("z", 3), ("d4", None), ("e8", None)])
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1.0, 1.3, 1e160, 1e300])
+def test_inscribed_ball_shortcut_keeps_the_full_fold_bits(name, dim, scale):
+    """modulo returns x + 0.0 for rows inside the inscribed ball and folds
+    the rest.  On both sides of the ball's edge, rho (1 +- 10**-u), in
+    random directions and toward the minimal vectors (where the ball
+    touches the cell), with signed zeros, at extreme scales and in every
+    layout, that is the full fold's output byte for byte."""
+    lat = replace(make_lattice(name, dim), scale=scale)
+    n = lat.dimension
+    rho = _PACKING[lat.family]
+    rng = np.random.default_rng(19)
+    radii = rho * np.array(
+        [1.0 + sign * 10.0**-u for u in range(1, 17) for sign in (-1.0, 1.0)])
+    g = make_lattice(name, dim).generator
+    minimal = g[np.isclose((g * g).sum(axis=-1), 4.0 * rho * rho)]
+    u = np.concatenate((rng.normal(size=(3, n)), minimal))
+    u /= np.sqrt((u * u).sum(axis=-1, keepdims=True))
+    x = (u[:, None, :] * radii[:, None]).reshape(-1, n)
+    x = np.concatenate((x, -x, np.zeros((2, n)), np.full((2, n), -0.0)))
+    x[::3, 0] = -0.0
+    x[1::5, -1] = 0.0
+    x *= scale
+    for view, dense in _layouts(x):
+        assert _same_bits(modulo(lat, view), _full_fold(lat, dense))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("lat", [cubic_lattice(2), make_lattice("d4"), make_lattice("e8")],
+                         ids=lambda lat: lat.family)
+def test_non_finite_row_among_certified_rows_raises(lat, bad):
+    x = np.zeros((5, lat.dimension))
+    x[3, -1] = bad
+    with pytest.raises(ValueError, match="^input points must be finite$"):
+        modulo(lat, x)
+
+
+def test_campaign_hands_the_quantizer_only_rows_outside_the_ball(monkeypatch):
+    """At L = 8 every residue of a D4 K = 3 campaign at 20/30 dB lies inside
+    the inscribed ball, so the D4 quantizer sees no row."""
+    fam = lattices._FAMILIES["d4"]
+    seen = []
+
+    def counting(y):
+        seen.append(y.size // 4)
+        return fam.quantize(y)
+
+    monkeypatch.setitem(lattices._FAMILIES, "d4", fam._replace(quantize=counting))
+    cfg = SchemeConfig(params=ChannelParams.from_snrs(100.0, 1000.0), rounds=3,
+                       looseness=8.0, lattice=make_lattice("d4"), rate_bits=8 / 12,
+                       master_seed=5)
+    assert estimate_error_prob(cfg, 4000).trials == 4000
+    assert seen == []
+    # the counter is live: a row on the ball's edge reaches it
+    modulo(make_lattice("d4"), np.array([[0.5, 0.5, 0.0, 0.0], [0.1, 0.0, 0.0, 0.0]]))
+    assert seen == [1]
 
 
 @pytest.mark.parametrize("name", ["z", "d4", "e8"])

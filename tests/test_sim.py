@@ -417,6 +417,15 @@ def test_trial_index_validation():
             run_coupled_trial(cfg, bad)
 
 
+def test_trials_stay_below_the_codebook_stream():
+    """trials lies in [1, 2**63], so no trial index reaches the codebook's
+    stream key 2**63."""
+    cfg = make_config()
+    for bad in (0, (1 << 63) + 1, 10**20, 1.0, True):
+        with pytest.raises(ValueError, match="^trials must be"):
+            estimate_error_prob(cfg, bad)
+
+
 def test_trial_records_label_system():
     cfg = make_config()
     real = run_trial(cfg, 3)
