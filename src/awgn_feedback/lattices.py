@@ -58,11 +58,18 @@ __all__ = [
 # =============================================================================
 
 def _quantize_zn(y: np.ndarray) -> np.ndarray:
-    """Nearest integer vectors, exact halves toward -inf (the lex-smaller)."""
-    return np.ceil(y - 0.5)
+    """Nearest integer vectors, exact halves toward -inf (the lex-smaller).
+
+    q = ceil(y - 1/2) errs only where y - 1/2 rounds onto an integer: just
+    above -1/2, and at the odd integers between 2**52 and 2**53.  There y
+    exceeds q + 1/2, which rounds alike, and q + 1 is nearest.  Elsewhere
+    q stands, -0.0 included.
+    """
+    q = np.ceil(y - 0.5)
+    return np.where(y > q + 0.5, q + 1.0, q)
 
 
-def _quantize_dn(y: np.ndarray) -> np.ndarray:
+def _quantize_dn(y: np.ndarray, f: np.ndarray | None = None) -> np.ndarray:
     """Nearest points of D_n = even-sum integer vectors, lex tie-break.
 
     Start from the nearest integer vector f (halves rounded down, which is
@@ -74,12 +81,18 @@ def _quantize_dn(y: np.ndarray) -> np.ndarray:
     lex-smallest result first (downward flips by rising index, then upward
     flips by falling index), the first cheapest one is the lex-min nearest
     point.
+
+    A given ``f``, a fresh C-ordered array of y's shape, starts the search
+    instead: :func:`_quantize_e8` passes the nearest half-integer vector to
+    find the nearest point of D_n + 1/2.  For n = 8 the same parity test
+    holds there, as a half-integer vector's sum differs from that of the
+    integer vector f - 1/2 by n/2 = 4.
     """
     n = y.shape[-1]
-    # one row per point, in a fresh C-ordered array that the flips land in
-    # and that is returned, whatever the layout of y
+    # one row per point, in a fresh array that the flips land in and that
+    # is returned, whatever the layout of y
     y_rows = y.reshape(-1, n)
-    rows = np.ceil(y_rows - 0.5)
+    rows = _quantize_zn(y_rows) if f is None else f.reshape(-1, n)
     # integer partial sums below 2**53 are exact in any order, so the
     # parity of this product is the parity of the coordinate sum
     total = rows @ np.ones(n)
@@ -95,13 +108,14 @@ def _quantize_dn(y: np.ndarray) -> np.ndarray:
 def _quantize_e8(y: np.ndarray) -> np.ndarray:
     """Nearest points of E8 = D8 union (D8 + half), lex tie-break across cosets.
 
-    One D8 pass quantizes y and y - 1/2 together, one sum gives both
-    cosets' distances.  The two candidates differ in every coordinate, so
-    on a distance tie the lex-smaller one is the one with the smaller first
-    coordinate.
+    One D8 pass finds both cosets' candidates, starting from the nearest
+    integer and the nearest half-integer vector; the latter, ceil(y) - 1/2
+    (halves rounded down), is exact where y - 1/2 would round.  One sum
+    gives both cosets' distances.  The two candidates differ in every
+    coordinate, so on a distance tie the lex-smaller one is the one with
+    the smaller first coordinate.
     """
-    q = _quantize_dn(np.stack((y, y - 0.5)))
-    q[1] += 0.5
+    q = _quantize_dn(np.stack((y, y)), np.stack((_quantize_zn(y), np.ceil(y) - 0.5)))
     d = ((y - q) ** 2).sum(axis=-1)
     first = (d[0] < d[1]) | ((d[0] == d[1]) & (q[0, ..., 0] < q[1, ..., 0]))
     return np.where(first[..., None], q[0], q[1])
@@ -264,10 +278,10 @@ def modulo(lattice: Lattice, x) -> np.ndarray:
     dimension the rounded |y|^2 bounds every y_i^2 and every y_i^2 + y_j^2
     to within 3 ulps (u = 2^-53 each), which the margin 1e-9 dwarfs.
 
-    * Z^n: every |y_i| < 1/2 - 2e-10, so y_i - 1/2 rounds into (-1, 0) and
-      q_i = ceil(y_i - 1/2) is -0.0.
+    * Z^n: every |y_i| < 1/2 - 2e-10, so y_i - 1/2 rounds into (-1, 0),
+      ceil(y_i - 1/2) is -0.0 and y_i does not exceed 1/2: q_i is -0.0.
     * D_n (d^2 = 2): every coordinate but the largest, y_i, lies below
-      1/2 - 2e-10 in size, so its rounding f_j = ceil(y_j - 1/2) is -0.0.
+      1/2 - 2e-10 in size, so its rounding f_j is -0.0, as in Z^n.
       If f_i is +-0 the sum is even and q = f.  If f_i is +-1, the flip
       that returns it to 0 costs 2 |y_i| - 1, the other flip of i at least
       1, and a flip of j at least 1 - 2 |y_j|.  As |y_i| + |y_j| <=

@@ -22,9 +22,9 @@ seed).  Per copy:
                estimates, and near-ties settle by the direct distances).
 
 The engine carries eps alone, as the analysis does (theta + eps would lose
-eps below about 2.2e-16 |theta|): theta enters only the powers, |theta|^2
-in round 1, |theta + eps|^2 under exact feedback and the coupled twin's
-|gamma (theta + eps)|^2, and the screened Gaussian decodes.
+eps below about 2.2e-16 |theta|): theta enters only the real system's
+powers, |theta|^2 in round 1 and |theta + eps|^2 under exact feedback, and
+the screened Gaussian decodes.
 
 The coupled twin runs the same rounds with the modulo maps removed (its
 feedback power is deliberately unbounded).  Both systems consume the same
@@ -56,12 +56,10 @@ Randomness: trials are keyed in blocks of B = max(1, 4096 // (2 K n)), a
 pure function of the config.  Block b holds trials [b B, (b + 1) B) and
 draws them all from Generator(Philox(key=[master_seed, b])), one variable
 after another: messages (B, 2), forward noise (B, 2, K, n) and feedback
-noise (B, 2, K - 1, n).  A campaign builds one such generator and re-keys
-it to that state for each block (see :class:`_Campaign`), which draws the
-same numbers.  A range that ends inside a block draws the whole block and
-keeps its rows, so trial t is row t mod B of block t // B however a
-campaign is split or how long it runs, and a campaign is a pure function of
-(config, trials).  The random codebook draws from the reserved stream key
+noise (B, 2, K - 1, n).  A range that ends inside a block draws the whole
+block and keeps its rows, so trial t is row t mod B of block t // B however
+a campaign is split or how long it runs, and a campaign is a pure function
+of (config, trials).  The random codebook draws from the reserved stream key
 [master_seed, 2**63]; trial indices stay below 2**63, so no block key
 reaches it.
 """
@@ -300,8 +298,6 @@ class TrialRecord:
     ``aliasing_flags[i][k]`` marks scheme copy i wrapping at correction
     round k; ``coupled_agreement`` states that the real and coupled
     estimation errors were equal up to the first aliasing event of each copy.
-    Powers are per dimension, averaged over the trial's transmissions and,
-    for feedback, over the dither (see :class:`SimulationSummary`).
     """
 
     trial_index: int
@@ -309,8 +305,6 @@ class TrialRecord:
     aliasing_flags: tuple[tuple[bool, ...], ...]
     first_aliasing_round: tuple[int | None, ...]
     decode_success: tuple[bool, ...]
-    ff_power: float
-    fb_power: float
     coupled_agreement: bool
 
 
@@ -466,14 +460,15 @@ class _Draws(NamedTuple):
 
 
 class _Block(NamedTuple):
-    """Outcomes of a run of trials; leading axis 0 real, 1 coupled."""
+    """Outcomes of a run of trials; a system axis, 0 real and 1 coupled,
+    leads ``alias``, ``decoded`` and ``eps``."""
 
     msgs: np.ndarray      # (trials, 2) message per copy
     alias: np.ndarray     # (2, trials, 2, rounds - 1) wrap flags
     decoded: np.ndarray   # (2, trials, 2) decoded message
     eps: np.ndarray       # (2, trials, 2, n) final estimation error
-    ff_sq: np.ndarray     # (2, trials, 2) forward energy per copy
-    fb_sq: np.ndarray     # (2, trials, 2) feedback energy per copy
+    ff_sq: np.ndarray     # (trials, 2) real forward energy per copy
+    fb_sq: np.ndarray     # (trials, 2) real feedback energy, exact feedback only
     agree: np.ndarray     # (trials, 2) paths agree up to the first alias
 
 
@@ -482,10 +477,7 @@ class _Campaign:
 
     ``block_trials`` is B, the trials per keyed block: about _BLOCK_VALUES
     values per variable.  :meth:`run` runs a range of trials, drawing each
-    keyed block with :meth:`draw`.  :meth:`rng` re-keys one Philox bit
-    generator to the state a fresh Philox(key=[master_seed, block]) starts
-    in (counter 0, empty buffer, no stored 32-bit half), which skips the
-    seeding entropy a fresh one draws only for its key to override it.
+    keyed block with :meth:`draw` from a generator of its own.
     :meth:`radius2` computes each codeword's certified decode radius
     (:func:`_decode_radius2`) the first time the campaign sends it.  Each
     campaign builds its own, so concurrent campaigns share no state.
@@ -494,28 +486,15 @@ class _Campaign:
     def __init__(self, cfg: SchemeConfig) -> None:
         self.cfg = cfg
         self.block_trials = max(1, _BLOCK_VALUES // (2 * cfg.rounds * cfg.dimension))
-        self._bits = np.random.Philox(0)
-        self._rng = np.random.Generator(self._bits)
         self._radius2 = None  # per codeword; NaN until sent
-
-    def rng(self, block: int) -> np.random.Generator:
-        self._bits.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64),
-                      "key": np.array([self.cfg.master_seed, block], dtype=np.uint64)},
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return self._rng
 
     def draw(self, block: int) -> _Draws:
         """All variates of the B trials of keyed block ``block``, whole, in
         the layout of the module docstring; no dither."""
         cfg, per = self.cfg, self.block_trials
         p, k, n = cfg.params, cfg.rounds, cfg.dimension
-        rng = self.rng(block)
+        rng = np.random.Generator(np.random.Philox(
+            key=np.array([cfg.master_seed, block], dtype=np.uint64)))
         msgs = rng.integers(0, cfg.m_codewords, size=(per, 2))
         z_fwd = math.sqrt(p.sigma2) * rng.standard_normal((per, 2, k, n))
         z_fb = math.sqrt(p.sigma2_tilde) * rng.standard_normal((per, 2, k - 1, n))
@@ -549,10 +528,10 @@ def _propagate(campaign: _Campaign, draws: _Draws) -> _Block:
     The one state is the estimation error eps, from z_fwd[0] on.  Each
     correction round folds, in one modulo call, the real residues and the
     coupled residues whose error has parted from the real one; every other
-    coupled residue is its real twin's.  ``fb_sq`` is the feedback energy
-    averaged over the dither: n M per round for the real system (M the
-    second moment), |gamma (theta + eps)|^2 + n M for the unfolded coupled
-    one, and |theta + eps|^2 under exact feedback.  ``agree`` compares both
+    coupled residue is its real twin's.  ``ff_sq`` and ``fb_sq`` are the
+    real system's energies; a noisy link's feedback power is a closed form
+    (see :class:`SimulationSummary`), so ``fb_sq`` sums |theta + eps|^2
+    under exact feedback alone and is 0 otherwise.  ``agree`` compares both
     systems' own errors.  The decode runs once per distinct final error (see
     :func:`_decode_twins`).
     """
@@ -565,8 +544,8 @@ def _propagate(campaign: _Campaign, draws: _Draws) -> _Block:
 
     theta = cfg.codewords[msgs]
     eps = np.broadcast_to(z_fwd[:, :, 0], (2, trials, 2, n))
-    ff_sq = np.stack([_sq(theta)] * 2)
-    fb_sq = np.zeros((2, trials, 2))
+    ff_sq = _sq(theta)
+    fb_sq = np.zeros((trials, 2))
     alias = np.zeros((2, trials, 2, steps), dtype=bool)
     live = np.ones((trials, 2), dtype=bool)  # real copy not yet aliased
     agree = np.ones((trials, 2), dtype=bool)
@@ -574,7 +553,7 @@ def _propagate(campaign: _Campaign, draws: _Draws) -> _Block:
     for k in range(steps):
         g = cfg.gains[k]
         if cfg.exact_feedback:
-            fb_sq += _sq(theta + eps)
+            fb_sq += _sq(theta + eps[_REAL])
             x = g * eps
         else:
             # dither-cancelled receiver residue: equals the modulo chain
@@ -589,10 +568,7 @@ def _propagate(campaign: _Campaign, draws: _Draws) -> _Block:
                     folded[rows:] != w_parted)
             live &= ~wraps
             x = cfg.alpha * np.stack((residue, w[_COUPLED]))
-            # |g (theta + eps) + d|^2 averaged over d, folded by the crypto lemma
-            fb_sq[_COUPLED] += _sq(g * (theta + eps[_COUPLED]))
-            fb_sq += n * lat.second_moment
-        ff_sq += _sq(x)
+        ff_sq += _sq(x[_REAL])
         eps = eps - cfg.betas[k] * (x + z_fwd[:, :, k + 1])
         differ = _rows_any(eps[_REAL] != eps[_COUPLED])
         agree &= ~(live & differ)
@@ -645,7 +621,6 @@ def _record(cfg: SchemeConfig, trial_index: int, system: str) -> TrialRecord:
     b = _Campaign(cfg).run(trial_index, trial_index + 1)
     s = _REAL if system == "real" else _COUPLED
     flags = b.alias[s, 0].tolist()
-    sends_fb = 2 * (cfg.rounds - 1) * cfg.dimension
     return TrialRecord(
         trial_index=trial_index,
         system=system,
@@ -654,8 +629,6 @@ def _record(cfg: SchemeConfig, trial_index: int, system: str) -> TrialRecord:
             f.index(True) + 1 if True in f else None for f in flags
         ),
         decode_success=tuple((b.decoded[s, 0] == b.msgs[0]).tolist()),
-        ff_power=float(b.ff_sq[s, 0].sum()) / (2 * cfg.rounds * cfg.dimension),
-        fb_power=float(b.fb_sq[s, 0].sum()) / sends_fb if sends_fb else 0.0,
         coupled_agreement=bool(b.agree[0].all()),
     )
 
@@ -712,10 +685,11 @@ class SimulationSummary:
     ``sigma_k2_hat`` estimates the final estimation-error variance from
     real-system trials without aliasing, pooling dimensions
     (``no_alias_dims`` of them).  ``ff_power`` and ``fb_power`` are the real
-    system's powers per dimension; ``fb_power`` is the lattice's second
-    moment, the feedback budget P~, by the crypto lemma, up to the rounding
-    of its trial-order sum, and is simulated only under exact feedback,
-    which sends the estimate unfolded.
+    system's powers per dimension.  On a noisy feedback link ``fb_power`` is
+    the lattice's second moment, the feedback budget P~, in closed form: by
+    the crypto lemma the dithered modulo output is uniform on the cell.  It
+    is simulated only under exact feedback, which sends the estimate
+    unfolded, and is 0.0 when there is no feedback round (K = 1).
 
     ``union_agreement`` and ``coupled_agreement`` count copies, out of
     ``2 * trials``: the first counts matching union-of-aliasing indicators
@@ -816,11 +790,18 @@ def estimate_error_prob(config: SchemeConfig, trials: int) -> SimulationSummary:
         eps2_sum = _ordered_sum(eps2_sum, _sq(b.eps[_REAL][clean]))
         no_alias += int(np.count_nonzero(clean))
         splits += int(np.count_nonzero(clean & (b.decoded[_REAL] != b.decoded[_COUPLED])))
-        ff_sum = _ordered_sum(ff_sum, b.ff_sq[_REAL])
-        fb_sum = _ordered_sum(fb_sum, b.fb_sq[_REAL])
+        ff_sum = _ordered_sum(ff_sum, b.ff_sq)
+        if config.exact_feedback:
+            fb_sum = _ordered_sum(fb_sum, b.fb_sq)
         agreement += int(np.count_nonzero(b.agree))
 
     copies = 2 * trials
+    if not steps:
+        fb_power = 0.0
+    elif config.exact_feedback:
+        fb_power = fb_sum / (copies * steps * n)
+    else:
+        fb_power = config.lattice.second_moment
     dec_err_real, dec_err_coupled = dec_errs.tolist()
     return SimulationSummary(
         trials=trials,
@@ -829,7 +810,7 @@ def estimate_error_prob(config: SchemeConfig, trials: int) -> SimulationSummary:
         dec_errors_coupled=dec_err_coupled,
         dec_errors_real=dec_err_real,
         ff_power=ff_sum / (copies * k_rounds * n),
-        fb_power=fb_sum / (copies * steps * n) if steps else 0.0,
+        fb_power=fb_power,
         union_agreement=copies - union_mismatch,
         coupled_agreement=agreement,
         unaliased_splits=splits,

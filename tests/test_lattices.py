@@ -1,11 +1,13 @@
 """Tests for lattice constructions, quantizers, and dither machinery."""
 
 import hashlib
+import itertools
 import math
 import os
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -189,6 +191,77 @@ def test_cubic_ties_round_down():
     assert quantize_nn(lat, np.array([1.5]))[0] == 1.0
     assert quantize_nn(lat, np.array([-0.5]))[0] == -1.0
     assert quantize_nn(lat, np.array([-1.5]))[0] == -2.0
+
+
+def exact_nearest(lat, y):
+    """The lex-smallest nearest point of a unit-scale lattice to y, in exact
+    rational arithmetic.
+
+    Every nearest point of Z^n + h, D_n + h (h = 0, or 1/2 for E8's second
+    coset) takes at each coordinate one of the two coset values next to
+    y's, or y's own and its two neighbours where y sits on one: a value
+    further out moves two steps toward y, keeping the coordinate sum's
+    parity, and comes strictly nearer.
+    """
+    cosets = (Fraction(0), Fraction(1, 2)) if lat.family == "e8" else (Fraction(0),)
+    ys = [Fraction(float(v)) for v in y]
+    best = None
+    for h in cosets:
+        axes = []
+        for v in ys:
+            lo, hi = math.floor(v - h), math.ceil(v - h)
+            axes.append(range(lo - 1, hi + 2) if lo == hi else (lo, hi))
+        for k in itertools.product(*axes):
+            if lat.family != "cubic" and sum(k) % 2:
+                continue
+            c = [ki + h for ki in k]
+            key = (sum((v - ci) ** 2 for v, ci in zip(ys, c)), c)
+            best = key if best is None or key < best else best
+    return np.array([float(ci) for ci in best[1]])
+
+
+def _near_half_integers(lat, rng, rows):
+    """Points whose coordinates lie one ulp either side of k + 1/2 for
+    small integers k, -1/2 in each row, some replaced by plain values (for
+    E8 also one ulp either side of an integer, its half coset's facets;
+    for Z^n also odd integers between 2**52 and 2**53)."""
+    n = lat.dimension
+    k = rng.integers(-3, 4, size=(rows, n)) + 0.5
+    k[np.arange(rows), rng.integers(n, size=rows)] = -0.5
+    y = np.nextafter(k, np.where(rng.random((rows, n)) < 0.5, -np.inf, np.inf))
+    plain = rng.random((rows, n)) < 0.25
+    y[plain] = rng.uniform(-2.0, 2.0, plain.sum())
+    if lat.family == "e8":
+        edge = rng.random((rows, n)) < 0.25
+        y[edge] = np.nextafter(rng.integers(-2, 3, edge.sum()).astype(float),
+                               np.where(rng.random(edge.sum()) < 0.5, -np.inf, np.inf))
+    if lat.family == "cubic":
+        y[-4:, -1] = [2.0**52 + 1, -(2.0**52 + 3), 2.0**53 - 1, -(2.0**52 + 5)]
+    return y
+
+
+@pytest.mark.parametrize("lat", [cubic_lattice(1), cubic_lattice(3), make_lattice("d4"),
+                                 make_lattice("e8")], ids=["z1", "z3", "d4", "e8"])
+def test_quantizer_is_nearest_one_ulp_from_half_integers(lat):
+    """ceil(y - 1/2) alone rounds y - 1/2 onto -1 just above -1/2, and onto
+    an even integer at the odd integers past 2**52; E8's half coset met the
+    same rounding in its shift y - 1/2.  Every point here, D4's
+    (y, y, 0, 0) at y = nextafter(-1/2, 0) and E8's (1/2, ..., 1/2, t, t)
+    at t = 2**-60 among them, quantizes to its exact lex-smallest nearest
+    point, and modulo returns y less it."""
+    rng = np.random.default_rng(sum(map(ord, lat.family)) + lat.dimension)
+    y = _near_half_integers(lat, rng, 40)
+    if lat.family == "d4":
+        y[0] = [np.nextafter(-0.5, 0.0)] * 2 + [0.0, 0.0]
+    if lat.family == "e8":  # y - 1/2 rounded onto -1/2: (..., -1/2, -1/2) came out
+        y[0] = [0.5] * 6 + [2.0**-60] * 2
+    want = np.array([exact_nearest(lat, row) for row in y])
+    assert np.array_equal(quantize_nn(lat, y), want)
+    assert np.array_equal(modulo(lat, y), y - want)
+    assert np.array_equal(modulo(lat, y[:1]), y[:1] - want[:1])
+    if lat.family == "cubic":
+        assert quantize_nn(lat, [np.nextafter(-0.5, 0.0)] * lat.dimension).tolist() == \
+            [0.0] * lat.dimension
 
 
 def test_quantizer_worked_examples():

@@ -1,6 +1,7 @@
 """Tests for the Monte-Carlo protocol simulator."""
 
 import dataclasses
+import itertools
 import math
 import threading
 from fractions import Fraction
@@ -401,11 +402,15 @@ def test_campaigns_are_reproducible():
 
 
 def test_master_seeds_past_2_63_keep_their_own_streams():
-    """The Philox key holds the seed exactly, not rounded through a float."""
+    """The Philox key holds the seed exactly, not rounded through a float:
+    seeds at and past 2**63 draw other messages and noise than seed 0 and
+    than their neighbour below."""
     for seed in (1 << 63, (1 << 64) - 1):
-        cfg = make_config(master_seed=seed)
-        assert run_trial(cfg, 0) != run_trial(make_config(master_seed=0), 0)
-        assert run_trial(cfg, 0) != run_trial(make_config(master_seed=seed - 1), 0)
+        mine = sim._Campaign(make_config(master_seed=seed)).draw(0)
+        for other in (0, seed - 1):
+            theirs = sim._Campaign(make_config(master_seed=other)).draw(0)
+            for name, a, b in zip(sim._Draws._fields, mine, theirs):
+                assert not np.array_equal(a, b), (seed, other, name)
 
 
 def test_trial_index_validation():
@@ -512,10 +517,14 @@ def run_range(cfg, start, stop):
     return sim._Campaign(cfg).run(start, stop)
 
 
+# _Block fields with no system axis: the trial axis leads
+TRIAL_FIRST = ("msgs", "ff_sq", "fb_sq", "agree")
+
+
 def concat_blocks(parts):
     """Join _Block results of consecutive trial ranges along the trial axis."""
     return sim._Block(*(
-        np.concatenate(arrays, axis=0 if name in ("msgs", "agree") else 1)
+        np.concatenate(arrays, axis=0 if name in TRIAL_FIRST else 1)
         for name, arrays in zip(sim._Block._fields, zip(*parts))
     ))
 
@@ -523,7 +532,7 @@ def concat_blocks(parts):
 def block_rows(block, lo, hi):
     """Trials [lo, hi) of a _Block."""
     return sim._Block(*(
-        x[lo:hi] if name in ("msgs", "agree") else x[:, lo:hi]
+        x[lo:hi] if name in TRIAL_FIRST else x[:, lo:hi]
         for name, x in zip(sim._Block._fields, block)
     ))
 
@@ -761,33 +770,35 @@ def test_block_keys_hold_seeds_past_2_63_exactly():
             assert not np.array_equal(draws.z_fwd, other.z_fwd)
 
 
-def test_campaign_rekeys_its_generator_to_fresh_block_streams():
-    """One campaign's generator, re-keyed per block, draws what a fresh
-    Philox(key=[seed, b]) draws: after any earlier use (a stored 32-bit
-    half and a part-used buffer included), for seeds at and past 2**63 and
-    for block indices near 2**63."""
-    for seed in (0, 1 << 63, (1 << 64) - 1):
-        campaign = sim._Campaign(make_config(master_seed=seed))
-        for b in (0, 3, (1 << 63) - 2, (1 << 63) - 1, 1 << 63):
-            rng = campaign.rng(b)
-            fresh = np.random.Generator(np.random.Philox(
+def test_campaign_draws_each_block_from_a_fresh_philox_stream():
+    """Keyed block b is the stream of a fresh Philox(key=[seed, b]) in the
+    documented layout (messages, forward noise, feedback noise), for Z1 and
+    E8, for seeds at both ends of the uint64 range and on both sides of
+    2**63, and for the first blocks and the last ones a trial index below
+    2**63 reaches.  A campaign draws a block alike however often and in
+    whatever order it draws it."""
+    for lattice, seed in itertools.product((cubic_lattice(1), make_lattice("e8")),
+                                           (0, (1 << 63) - 1, 1 << 63, (1 << 64) - 1)):
+        cfg = make_config(lattice=lattice, rate_bits=0.25, master_seed=seed)
+        p, k, n = cfg.params, cfg.rounds, cfg.dimension
+        campaign = sim._Campaign(cfg)
+        per = campaign.block_trials
+        last = ((1 << 63) - 1) // per
+        assert last == (1 << 63) // per  # B is no power of two here
+        for b in (0, 3, last - 1, last, 0):
+            rng = np.random.Generator(np.random.Philox(
                 key=np.array([seed, b], dtype=np.uint64)))
-            for draw in (lambda g: g.integers(0, 256, size=(37, 2)),
-                         lambda g: g.standard_normal((5, 3)),
-                         lambda g: g.random(7),
-                         lambda g: g.integers(0, 9, dtype=np.uint32)):
-                assert np.array_equal(draw(rng), draw(fresh)), (seed, b)
-    cfg = make_config(lattice=make_lattice("e8"), rate_bits=0.25,
-                      master_seed=(1 << 63) + 9)
-    campaign = sim._Campaign(cfg)
-    for b in (2, 0, 2, 1 << 40):
-        for mine, fresh in zip(campaign.draw(b), sim._Campaign(cfg).draw(b)):
-            assert np.array_equal(mine, fresh)
+            want = (rng.integers(0, cfg.m_codewords, size=(per, 2)),
+                    math.sqrt(p.sigma2) * rng.standard_normal((per, 2, k, n)),
+                    math.sqrt(p.sigma2_tilde) * rng.standard_normal((per, 2, k - 1, n)))
+            for name, got, ref in zip(sim._Draws._fields, campaign.draw(b), want):
+                assert np.array_equal(got, ref), (seed, b, name)
 
 
 def test_concurrent_campaigns_give_the_serial_summaries():
-    """Campaigns own their generator and decode radii, so threads running
-    different campaigns at once reproduce the serial summaries."""
+    """Campaigns own their decode radii and draw each block from a
+    generator of its own, so threads running different campaigns at once
+    reproduce the serial summaries."""
     cfgs = [make_config(lattice=make_lattice("d4"), rate_bits=0.5, looseness=1.5,
                         master_seed=71),
             make_config(lattice=make_lattice("e8"), rate_bits=1 / 3, looseness=1.5,
@@ -1073,24 +1084,40 @@ def test_sent_feedback_power_is_the_cell_second_moment(lattice):
     assert s.fb_power == pytest.approx(lat.second_moment, rel=1e-12)
 
 
-@pytest.mark.parametrize("kw", FOLD_CASES, ids=["z1", "d4", "e8"])
-def test_trial_feedback_power_matches_the_sent_values(kw):
-    """A real trial's fb_power is the cell's second moment M.  A coupled
-    trial's is the mean of |g_k (theta + eps)|^2 per dimension over the
-    values the per-copy loop sends, plus M for the dither; some trials
-    wrap, so their coupled estimates part from the real ones."""
+@pytest.mark.parametrize("lattice", [cubic_lattice(1), cubic_lattice(2),
+                                     make_lattice("d4"), make_lattice("e8")],
+                         ids=["z1", "z2", "d4", "e8"])
+def test_noisy_link_feedback_power_is_the_second_moment(lattice):
+    """On a noisy feedback link fb_power is the scaled lattice's second
+    moment exactly, in campaigns that alias too; with no feedback round
+    (K = 1) it is 0.0."""
+    kw = dict(lattice=lattice, looseness=1.5, rate_bits=1.0 / (3 * lattice.dimension))
     cfg = make_config(**kw)
-    m2, n = cfg.lattice.second_moment, cfg.dimension
-    parted = 0
-    for t in range(40):
-        copies = reference_copies(cfg, t)
-        fed = [v for i in range(2) for v in copies["coupled", i][2]]
-        parted += any(not np.array_equal(v, w) for i in range(2)
-                      for v, w in zip(copies["real", i][2], copies["coupled", i][2]))
-        want = sum(float(v @ v) for v in fed) / (len(fed) * n) + m2
-        assert run_coupled_trial(cfg, t).fb_power == pytest.approx(want, rel=1e-12)
-        assert run_trial(cfg, t).fb_power == pytest.approx(m2, rel=1e-12)
-    assert parted
+    s = estimate_error_prob(cfg, 300)
+    assert any(map(any, s.alias_counts))
+    assert s.fb_power == cfg.lattice.second_moment
+    assert estimate_error_prob(make_config(**kw | dict(rounds=1)), 30).fb_power == 0.0
+
+
+def test_exact_feedback_power_is_the_sent_estimates_power():
+    """Exact feedback sends B's estimate theta + eps_k itself, so fb_power
+    is the mean of |theta + eps_k|^2 per dimension over the rounds that
+    send one, which a per-copy loop over the block's draws repeats."""
+    cfg = make_config(params=NOISELESS_FB, rounds=4, looseness=0.0, master_seed=5)
+    campaign = sim._Campaign(cfg)
+    msgs, z_fwd, _ = campaign.draw(0)
+    per = campaign.block_trials
+    want = np.zeros((per, 2))
+    for t in range(per):
+        for i in range(2):
+            theta, eps = cfg.codewords[msgs[t, i]], z_fwd[t, i, 0]
+            for k in range(cfg.rounds - 1):
+                want[t, i] += (theta + eps) @ (theta + eps)
+                eps = eps - cfg.betas[k] * (cfg.gains[k] * eps + z_fwd[t, i, k + 1])
+    assert np.array_equal(run_range(cfg, 0, per).fb_sq, want)
+    s = estimate_error_prob(cfg, per)
+    assert s.fb_power == pytest.approx(want.mean() / (cfg.rounds - 1), rel=1e-12)
+    assert s.fb_power != cfg.lattice.second_moment
 
 
 @pytest.mark.parametrize("lattice, rate_bits", [("z", 1.5), ("d4", 1.0)],
