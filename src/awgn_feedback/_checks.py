@@ -5,13 +5,15 @@ and integers, fractions), returned as a ``float``; infinities and nan pass,
 for the few arguments where they carry a meaning.  A *real* is a number that
 is finite and, when a bound is given, above it (``above``) or at least it
 (``at_least``).  A *count* is any ``numbers.Integral`` except ``bool``; it
-is returned as an ``int`` and must lie in [lo, hi).  Any other value raises
-ValueError naming the argument, never TypeError.
+is returned as an ``int`` and must lie in [lo, hi), or with no hi be at
+least lo and at most the largest float.  Any other value raises ValueError
+naming the argument, never TypeError or OverflowError.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from numbers import Integral, Real
 
 
@@ -41,10 +43,14 @@ def real(
 
 
 def count(name: str, x, lo: int = 1, hi: int | None = None) -> int:
-    """``x`` as an int in [lo, hi), else ValueError."""
+    """``x`` as an int in [lo, hi), else ValueError; with no ``hi``, the
+    largest float caps it."""
     if type(x) is not int and (not isinstance(x, Integral) or isinstance(x, bool)):
         raise ValueError(f"{name} must be an integer, got {x!r}")
     n = int(x)
+    if hi is None and n > sys.float_info.max:  # int > float compares exactly
+        raise ValueError(f"{name} must be at most the largest float, got an "
+                         f"integer of {n.bit_length()} bits")
     if hi is None and n < lo:
         raise ValueError(f"{name} must be >= {lo}, got {n}")
     if hi is not None and not lo <= n < hi:

@@ -192,7 +192,8 @@ def cmd_bound(args) -> int:
         ("l_star", l_star),
         ("region_valid",
          region_assumptions_hold(params, args.rate, args.rounds, l_star)),
-        ("kstar_zero_rate", kstar_zero_rate(params.dsnr)),
+        ("kstar_zero_rate",  # needs dsnr >= 2, which the bound does not
+         kstar_zero_rate(params.dsnr) if params.dsnr >= 2.0 else float("nan")),
     ])
     return EXIT_OK
 

@@ -93,9 +93,9 @@ def _quantize_dn(y: np.ndarray, f: np.ndarray | None = None) -> np.ndarray:
     # is returned, whatever the layout of y
     y_rows = y.reshape(-1, n)
     rows = _quantize_zn(y_rows) if f is None else f.reshape(-1, n)
-    # integer partial sums below 2**53 are exact in any order, so the
-    # parity of this product is the parity of the coordinate sum
-    total = rows @ np.ones(n)
+    # fmod(v, 2) is v less an even integer and lies in (-2, 2): the sum is
+    # exact at any size (2**53 + 1 is not) and has the coordinate sum's parity
+    total = np.fmod(rows, 2.0) @ np.ones(n)
     odd = np.flatnonzero(total - 2.0 * np.floor(0.5 * total))
     e = y_rows[odd] - rows[odd]
     pen = np.concatenate((1.0 + 2.0 * e, (1.0 - 2.0 * e)[:, ::-1]), axis=-1)
@@ -348,7 +348,8 @@ def sample_dither(
 # =============================================================================
 
 def scale_to_power(lattice: Lattice, target_power: float) -> Lattice:
-    """Rescale so the per-dimension dither power equals ``target_power``."""
+    """Rescale so the per-dimension dither power equals ``target_power``;
+    the old scale, whose moment may underflow, plays no part."""
     target_power = real("target_power", target_power, above=0.0)
-    s = math.sqrt(target_power / lattice.second_moment)
-    return replace(lattice, scale=lattice.scale * s)
+    moment = _FAMILIES[lattice.family].moment
+    return replace(lattice, scale=math.sqrt(target_power / moment))

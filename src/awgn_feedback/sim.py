@@ -14,7 +14,8 @@ seed).  Per copy:
                noise (exact unless the pre-modulo value leaves the Voronoi
                cell: the aliasing event), rescales it to full forward
                power as x, and sends it; B's MMSE correction on noise z
-               is eps <- eps - beta_k (x + z).
+               is eps <- eps - beta_k (x + z).  Exact feedback is this
+               round unfolded, with zero fb noise and alpha = 1.
   decode       B picks the nearest codeword to theta + eps (PAM by index
                arithmetic on m and eps / step; a Gaussian codebook first
                tries the sent codeword by a certified radius test on eps;
@@ -23,8 +24,7 @@ seed).  Per copy:
 
 The engine carries eps alone, as the analysis does (theta + eps would lose
 eps below about 2.2e-16 |theta|): theta enters only the real system's
-powers, |theta|^2 in round 1 and |theta + eps|^2 under exact feedback, and
-the screened Gaussian decodes.
+forward power, |theta|^2 in round 1, and the screened Gaussian decodes.
 
 The coupled twin runs the same rounds with the modulo maps removed (its
 feedback power is deliberately unbounded).  Both systems consume the same
@@ -34,8 +34,8 @@ the two sample paths bit-identical until the first aliasing event.  The
 union-of-aliasing indicator therefore agrees between the systems on every
 trial, not merely with high probability.  No dither is drawn: by the crypto
 lemma the real feedback is uniform on the Voronoi cell whatever the
-estimate is, so its power is the lattice's second moment; only exact
-feedback, which sends the estimate itself, simulates its power.
+estimate is, so its power is the lattice's second moment; exact feedback
+sends theta + eps_k, of mean power the codebook's plus sigma_k^2.
 
 The engine's one handle is a :class:`_Campaign`, whose ``run`` runs a
 range of consecutive trials: its ``draw`` draws each keyed block's
@@ -158,7 +158,7 @@ class SchemeConfig:
     exact_feedback: bool = field(init=False, repr=False)
     m_codewords: int = field(init=False, repr=False)
     realized_rate_bits: float = field(init=False, repr=False)
-    alpha: float = field(init=False, repr=False)  # sqrt(L P / P~), 0 if exact
+    alpha: float = field(init=False, repr=False)  # sqrt(L P / P~), 1 if exact
     gains: tuple = field(init=False, repr=False)
     betas: tuple = field(init=False, repr=False)
     sigmas2: tuple = field(init=False, repr=False)
@@ -182,7 +182,7 @@ class SchemeConfig:
             ("master_seed", count("master_seed", self.master_seed, 0, 1 << 64)),
             ("looseness", loose if exact else _check_looseness(loose, p.bsnr)),
             ("exact_feedback", exact),
-            ("alpha", 0.0 if exact else math.sqrt(loose * p.p / p.p_tilde)),
+            ("alpha", 1.0 if exact else math.sqrt(loose * p.p / p.p_tilde)),
         ):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "lattice", scale_to_power(self.lattice, p.p_tilde))
@@ -238,7 +238,7 @@ class SchemeConfig:
 
     def _build_schedule(self) -> None:
         """Round k = 2..K feeds gamma_k eps_k back with gamma_k^2 sigma_k^2 =
-        P~/L - sigma~^2 (P if exact), A resends it times alpha (as is if
+        P~/L - sigma~^2 (P if exact), A resends it times alpha (1 if
         exact), and B corrects by beta_k, so that
         sigma_{k+1}^2 = sigma_k^2 (1 + L/dsnr) / (1 + snr)."""
         p = self.params
@@ -251,12 +251,8 @@ class SchemeConfig:
             object.__setattr__(self, "sigmas2", (0.0,) * self.rounds)
             return
         # num = gamma_k^2 sigma_k^2; a2s = alpha^2 sigma~^2, resent fb noise
-        if self.exact_feedback:
-            num, a2s, alpha = p.p, 0.0, 1.0
-        else:
-            num = p.p_tilde / self.looseness - p.sigma2_tilde
-            a2s = (self.looseness * p.p / p.p_tilde) * p.sigma2_tilde
-            alpha = self.alpha
+        num = p.p if self.exact_feedback else p.p_tilde / self.looseness - p.sigma2_tilde
+        a2s = (self.looseness * p.p / p.p_tilde) * p.sigma2_tilde
         if steps and num <= 0.0:
             raise ValueError(f"looseness {self.looseness} leaves no signal power on "
                              f"the feedback link (needs L < bsnr = {p.bsnr})")
@@ -268,7 +264,7 @@ class SchemeConfig:
             if g == math.inf:
                 raise ValueError(f"round {k} has no finite gain: the estimation-"
                                  f"error variance before it is {s!r}; use fewer rounds")
-            ag = alpha * g
+            ag = self.alpha * g
             # (ag)^2 s = alpha^2 num is finite even where (ag)^2 overflows
             a2gs = ag * ag * s
             if a2gs == math.inf:
@@ -461,14 +457,14 @@ class _Draws(NamedTuple):
 
 class _Block(NamedTuple):
     """Outcomes of a run of trials; a system axis, 0 real and 1 coupled,
-    leads ``alias``, ``decoded`` and ``eps``."""
+    leads ``alias``, ``decoded`` and ``eps``; the feedback power is a
+    closed form, so no feedback energy is kept."""
 
     msgs: np.ndarray      # (trials, 2) message per copy
     alias: np.ndarray     # (2, trials, 2, rounds - 1) wrap flags
     decoded: np.ndarray   # (2, trials, 2) decoded message
     eps: np.ndarray       # (2, trials, 2, n) final estimation error
     ff_sq: np.ndarray     # (trials, 2) real forward energy per copy
-    fb_sq: np.ndarray     # (trials, 2) real feedback energy, exact feedback only
     agree: np.ndarray     # (trials, 2) paths agree up to the first alias
 
 
@@ -526,13 +522,12 @@ def _propagate(campaign: _Campaign, draws: _Draws) -> _Block:
     """Run real and coupled systems of both copies on the given draws.
 
     The one state is the estimation error eps, from z_fwd[0] on.  Each
-    correction round folds, in one modulo call, the real residues and the
-    coupled residues whose error has parted from the real one; every other
-    coupled residue is its real twin's.  ``ff_sq`` and ``fb_sq`` are the
-    real system's energies; a noisy link's feedback power is a closed form
-    (see :class:`SimulationSummary`), so ``fb_sq`` sums |theta + eps|^2
-    under exact feedback alone and is 0 otherwise.  ``agree`` compares both
-    systems' own errors.  The decode runs once per distinct final error (see
+    correction round sends x = alpha w, w = gamma_k eps + fb noise; on a
+    noisy link it first folds, in one modulo call, the real w and the
+    coupled w whose error has parted from the real one (every other coupled
+    w is its real twin's).  Exact feedback is not folded.  ``ff_sq`` is the
+    real system's forward energy.  ``agree`` compares both systems' own
+    errors.  The decode runs once per distinct final error (see
     :func:`_decode_twins`).
     """
     cfg = campaign.cfg
@@ -542,22 +537,16 @@ def _propagate(campaign: _Campaign, draws: _Draws) -> _Block:
     trials, _, _, n = z_fwd.shape
     rows = 2 * trials  # (trial, copy) rows of one system
 
-    theta = cfg.codewords[msgs]
     eps = np.broadcast_to(z_fwd[:, :, 0], (2, trials, 2, n))
-    ff_sq = _sq(theta)
-    fb_sq = np.zeros((trials, 2))
+    ff_sq = _sq(cfg.codewords[msgs])
     alias = np.zeros((2, trials, 2, steps), dtype=bool)
     live = np.ones((trials, 2), dtype=bool)  # real copy not yet aliased
     agree = np.ones((trials, 2), dtype=bool)
     parted = np.empty(0, dtype=np.intp)  # (trial, copy) rows: coupled eps != real eps
     for k in range(steps):
-        g = cfg.gains[k]
-        if cfg.exact_feedback:
-            fb_sq += _sq(theta + eps[_REAL])
-            x = g * eps
-        else:
-            # dither-cancelled receiver residue: equals the modulo chain
-            w = g * eps + z_fb[:, :, k]
+        # dither-cancelled receiver residue: equals the modulo chain
+        w = cfg.gains[k] * eps + z_fb[:, :, k]
+        if not cfg.exact_feedback:
             w_parted = w[_COUPLED].reshape(rows, n)[parted]
             folded = modulo(lat, np.concatenate((w[_REAL].reshape(rows, n), w_parted)))
             residue = folded[:rows].reshape(trials, 2, n)
@@ -567,14 +556,15 @@ def _propagate(campaign: _Campaign, draws: _Draws) -> _Block:
                 alias[_COUPLED].reshape(rows, steps)[parted, k] = _rows_any(
                     folded[rows:] != w_parted)
             live &= ~wraps
-            x = cfg.alpha * np.stack((residue, w[_COUPLED]))
+            w[_REAL] = residue
+        x = cfg.alpha * w
         ff_sq += _sq(x[_REAL])
         eps = eps - cfg.betas[k] * (x + z_fwd[:, :, k + 1])
         differ = _rows_any(eps[_REAL] != eps[_COUPLED])
         agree &= ~(live & differ)
         parted = np.flatnonzero(differ)
     decoded = _decode_twins(campaign, msgs, eps, parted)
-    return _Block(msgs, alias, decoded, eps, ff_sq, fb_sq, agree)
+    return _Block(msgs, alias, decoded, eps, ff_sq, agree)
 
 
 def _decode_twins(campaign: _Campaign, msgs: np.ndarray, eps: np.ndarray,
@@ -685,11 +675,12 @@ class SimulationSummary:
     ``sigma_k2_hat`` estimates the final estimation-error variance from
     real-system trials without aliasing, pooling dimensions
     (``no_alias_dims`` of them).  ``ff_power`` and ``fb_power`` are the real
-    system's powers per dimension.  On a noisy feedback link ``fb_power`` is
-    the lattice's second moment, the feedback budget P~, in closed form: by
-    the crypto lemma the dithered modulo output is uniform on the cell.  It
-    is simulated only under exact feedback, which sends the estimate
-    unfolded, and is 0.0 when there is no feedback round (K = 1).
+    system's powers per dimension; ``fb_power`` is a closed form: on a
+    noisy link the lattice's second moment P~ (by the crypto lemma the
+    dithered modulo output is uniform on the cell); under exact feedback,
+    which sends theta + eps_k unfolded, the codebook's mean power per
+    dimension plus the mean sigma_k^2 over the K - 1 rounds that feed back;
+    0.0 when there is no feedback round (K = 1).
 
     ``union_agreement`` and ``coupled_agreement`` count copies, out of
     ``2 * trials``: the first counts matching union-of-aliasing indicators
@@ -776,7 +767,7 @@ def estimate_error_prob(config: SchemeConfig, trials: int) -> SimulationSummary:
     alias_counts = np.zeros((2, steps), dtype=np.int64)
     dec_errs = np.zeros(2, dtype=np.int64)  # per system
     union_mismatch = agreement = no_alias = splits = 0
-    ff_sum = fb_sum = eps2_sum = 0.0
+    ff_sum = eps2_sum = 0.0
 
     campaign = _Campaign(config)
     per_call = _CALL_BLOCKS * campaign.block_trials
@@ -791,15 +782,14 @@ def estimate_error_prob(config: SchemeConfig, trials: int) -> SimulationSummary:
         no_alias += int(np.count_nonzero(clean))
         splits += int(np.count_nonzero(clean & (b.decoded[_REAL] != b.decoded[_COUPLED])))
         ff_sum = _ordered_sum(ff_sum, b.ff_sq)
-        if config.exact_feedback:
-            fb_sum = _ordered_sum(fb_sum, b.fb_sq)
         agreement += int(np.count_nonzero(b.agree))
 
     copies = 2 * trials
     if not steps:
         fb_power = 0.0
-    elif config.exact_feedback:
-        fb_power = fb_sum / (copies * steps * n)
+    elif config.exact_feedback:  # mean |theta + eps_k|^2 / n; eps_k is zero-mean
+        fb_power = (math.fsum((config.codewords ** 2).flat) / config.codewords.size
+                    + math.fsum(config.sigmas2[:steps]) / steps)
     else:
         fb_power = config.lattice.second_moment
     dec_err_real, dec_err_coupled = dec_errs.tolist()

@@ -14,12 +14,14 @@ from awgn_feedback import (
     ChannelParams,
     Lattice,
     SchemeConfig,
+    balance_looseness,
     capacity,
     cubic_lattice,
     e_fb,
     effective_snr,
     estimate_error_prob,
     gallager_exp,
+    high_snr_bound,
     poltyrev_exponent,
     region_assumptions_hold,
     run_trial,
@@ -99,6 +101,33 @@ def test_bad_argument_raises_value_error_naming_it(case):
     for bad in bad_values:
         with pytest.raises(ValueError, match=name):
             call(bad)
+
+
+# counts with no stated upper bound that reach float arithmetic
+HUGE_COUNTS = {
+    "balance_looseness-rounds": (lambda v: balance_looseness(P, 0.5, v), "rounds"),
+    "high_snr_bound-rounds": (lambda v: high_snr_bound(P, 0.5, v), "rounds"),
+    "region_assumptions_hold-rounds": (
+        lambda v: region_assumptions_hold(P, 0.5, v, 40.0), "rounds"),
+    "wilson_interval-total": (lambda v: wilson_interval(1, v), "total"),
+    "Lattice-dimension": (lambda v: Lattice("cubic", v, 1.0).nsm, "dimension"),
+}
+
+
+@pytest.mark.parametrize("case", HUGE_COUNTS.values(), ids=HUGE_COUNTS.keys())
+def test_count_past_the_float_range_raises_value_error_naming_it(case):
+    """An int past the float range raises ValueError, not the OverflowError
+    of its conversion, and the message does not print all its digits."""
+    call, name = case
+    with pytest.raises(ValueError, match=f"^{name} must be at most the largest float") as e:
+        call(10**400)
+    assert len(str(e.value)) < 100
+
+
+def test_wilson_interval_takes_every_campaign_copy_count():
+    """estimate_error_prob runs up to 2**63 trials, 2**64 copies."""
+    lo, hi = wilson_interval(1, 2**64)
+    assert 0.0 < lo < hi < 1e-18
 
 
 @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())

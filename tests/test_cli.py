@@ -385,6 +385,20 @@ def test_bound_report(capsys):
     assert float(rep["kstar_zero_rate"]) == pytest.approx(4.84739431676931)
 
 
+def test_bound_below_a_3db_advantage(capsys):
+    """The bound and L* hold for any dsnr > 1; only kstar_zero_rate needs
+    dsnr >= 2, and it reads nan below."""
+    code, out, err = run_main(
+        ["bound", "--snr-db", "20", "--dsnr-db", "2", "--rate", "0.5",
+         "--rounds", "3"],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    rep = parse_report(out)
+    assert float(rep["bound_nats"]) == pytest.approx(1.273, rel=1e-3)
+    assert rep["kstar_zero_rate"] == "nan"
+
+
 def test_bound_beyond_float_range(capsys):
     """1200 rounds boost the SNR past the float range; the report stands."""
     code, out, _ = run_main(

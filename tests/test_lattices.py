@@ -264,6 +264,37 @@ def test_quantizer_is_nearest_one_ulp_from_half_integers(lat):
             [0.0] * lat.dimension
 
 
+def _exact_member(lat, q):
+    """q is a point of the unit-scale D4 or E8, in exact arithmetic."""
+    q = [Fraction(v) for v in q]
+    halves = lat.family == "e8" and all(v.denominator == 2 for v in q)
+    return (halves or all(v.denominator == 1 for v in q)) and sum(q) % 2 == 0
+
+
+@pytest.mark.parametrize("lat", [make_lattice("d4"), make_lattice("e8")],
+                         ids=["d4", "e8"])
+@pytest.mark.parametrize("big", [2.0**53, 2.0**53 + 2, 2.0**57, 2.0**60])
+def test_quantizer_keeps_parity_past_2_53(lat, big):
+    """Summed as floats, the coordinate sum 2**53 + 1 rounds to the even
+    2**53, so (2**53, 1.2, 0, 0) quantized to (2**53, 1, 0, 0), off D4, and
+    modulo returned (0, 0.2, 0, 0) in the wrong coset.  Each row here has
+    a huge coordinate and an odd rounded sum: its quantized point is a
+    lattice point and the exact lex-smallest nearest one, and x less its
+    residue is a lattice point (each small coordinate is within a factor
+    of 2 of its nearest point's, or that is 0, so its residue is exact)."""
+    n = lat.dimension
+    x = np.zeros((3, n))
+    x[0, :2] = [big, 1.2]
+    x[1, 0], x[1, -1] = 0.7, -big
+    x[2, :4] = [-big, 0.6, 0.6, 1.2]
+    q = quantize_nn(lat, x)
+    r = modulo(lat, x)
+    for row, qi, ri in zip(x, q, r):
+        assert np.array_equal(qi, exact_nearest(lat, row))
+        assert _exact_member(lat, qi)
+        assert _exact_member(lat, [Fraction(a) - Fraction(b) for a, b in zip(row, ri)])
+
+
 def test_quantizer_worked_examples():
     c = 2.0
     lat = cubic_lattice(1, spacing=c)
@@ -696,6 +727,16 @@ def test_scale_to_power():
         assert lat.nsm == pytest.approx(make_lattice("e8").nsm, rel=1e-12)
     with pytest.raises(ValueError):
         scale_to_power(make_lattice("e8"), 0.0)
+
+
+def test_scale_to_power_ignores_the_old_scale():
+    """(1e-300)^2 / 12 underflows to 0, which the new scale never divides by."""
+    lat = scale_to_power(Lattice("cubic", 1, 1e-300), 1e300)
+    assert lat.scale == math.sqrt(12e300)
+    assert lat.second_moment == pytest.approx(1e300, rel=1e-12)
+    for name in ("z", "d4", "e8"):
+        tiny = replace(make_lattice(name), scale=1e-200)
+        assert scale_to_power(tiny, 2.0).scale == scale_to_power(make_lattice(name), 2.0).scale
 
 
 def test_scale_to_power_cubic_spacing():

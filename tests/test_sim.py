@@ -144,7 +144,8 @@ def test_wiener_update_exact_feedback_limit():
 
 
 # float.hex of (alpha, gains, betas, sigmas2), recorded before the schedule
-# was folded into one loop: a reordered floating-point operation moves them
+# was folded into one loop: a reordered floating-point operation moves them.
+# Exact feedback's alpha is 1, the unit rescaling of its unfolded round.
 SCHEDULE_BITS = {
     "noisy K=3 L=40": (
         (P, 3, 40.0),
@@ -198,7 +199,7 @@ SCHEDULE_BITS = {
     ),
     "exact K=4": (
         (NOISELESS_FB, 4, 0.0),
-        "0x0.0p+0",
+        "0x1.0000000000000p+0",
         ("0x1.4000000000000p+3", "0x1.91feb9f2bf46cp+6",
          "0x1.f900000000000p+9"),
         ("0x1.958b67ebb907ap-4", "0x1.42d35602dbceep-7",
@@ -518,7 +519,7 @@ def run_range(cfg, start, stop):
 
 
 # _Block fields with no system axis: the trial axis leads
-TRIAL_FIRST = ("msgs", "ff_sq", "fb_sq", "agree")
+TRIAL_FIRST = ("msgs", "ff_sq", "agree")
 
 
 def concat_blocks(parts):
@@ -1100,24 +1101,37 @@ def test_noisy_link_feedback_power_is_the_second_moment(lattice):
 
 
 def test_exact_feedback_power_is_the_sent_estimates_power():
-    """Exact feedback sends B's estimate theta + eps_k itself, so fb_power
-    is the mean of |theta + eps_k|^2 per dimension over the rounds that
-    send one, which a per-copy loop over the block's draws repeats."""
+    """Exact feedback sends B's estimate theta + eps_k itself.  eps_k is
+    zero-mean and independent of theta, so fb_power is the closed form
+    mean |c|^2 / n + mean of sigma_k^2 over the K - 1 rounds that feed back,
+    whatever the campaign's length.  A per-copy loop over ten blocks' draws
+    checks the sent power against it within 4 standard errors, and exact
+    Fraction arithmetic checks the float form on the PAM codebook."""
     cfg = make_config(params=NOISELESS_FB, rounds=4, looseness=0.0, master_seed=5)
+    steps = cfg.rounds - 1
     campaign = sim._Campaign(cfg)
-    msgs, z_fwd, _ = campaign.draw(0)
-    per = campaign.block_trials
-    want = np.zeros((per, 2))
-    for t in range(per):
-        for i in range(2):
-            theta, eps = cfg.codewords[msgs[t, i]], z_fwd[t, i, 0]
-            for k in range(cfg.rounds - 1):
-                want[t, i] += (theta + eps) @ (theta + eps)
-                eps = eps - cfg.betas[k] * (cfg.gains[k] * eps + z_fwd[t, i, k + 1])
-    assert np.array_equal(run_range(cfg, 0, per).fb_sq, want)
-    s = estimate_error_prob(cfg, per)
-    assert s.fb_power == pytest.approx(want.mean() / (cfg.rounds - 1), rel=1e-12)
+    power = []
+    for b in range(10):
+        msgs, z_fwd, _ = campaign.draw(b)
+        for t in range(campaign.block_trials):
+            for i in range(2):
+                theta, eps = cfg.codewords[msgs[t, i]], z_fwd[t, i, 0]
+                sent = 0.0
+                for k in range(steps):
+                    sent += (theta + eps) @ (theta + eps)
+                    eps = eps - cfg.betas[k] * (cfg.gains[k] * eps + z_fwd[t, i, k + 1])
+                power.append(sent / (steps * cfg.dimension))
+    power = np.array(power)
+    se = power.std(ddof=1) / math.sqrt(len(power))
+    s = estimate_error_prob(cfg, 10 * campaign.block_trials)
+    assert abs(power.mean() - s.fb_power) < 4.0 * se
+    assert estimate_error_prob(cfg, 1).fb_power == s.fb_power
     assert s.fb_power != cfg.lattice.second_moment
+
+    assert cfg.codebook == "pam" and cfg.m_codewords > 1
+    exact = (sum(Fraction(c) ** 2 for c in cfg.codewords.ravel()) / cfg.m_codewords
+             + sum(map(Fraction, cfg.sigmas2[:steps])) / steps)
+    assert abs(Fraction(s.fb_power) - exact) <= Fraction(2) ** -51 * exact
 
 
 @pytest.mark.parametrize("lattice, rate_bits", [("z", 1.5), ("d4", 1.0)],
